@@ -232,36 +232,14 @@ let warn_degraded (i : V.Engine.interrupt) =
     (Budget.reason_code i.V.Engine.reason)
     i.V.Engine.stratum i.V.Engine.iteration i.V.Engine.facts_derived
 
-let load_microdata ~path ~overrides =
-  let name = Filename.remove_extension (Filename.basename path) in
-  let rel = R.Csv.load ~name path in
-  let overrides =
-    List.filter_map
-      (fun (attr, cat) ->
-        Option.map (fun c -> (attr, c)) (S.Microdata.category_of_string cat))
-      overrides
-  in
-  match S.Categorize.categorize_microdata ~overrides rel with
-  | Ok md -> md
-  | Error message ->
-    E.fail ~code:"categorize.failed" E.Wardedness message
-      ~context:
-        [
-          ( "hint",
-            "pass --category \
-             attr=identifier|quasi-identifier|non-identifying|weight" );
-        ]
+let ok_or_raise = function Ok v -> v | Error e -> raise (E.Error e)
 
-let parse_measure measure k threshold_size =
-  match measure with
-  | "k-anonymity" -> S.Risk.K_anonymity { k }
-  | "re-identification" -> S.Risk.Re_identification
-  | "individual" -> S.Risk.Individual S.Risk.Benedetti_franconi
-  | "individual-naive" -> S.Risk.Individual S.Risk.Naive
-  | "suda" -> S.Risk.Suda { max_msu_size = 3; threshold_size }
-  | other ->
-    E.fail ~code:"measure.unknown" E.Wardedness ("unknown measure " ^ other)
-      ~context:[ ("measure", other) ]
+(* The SDC flags decode exactly like a server request: the CLI fills a
+   [Codec.options] and [Codec] turns it into categories, measure and
+   cycle configuration, with the same typed errors. *)
+let load_microdata ~path options =
+  let name = Filename.remove_extension (Filename.basename path) in
+  ok_or_raise (Srv.Codec.microdata_of_relation options (R.Csv.load ~name path))
 
 (* ---- arguments --------------------------------------------------------- *)
 
@@ -293,29 +271,41 @@ let category_arg =
           "Expert category override (identifier, quasi-identifier, \
            non-identifying, weight). Repeatable.")
 
+let default = Srv.Codec.default_options
+
 let measure_arg =
   Arg.(
     value
-    & opt string "k-anonymity"
+    & opt string default.Srv.Codec.measure
     & info [ "measure" ] ~docv:"MEASURE"
         ~doc:
           "Risk measure: k-anonymity, re-identification, individual, \
            individual-naive, suda.")
 
 let k_arg =
-  Arg.(value & opt int 2 & info [ "k" ] ~docv:"K" ~doc:"k-anonymity threshold.")
+  Arg.(
+    value
+    & opt int default.Srv.Codec.k
+    & info [ "k" ] ~docv:"K" ~doc:"k-anonymity threshold.")
 
 let threshold_arg =
   Arg.(
     value
-    & opt float 0.5
+    & opt float default.Srv.Codec.threshold
     & info [ "threshold" ] ~docv:"T" ~doc:"Risk threshold T in [0,1].")
 
 let msu_arg =
   Arg.(
     value
-    & opt int 3
+    & opt int default.Srv.Codec.msu_threshold
     & info [ "msu-threshold" ] ~docv:"N" ~doc:"SUDA minimal-sample-unique size threshold.")
+
+let options_term =
+  let make categories measure k threshold msu_threshold =
+    { default with Srv.Codec.categories; measure; k; threshold; msu_threshold }
+  in
+  Term.(
+    const make $ category_arg $ measure_arg $ k_arg $ threshold_arg $ msu_arg)
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -329,8 +319,8 @@ let engine_domains_arg =
           "Evaluate the chase across N OCaml domains (default 1 = \
            sequential). The result is byte-identical for any N — parallel \
            evaluation merges worker derivations in sequential order. Only \
-           reasoning-engine work parallelizes; native paths (e.g. the \
-           anonymization cycle) ignore it. See docs/PERFORMANCE.md.")
+           reasoning-engine work parallelizes; native paths (e.g. $(b,risk) \
+           without $(b,--reasoned)) ignore it. See docs/PERFORMANCE.md.")
 
 let check_domains domains =
   if domains < 1 then begin
@@ -444,11 +434,11 @@ let risk_cmd =
              text summary — the exact bytes the server's POST /v1/risk \
              returns for the same input.")
   in
-  let run (finish, _, limits) input categories measure k threshold msu_threshold
-      explain reasoned json domains =
+  let run (finish, _, limits) input options explain reasoned json domains =
     check_domains domains;
-    let md = load_microdata ~path:input ~overrides:categories in
-    let measure = parse_measure measure k msu_threshold in
+    let md = load_microdata ~path:input options in
+    let measure = ok_or_raise (Srv.Codec.measure_of_options options) in
+    let threshold = options.Srv.Codec.threshold in
     let report = S.Risk.estimate measure md in
     if json then print_string (Srv.Codec.risk_report_string ~threshold md report)
     else print_string (S.Explain.summary md report ~threshold);
@@ -490,9 +480,8 @@ let risk_cmd =
   Cmd.v
     (Cmd.info "risk" ~doc:"Estimate statistical disclosure risk for a CSV")
     Term.(
-      const run $ common_term $ input_arg $ category_arg $ measure_arg $ k_arg
-      $ threshold_arg $ msu_arg $ explain $ reasoned_flag $ json_flag
-      $ engine_domains_arg)
+      const run $ common_term $ input_arg $ options_term $ explain
+      $ reasoned_flag $ json_flag $ engine_domains_arg)
 
 (* ---- anonymize --------------------------------------------------------------- *)
 
@@ -500,14 +489,14 @@ let anonymize_cmd =
   let method_arg =
     Arg.(
       value
-      & opt string "suppress"
+      & opt string default.Srv.Codec.method_
       & info [ "method" ] ~docv:"METHOD"
           ~doc:"suppress (labelled nulls) or recode (synthetic hierarchy roll-up).")
   in
   let semantics_arg =
     Arg.(
       value
-      & opt string "maybe-match"
+      & opt string default.Srv.Codec.semantics
       & info [ "semantics" ] ~docv:"SEM"
           ~doc:"Labelled-null semantics: maybe-match or standard.")
   in
@@ -528,37 +517,11 @@ let anonymize_cmd =
              applied, cells affected, violations remaining, info-loss delta. \
              Schema in docs/OBSERVABILITY.md; validated by tools/auditcheck.")
   in
-  let run (finish, _, limits) input categories measure k threshold msu_threshold
-      method_ semantics output narrative audit domains =
-    (* Accepted for CLI uniformity: the native anonymization cycle is
-       engine-free, so the flag only matters for reasoned paths. *)
-    check_domains domains;
-    let md = load_microdata ~path:input ~overrides:categories in
-    let semantics =
-      match R.Null_semantics.of_string semantics with
-      | Some s -> s
-      | None ->
-        Printf.eprintf "error: unknown semantics %s\n" semantics;
-        exit 1
-    in
-    let method_ =
-      match method_ with
-      | "suppress" -> S.Cycle.Local_suppression
-      | "recode" ->
-        S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md)
-      | other ->
-        Printf.eprintf "error: unknown method %s\n" other;
-        exit 1
-    in
-    let config =
-      {
-        S.Cycle.default_config with
-        S.Cycle.measure = parse_measure measure k msu_threshold;
-        threshold;
-        semantics;
-        method_;
-      }
-    in
+  let run (finish, _, limits) input options method_ semantics output narrative
+      audit =
+    let options = { options with Srv.Codec.method_; semantics } in
+    let md = load_microdata ~path:input options in
+    let config = ok_or_raise (Srv.Codec.cycle_config options md) in
     let recorder = Option.map (fun _ -> S.Audit.recorder ()) audit in
     let outcome =
       S.Cycle.run ~config ?audit:recorder ?budget:(budget_of_limits limits) md
@@ -586,15 +549,16 @@ let anonymize_cmd =
     (Cmd.info "anonymize"
        ~doc:"Run the anonymization cycle on a CSV until the risk threshold holds")
     Term.(
-      const run $ common_term $ input_arg $ category_arg $ measure_arg $ k_arg
-      $ threshold_arg $ msu_arg $ method_arg $ semantics_arg $ output_arg
-      $ narrative_flag $ audit_arg $ engine_domains_arg)
+      const run $ common_term $ input_arg $ options_term $ method_arg
+      $ semantics_arg $ output_arg $ narrative_flag $ audit_arg)
 
 (* ---- attack --------------------------------------------------------------------- *)
 
 let attack_cmd =
   let run (finish, _, limits) input categories seed =
-    let md = load_microdata ~path:input ~overrides:categories in
+    let md =
+      load_microdata ~path:input { default with Srv.Codec.categories }
+    in
     let rng = Vadasa_stats.Rng.create ~seed in
     let oracle = L.Oracle.from_microdata rng md () in
     Printf.printf "identity oracle: %d records\n" (L.Oracle.cardinal oracle);
@@ -1207,103 +1171,6 @@ let serve_cmd =
 
 (* ---- datasets / append (registry HTTP client) ------------------------------------- *)
 
-(* A deliberately tiny HTTP/1.1 client, one request per connection —
-   which matches the server's connection-close discipline — so the
-   registry subcommands don't pull in a client library. *)
-
-let find_crlf2 s =
-  let n = String.length s in
-  let rec go i =
-    if i + 4 > n then None
-    else if
-      s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-    then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let client_error fmt =
-  Printf.ksprintf
-    (fun message -> raise (E.Error (E.make ~code:"client.io" E.Io message)))
-    fmt
-
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } ->
-      client_error "cannot resolve host %s" host
-    | { Unix.h_addr_list; _ } -> h_addr_list.(0)
-    | exception Not_found -> client_error "cannot resolve host %s" host)
-
-let http_request ~host ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let addr = Unix.ADDR_INET (resolve_host host, port) in
-  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (match Unix.connect fd addr with
-      | () -> ()
-      | exception Unix.Unix_error (err, _, _) ->
-        client_error "cannot connect to %s:%d: %s" host port
-          (Unix.error_message err));
-      let buf = Buffer.create (String.length body + 256) in
-      Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-        (("host", host) :: headers);
-      Buffer.add_string buf
-        (Printf.sprintf "content-length: %d\r\n\r\n" (String.length body));
-      Buffer.add_string buf body;
-      let raw = Buffer.to_bytes buf in
-      let off = ref 0 in
-      while !off < Bytes.length raw do
-        off := !off + Unix.write fd raw !off (Bytes.length raw - !off)
-      done;
-      (* the server always closes: read to EOF *)
-      let resp = Buffer.create 1024 in
-      let chunk = Bytes.create 8192 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes resp chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-      in
-      drain ();
-      let raw = Buffer.contents resp in
-      if raw = "" then client_error "empty response from %s:%d" host port;
-      let status =
-        match String.split_on_char ' ' raw with
-        | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
-        | _ -> 0
-      in
-      let head, body =
-        match find_crlf2 raw with
-        | Some i ->
-          ( String.sub raw 0 i,
-            String.sub raw (i + 4) (String.length raw - i - 4) )
-        | None -> (raw, "")
-      in
-      (* Response headers, names lowercased — the retry loop reads
-         Retry-After out of these. *)
-      let resp_headers =
-        List.filter_map
-          (fun line ->
-            match String.index_opt line ':' with
-            | None -> None
-            | Some i ->
-              Some
-                ( String.lowercase_ascii (String.trim (String.sub line 0 i)),
-                  String.trim
-                    (String.sub line (i + 1) (String.length line - i - 1)) ))
-          (String.split_on_char '\n'
-             (String.concat "" (String.split_on_char '\r' head)))
-      in
-      (status, resp_headers, body))
-
 (* Honour backpressure: a 503 (open breaker, full queue) or 429
    (tenant quota / rate limit) with its Retry-After header re-issues
    the request under a jittered-backoff retry policy with a bounded
@@ -1329,22 +1196,24 @@ let http_request_retrying ~host ~port ~meth ~target ?headers ?body () =
              float_of_string_opt)
       | _ -> None)
     (fun () ->
-      let status, resp_headers, resp_body =
-        http_request ~host ~port ~meth ~target ?headers ?body ()
-      in
+      let resp = Srv.Http.call ~host ~port ~meth ~target ?headers ?body () in
+      let status = resp.Srv.Http.status in
       if status = 503 || status = 429 then
         raise
           (E.Error
              (E.make ~code:"client.unavailable" E.Resource
-                (Printf.sprintf "%s %s: HTTP %d from %s:%d" meth target
-                   status host port)
+                (Printf.sprintf "%s %s: HTTP %d from %s:%d"
+                   (Srv.Http.meth_to_string meth)
+                   target status host port)
                 ~context:
                   (("status", string_of_int status)
                   ::
-                  (match List.assoc_opt "retry-after" resp_headers with
+                  (match
+                     List.assoc_opt "retry-after" resp.Srv.Http.resp_headers
+                   with
                   | Some v -> [ ("retry_after_s", v) ]
                   | None -> []))));
-      (status, resp_headers, resp_body))
+      resp)
 
 let server_arg =
   Arg.(
@@ -1375,12 +1244,13 @@ let newline_terminated s =
 
 let client_call ~server ~meth ~target ?headers ?body () =
   let host, port = parse_server server in
-  let status, _, resp =
+  let { Srv.Http.status; resp_body; _ } =
     http_request_retrying ~host ~port ~meth ~target ?headers ?body ()
   in
-  if status >= 200 && status < 300 then print_string (newline_terminated resp)
+  if status >= 200 && status < 300 then
+    print_string (newline_terminated resp_body)
   else begin
-    Printf.eprintf "error: HTTP %d\n%s" status (newline_terminated resp);
+    Printf.eprintf "error: HTTP %d\n%s" status (newline_terminated resp_body);
     exit 1
   end
 
@@ -1404,7 +1274,7 @@ let dataset_id_arg =
 let datasets_cmd =
   let list_cmd =
     let run (finish, _, _) server =
-      client_call ~server ~meth:"GET" ~target:"/v1/datasets" ();
+      client_call ~server ~meth:Srv.Http.GET ~target:"/v1/datasets" ();
       finish ()
     in
     Cmd.v
@@ -1425,7 +1295,7 @@ let datasets_cmd =
       let target =
         "/v1/datasets/" ^ id ^ if csv then "?include=csv" else ""
       in
-      client_call ~server ~meth:"GET" ~target ();
+      client_call ~server ~meth:Srv.Http.GET ~target ();
       finish ()
     in
     Cmd.v
@@ -1455,7 +1325,7 @@ let datasets_cmd =
         "/v1/datasets/" ^ id
         ^ if params = [] then "" else "?" ^ String.concat "&" params
       in
-      client_call ~server ~meth:"PUT" ~target
+      client_call ~server ~meth:Srv.Http.PUT ~target
         ~headers:[ ("content-type", "text/csv") ]
         ~body:(slurp file) ();
       finish ()
@@ -1501,7 +1371,7 @@ let datasets_cmd =
         "/v1/datasets/" ^ id ^ "/risk"
         ^ if params = [] then "" else "?" ^ String.concat "&" params
       in
-      client_call ~server ~meth:"GET" ~target ();
+      client_call ~server ~meth:Srv.Http.GET ~target ();
       finish ()
     in
     Cmd.v
@@ -1516,7 +1386,7 @@ let datasets_cmd =
   in
   let delete_cmd =
     let run (finish, _, _) server id =
-      client_call ~server ~meth:"DELETE" ~target:("/v1/datasets/" ^ id) ();
+      client_call ~server ~meth:Srv.Http.DELETE ~target:("/v1/datasets/" ^ id) ();
       finish ()
     in
     Cmd.v
@@ -1541,7 +1411,7 @@ let append_cmd =
           ~doc:"Delta CSV file (same header as the base document).")
   in
   let run (finish, _, _) server id input =
-    client_call ~server ~meth:"POST"
+    client_call ~server ~meth:Srv.Http.POST
       ~target:("/v1/datasets/" ^ id ^ "/facts")
       ~headers:[ ("content-type", "text/csv") ]
       ~body:(slurp input) ();
@@ -1637,7 +1507,7 @@ let jobs_cmd =
              @ opt_field "method" (fun s -> Json.Str s) method_
              @ opt_field "semantics" (fun s -> Json.Str s) semantics))
       in
-      client_call ~server ~meth:"POST" ~target:"/v1/jobs"
+      client_call ~server ~meth:Srv.Http.POST ~target:"/v1/jobs"
         ~headers:
           [
             ("content-type", "application/json");
@@ -1660,7 +1530,7 @@ let jobs_cmd =
   in
   let status_cmd =
     let run (finish, _, _) server id =
-      client_call ~server ~meth:"GET" ~target:("/v1/jobs/" ^ id) ();
+      client_call ~server ~meth:Srv.Http.GET ~target:("/v1/jobs/" ^ id) ();
       finish ()
     in
     Cmd.v
@@ -1670,7 +1540,7 @@ let jobs_cmd =
   in
   let list_cmd =
     let run (finish, _, _) server =
-      client_call ~server ~meth:"GET" ~target:"/v1/jobs" ();
+      client_call ~server ~meth:Srv.Http.GET ~target:"/v1/jobs" ();
       finish ()
     in
     Cmd.v
@@ -1697,8 +1567,8 @@ let jobs_cmd =
       let host, port = parse_server server in
       let deadline = Unix.gettimeofday () +. timeout in
       let rec poll () =
-        let status, _, body =
-          http_request_retrying ~host ~port ~meth:"GET"
+        let { Srv.Http.status; resp_body = body; _ } =
+          http_request_retrying ~host ~port ~meth:Srv.Http.GET
             ~target:("/v1/jobs/" ^ id) ()
         in
         if status <> 200 then begin
@@ -1776,7 +1646,7 @@ let jobs_cmd =
   in
   let cancel_cmd =
     let run (finish, _, _) server id =
-      client_call ~server ~meth:"DELETE" ~target:("/v1/jobs/" ^ id) ();
+      client_call ~server ~meth:Srv.Http.DELETE ~target:("/v1/jobs/" ^ id) ();
       finish ()
     in
     Cmd.v
@@ -1820,6 +1690,9 @@ let () =
         jobs_cmd;
       ]
   in
+  (* The registry clients write to a server that may answer (413) and
+     close before the upload ends: that must be EPIPE, not a kill. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* [~catch:false] lets typed errors reach this handler: every failure
      in the taxonomy prints as one [error[code]] line plus its context
      pairs (file, line, column, …) and exits 2. *)

@@ -1,8 +1,12 @@
 (* Request decoding and canonical JSON rendering of SDC results.
 
-   The CLI's [risk --json] and the server's [POST /v1/risk] both render
-   through [risk_report_string], so a byte-compare between the two is a
-   meaningful integration check (the CI smoke job does exactly that). *)
+   The only place request options become SDC configuration (category
+   overrides, measure, semantics, cycle method): the CLI, the handlers
+   and the jobs runner all decode through here, so a bad option is the
+   same typed error on every path. The CLI's [risk --json] and the
+   server's [POST /v1/risk] both render through [risk_report_string], so
+   a byte-compare between the two is a meaningful integration check (the
+   CI smoke job does exactly that). *)
 
 module Json = Vadasa_base.Json
 module E = Vadasa_base.Error
@@ -52,117 +56,114 @@ let bad_param name detail =
     (Printf.sprintf "parameter %s: %s" name detail)
     ~context:[ ("parameter", name) ]
 
-let parse_category_pair s =
-  match String.index_opt s '=' with
-  | Some i ->
-    Ok (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None ->
-    Error
-      (bad_param "category"
-         (Printf.sprintf "bad value %S (expected attr=category)" s))
-
-let options_of_query (req : Http.request) =
-  let get name = Http.query_param req name in
-  let* categories =
-    List.fold_left
-      (fun acc (key, value) ->
-        let* acc = acc in
-        if String.equal key "category" then
-          let* pair = parse_category_pair value in
-          Ok (pair :: acc)
-        else Ok acc)
-      (Ok []) req.query
-    |> Result.map List.rev
-  in
-  let int_param name default =
-    match get name with
-    | None -> Ok default
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some n -> Ok n
-      | None -> Error (bad_param name "expected an integer"))
-  in
-  let int_opt_param name =
-    match get name with
-    | None -> Ok None
-    | Some v -> (
-      match int_of_string_opt v with
-      | Some n when n >= 1 -> Ok (Some n)
-      | _ -> Error (bad_param name "expected a positive integer"))
-  in
-  let float_param name default =
-    match get name with
-    | None -> Ok default
-    | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> Error (bad_param name "expected a number"))
-  in
-  let* k = int_param "k" default_options.k in
-  let* msu_threshold = int_param "msu-threshold" default_options.msu_threshold in
-  let* threshold = float_param "threshold" default_options.threshold in
-  let* budget_ms = int_opt_param "budget-ms" in
-  let* max_facts = int_opt_param "max-facts" in
-  Ok
-    {
-      name = Option.value ~default:default_options.name (get "name");
-      measure = Option.value ~default:default_options.measure (get "measure");
-      k;
-      threshold;
-      msu_threshold;
-      categories;
-      reasoned = get "reasoned" = Some "true";
-      method_ = Option.value ~default:default_options.method_ (get "method");
-      semantics = Option.value ~default:default_options.semantics (get "semantics");
-      budget_ms;
-      max_facts;
-      audit = get "audit" = Some "true";
-    }
-
 let bad_field name detail =
   E.make ~code:"request.bad_field" E.Parse
     (Printf.sprintf "field %s: %s" name detail)
     ~context:[ ("field", name) ]
 
+(* Where the scalar options come from: the query string (string values,
+   dashed names, [request.bad_param]) or a JSON body (typed values,
+   [request.bad_field]). *)
+type 'v source = {
+  find : string -> 'v option;
+  bad : string -> string -> E.t;
+  str : 'v -> string option;
+  int : 'v -> int option;
+  float : 'v -> float option;
+  bool : 'v -> bool option;
+}
+
+let json_source json =
+  {
+    find = (fun name -> Json.member name json);
+    bad = bad_field;
+    str = (function Json.Str s -> Some s | _ -> None);
+    int = Json.to_int_opt;
+    float = Json.to_float_opt;
+    bool = Json.to_bool_opt;
+  }
+
+let field src conv detail name default =
+  match src.find name with
+  | None -> Ok default
+  | Some v -> (
+    match conv v with Some x -> Ok x | None -> Error (src.bad name detail))
+
+let positive src name =
+  field src
+    (fun v ->
+      match src.int v with Some n when n >= 1 -> Some (Some n) | _ -> None)
+    "expected a positive integer" name None
+
+(* One decoder for both request shapes; names are the JSON spelling. *)
+let decode_options src categories =
+  let str = field src src.str "expected a string"
+  and int = field src src.int "expected an integer"
+  and bool = field src src.bool "expected a boolean" in
+  let d = default_options in
+  let* name = str "name" d.name in
+  let* measure = str "measure" d.measure in
+  let* k = int "k" d.k in
+  let* threshold =
+    field src src.float "expected a number" "threshold" d.threshold
+  in
+  let* msu_threshold = int "msu_threshold" d.msu_threshold in
+  let* reasoned = bool "reasoned" d.reasoned in
+  let* method_ = str "method" d.method_ in
+  let* semantics = str "semantics" d.semantics in
+  let* budget_ms = positive src "budget_ms" in
+  let* max_facts = positive src "max_facts" in
+  let* audit = bool "audit" d.audit in
+  Ok
+    {
+      name;
+      measure;
+      k;
+      threshold;
+      msu_threshold;
+      categories;
+      reasoned;
+      method_;
+      semantics;
+      budget_ms;
+      max_facts;
+      audit;
+    }
+
+let options_of_query (req : Http.request) =
+  let dashed = String.map (function '_' -> '-' | c -> c) in
+  let* categories =
+    List.fold_left
+      (fun acc (key, value) ->
+        let* acc = acc in
+        if not (String.equal key "category") then Ok acc
+        else
+          match String.index_opt value '=' with
+          | Some i ->
+            Ok
+              (( String.sub value 0 i,
+                 String.sub value (i + 1) (String.length value - i - 1) )
+              :: acc)
+          | None ->
+            Error
+              (bad_param "category"
+                 (Printf.sprintf "bad value %S (expected attr=category)" value)))
+      (Ok []) req.query
+    |> Result.map List.rev
+  in
+  decode_options
+    {
+      find = (fun name -> Http.query_param req (dashed name));
+      bad = (fun name -> bad_param (dashed name));
+      str = Option.some;
+      int = int_of_string_opt;
+      float = float_of_string_opt;
+      (* a flag: anything but "true" is false *)
+      bool = (fun v -> Some (v = "true"));
+    }
+    categories
+
 let options_of_json json =
-  let str name default =
-    match Json.member name json with
-    | Some (Json.Str s) -> Ok s
-    | Some _ -> Error (bad_field name "expected a string")
-    | None -> Ok default
-  in
-  let int_field name default =
-    match Json.member name json with
-    | Some j -> (
-      match Json.to_int_opt j with
-      | Some n -> Ok n
-      | None -> Error (bad_field name "expected an integer"))
-    | None -> Ok default
-  in
-  let int_opt_field name =
-    match Json.member name json with
-    | Some j -> (
-      match Json.to_int_opt j with
-      | Some n when n >= 1 -> Ok (Some n)
-      | _ -> Error (bad_field name "expected a positive integer"))
-    | None -> Ok None
-  in
-  let float_field name default =
-    match Json.member name json with
-    | Some j -> (
-      match Json.to_float_opt j with
-      | Some f -> Ok f
-      | None -> Error (bad_field name "expected a number"))
-    | None -> Ok default
-  in
-  let bool_field name default =
-    match Json.member name json with
-    | Some j -> (
-      match Json.to_bool_opt j with
-      | Some b -> Ok b
-      | None -> Error (bad_field name "expected a boolean"))
-    | None -> Ok default
-  in
   let* categories =
     match Json.member "categories" json with
     | None -> Ok []
@@ -179,32 +180,7 @@ let options_of_json json =
       |> Result.map List.rev
     | Some _ -> Error (bad_field "categories" "expected an object of attr: category")
   in
-  let* name = str "name" default_options.name in
-  let* measure = str "measure" default_options.measure in
-  let* k = int_field "k" default_options.k in
-  let* threshold = float_field "threshold" default_options.threshold in
-  let* msu_threshold = int_field "msu_threshold" default_options.msu_threshold in
-  let* reasoned = bool_field "reasoned" default_options.reasoned in
-  let* method_ = str "method" default_options.method_ in
-  let* semantics = str "semantics" default_options.semantics in
-  let* budget_ms = int_opt_field "budget_ms" in
-  let* max_facts = int_opt_field "max_facts" in
-  let* audit = bool_field "audit" default_options.audit in
-  Ok
-    {
-      name;
-      measure;
-      k;
-      threshold;
-      msu_threshold;
-      categories;
-      reasoned;
-      method_;
-      semantics;
-      budget_ms;
-      max_facts;
-      audit;
-    }
+  decode_options (json_source json) categories
 
 (* The exact inverse of [options_of_json] (same field names), so the
    registry journal can record a request's options and replay rebuilds
@@ -322,14 +298,7 @@ let parse_explain_payload (req : Http.request) =
                ~code:("request.missing_" ^ name)
                E.Parse ("missing field " ^ name))
       in
-      let int_opt_field name =
-        match Json.member name json with
-        | Some j -> (
-          match Json.to_int_opt j with
-          | Some n when n >= 1 -> Ok (Some n)
-          | _ -> Error (bad_field name "expected a positive integer"))
-        | None -> Ok None
-      in
+      let int_opt_field = positive (json_source json) in
       let* program = str_field "program" in
       let* fact = str_field "fact" in
       let* pred, args = parse_fact fact in
@@ -371,12 +340,18 @@ let measure_of_options o =
          (Printf.sprintf "unknown measure %s" other)
          ~context:[ ("measure", other) ])
 
-let microdata_of_payload { csv; options } =
-  let* rel =
-    match R.Csv.read_string ~name:options.name csv with
-    | rel -> Ok rel
-    | exception E.Error e -> Error e
-  in
+let semantics_of_options o =
+  match R.Null_semantics.of_string o.semantics with
+  | Some s -> Ok s
+  | None ->
+    Error
+      (E.make ~code:"semantics.unknown" E.Wardedness
+         ("unknown semantics " ^ o.semantics)
+         ~context:[ ("semantics", o.semantics) ])
+
+(* The expert category overrides of Alg. 1 are all-or-nothing: one
+   misspelled category fails the request instead of being dropped. *)
+let microdata_of_relation options rel =
   let* overrides =
     List.fold_left
       (fun acc (attr, cat) ->
@@ -393,7 +368,47 @@ let microdata_of_payload { csv; options } =
   in
   match S.Categorize.categorize_microdata ~overrides rel with
   | Ok md -> Ok md
-  | Error msg -> Error (E.make ~code:"categorize.failed" E.Wardedness msg)
+  | Error msg ->
+    Error
+      (E.make ~code:"categorize.failed" E.Wardedness msg
+         ~context:
+           [
+             ( "hint",
+               "override with category \
+                attr=identifier|quasi-identifier|non-identifying|weight" );
+           ])
+
+let microdata_of_payload { csv; options } =
+  let* rel =
+    match R.Csv.read_string ~name:options.name csv with
+    | rel -> Ok rel
+    | exception E.Error e -> Error e
+  in
+  microdata_of_relation options rel
+
+let cycle_config o md =
+  let* measure = measure_of_options o in
+  let* semantics = semantics_of_options o in
+  let* method_ =
+    match o.method_ with
+    | "suppress" -> Ok S.Cycle.Local_suppression
+    | "recode" ->
+      Ok
+        (S.Cycle.Recode_then_suppress
+           (Vadasa_datagen.Generator.synthetic_hierarchy md))
+    | other ->
+      Error
+        (E.make ~code:"method.unknown" E.Wardedness ("unknown method " ^ other)
+           ~context:[ ("method", other) ])
+  in
+  Ok
+    {
+      S.Cycle.default_config with
+      S.Cycle.measure;
+      threshold = o.threshold;
+      semantics;
+      method_;
+    }
 
 (* ---- typed errors on the wire -------------------------------------------- *)
 

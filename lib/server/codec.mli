@@ -1,6 +1,10 @@
 (** Request decoding, typed-error HTTP mapping, and canonical JSON
     rendering of SDC results.
 
+    The CLI fills {!options} from its flags and the server from the
+    query string or JSON body; both turn it into SDC configuration only
+    through the decoders here, so bad options fail alike.
+
     {!risk_report_string} is shared with the CLI's [risk --json], which
     makes server responses byte-identical to CLI output for the same
     input — the CI smoke job byte-compares the two. Decoding failures
@@ -89,11 +93,34 @@ val explain_string : Vadasa_vadalog.Provenance.t -> string
     — the canonical rendering used verbatim by both [vadasa explain
     --json] and [POST /v1/explain]. *)
 
+val semantics_of_options :
+  options -> (Vadasa_relational.Null_semantics.t, Vadasa_base.Error.t) result
+(** [semantics.unknown] (Wardedness, 422) for anything but
+    [maybe-match] / [standard]. *)
+
+val microdata_of_relation :
+  options ->
+  Vadasa_relational.Relation.t ->
+  (Vadasa_sdc.Microdata.t, Vadasa_base.Error.t) result
+(** Relation → categorized microdata with the expert overrides of
+    [options.categories] honoured. A misspelled category is
+    [category.unknown]; attributes Algorithm 1 leaves unresolved are
+    [categorize.failed] (both Wardedness). *)
+
 val microdata_of_payload :
   payload -> (Vadasa_sdc.Microdata.t, Vadasa_base.Error.t) result
-(** CSV → relation → categorized microdata (expert overrides honoured).
-    Propagates the CSV reader's typed errors ([csv.ragged_row], …) and
-    adds [category.unknown] / [categorize.failed] (both Wardedness). *)
+(** CSV → relation ({!microdata_of_relation}). Propagates the CSV
+    reader's typed errors ([csv.ragged_row], …). *)
+
+val cycle_config :
+  options ->
+  Vadasa_sdc.Microdata.t ->
+  (Vadasa_sdc.Cycle.config, Vadasa_base.Error.t) result
+(** The anonymization cycle's configuration: measure
+    ({!measure_of_options}), threshold, semantics
+    ({!semantics_of_options}) and method — [suppress], or [recode] over
+    the synthetic hierarchy of the given microdata; anything else is
+    [method.unknown] (Wardedness). *)
 
 val status_of_category : Vadasa_base.Error.category -> int
 (** Parse → 400, Wardedness → 422, Resource → 503, Io → 500,

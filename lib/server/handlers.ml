@@ -26,7 +26,6 @@ module Budget = Vadasa_base.Budget
 module Faultpoint = Vadasa_resilience.Faultpoint
 module Telemetry = Vadasa_telemetry.Telemetry
 module S = Vadasa_sdc
-module D = Vadasa_datagen
 module V = Vadasa_vadalog
 
 type compiled = {
@@ -222,35 +221,7 @@ let anonymize t req =
   let payload = payload_of_request req in
   let md = microdata_for t payload in
   let options = payload.Codec.options in
-  let measure = measure_of_options options in
-  let semantics =
-    match
-      Vadasa_relational.Null_semantics.of_string options.Codec.semantics
-    with
-    | Some s -> s
-    | None ->
-      E.fail ~code:"semantics.unknown" E.Wardedness
-        ("unknown semantics " ^ options.Codec.semantics)
-        ~context:[ ("semantics", options.Codec.semantics) ]
-  in
-  let method_ =
-    match options.Codec.method_ with
-    | "suppress" -> S.Cycle.Local_suppression
-    | "recode" ->
-      S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md)
-    | other ->
-      E.fail ~code:"method.unknown" E.Wardedness ("unknown method " ^ other)
-        ~context:[ ("method", other) ]
-  in
-  let config =
-    {
-      S.Cycle.default_config with
-      S.Cycle.measure;
-      threshold = options.Codec.threshold;
-      semantics;
-      method_;
-    }
-  in
+  let config = ok_or_raise (Codec.cycle_config options md) in
   let recorder = if options.Codec.audit then Some (S.Audit.recorder ()) else None in
   let outcome =
     S.Cycle.run ~config ?audit:recorder ?budget:(budget_for t req options) md
@@ -372,6 +343,7 @@ let dataset_put t req =
   let payload = payload_of_request req in
   let options = payload.Codec.options in
   let measure = measure_of_options options in
+  let semantics = ok_or_raise (Codec.semantics_of_options options) in
   let md = S.Microdata.copy (microdata_for t payload) in
   let compiled =
     (* The measure's program rides the compiled-program cache; measures
@@ -387,7 +359,7 @@ let dataset_put t req =
   let { Registry.entry; created } =
     Registry.put t.registry ~id ~digest:(dataset_key payload)
       ~bytes:(String.length payload.Codec.csv)
-      ~options ~measure ~compiled md
+      ~options ~measure ~semantics ~compiled md
   in
   let body =
     match Registry.entry_json entry with

@@ -1,9 +1,11 @@
-(* Minimal HTTP/1.1 on top of the Unix module: a buffered request
-   parser driven by a [read] function and a deterministic response
-   serializer. No chunked transfer encoding (501), no keep-alive (every
-   response carries [Connection: close]) — exactly what the SDC service
-   daemon needs, with hard limits on request line, header block and body
-   so a misbehaving client cannot exhaust the server. *)
+(* Minimal HTTP/1.1 on top of the Unix module, for both directions: one
+   buffered message reader driven by a [read] function (requests on the
+   server, responses in the client), deterministic serializers, and a
+   one-request-per-connection client. No chunked transfer encoding
+   (501), no keep-alive (every response carries [Connection: close]) —
+   exactly what the SDC service daemon and its CLI need, with hard limits
+   on request line, header block and body so a misbehaving client cannot
+   exhaust the server. *)
 
 type meth = GET | POST | HEAD | PUT | DELETE | Other of string
 
@@ -184,7 +186,10 @@ let split_lines s =
          let n = String.length line in
          if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line)
 
-let read_request ?(limits = default_limits) (read : reader) =
+(* The framing both directions share: accumulate up to the blank line,
+   parse the start line with [start] and the header lines (names
+   lowercased), then read exactly [Content-Length] body bytes. *)
+let read_message ~limits (read : reader) start =
   let chunk = Bytes.create 8192 in
   let acc = Buffer.create 1024 in
   let read_more () =
@@ -211,20 +216,19 @@ let read_request ?(limits = default_limits) (read : reader) =
         let* () =
           match read_more () with
           | Error Closed when Buffer.length acc > 0 ->
-            Error (Bad_request "truncated request")
+            Error (Bad_request "truncated message")
           | r -> r
         in
         fill_headers ()
   in
   let* header_end = fill_headers () in
-  let data = Buffer.contents acc in
-  let head = String.sub data 0 header_end in
-  let* request_line, header_lines =
+  let head = String.sub (Buffer.contents acc) 0 header_end in
+  let* start_line, header_lines =
     match split_lines head with
-    | [] | [ "" ] -> Error (Bad_request "empty request")
+    | [] | [ "" ] -> Error (Bad_request "empty message")
     | line :: rest -> Ok (line, rest)
   in
-  let* meth, target, version = parse_request_line ~limits request_line in
+  let* first = start start_line in
   let* headers =
     List.fold_left
       (fun acc line ->
@@ -266,9 +270,14 @@ let read_request ?(limits = default_limits) (read : reader) =
       fill_body ()
   in
   let* () = fill_body () in
-  let body = String.sub (Buffer.contents acc) body_start content_length in
-  let path, query = split_target target in
-  Ok { meth; target; path; query; version; headers; body; deadline = None }
+  Ok (first, headers, Buffer.sub acc body_start content_length)
+
+let read_request ?(limits = default_limits) read =
+  Result.map
+    (fun ((meth, target, version), headers, body) ->
+      let path, query = split_target target in
+      { meth; target; path; query; version; headers; body; deadline = None })
+    (read_message ~limits read (parse_request_line ~limits))
 
 (* ---- responses --------------------------------------------------------- *)
 
@@ -338,34 +347,123 @@ let error_response = function
   | Closed ->
     json_error ~status:400 ~code:"http.closed" "connection closed mid-request"
 
-let response_to_string r =
-  let buf = Buffer.create (String.length r.resp_body + 256) in
-  Buffer.add_string buf
-    (Printf.sprintf "HTTP/1.1 %d %s\r\n" r.status (reason_phrase r.status));
+(* One wire form for both directions: start line, headers,
+   [content-length], [connection: close] (one message per connection
+   either way), blank line, body. *)
+let serialize start_line headers body =
+  let buf = Buffer.create (String.length body + 256) in
+  Buffer.add_string buf start_line;
+  Buffer.add_string buf "\r\n";
   List.iter
     (fun (name, value) ->
       Buffer.add_string buf name;
       Buffer.add_string buf ": ";
       Buffer.add_string buf value;
       Buffer.add_string buf "\r\n")
-    r.resp_headers;
+    headers;
   Buffer.add_string buf
-    (Printf.sprintf "content-length: %d\r\n" (String.length r.resp_body));
+    (Printf.sprintf "content-length: %d\r\n" (String.length body));
   Buffer.add_string buf "connection: close\r\n\r\n";
-  Buffer.add_string buf r.resp_body;
+  Buffer.add_string buf body;
   Buffer.contents buf
+
+let response_to_string r =
+  serialize
+    (Printf.sprintf "HTTP/1.1 %d %s" r.status (reason_phrase r.status))
+    r.resp_headers r.resp_body
+
+let request_to_string r =
+  serialize
+    (Printf.sprintf "%s %s %s" (meth_to_string r.meth) r.target r.version)
+    r.headers r.body
+
+(* "HTTP/1.1 200 OK": the version, a three-digit status, any phrase. *)
+let parse_status_line line =
+  match String.split_on_char ' ' line with
+  | version :: code :: _
+    when String.starts_with ~prefix:"HTTP/" version
+         && String.length code = 3
+         && String.for_all (fun c -> c >= '0' && c <= '9') code ->
+    Ok (int_of_string code)
+  | _ -> Error (Bad_request ("malformed status line: " ^ line))
+
+(* A client trusts the server it chose to call: responses are not
+   bounded by the body limit that protects the server. *)
+let read_response read =
+  Result.map
+    (fun (status, resp_headers, resp_body) -> { status; resp_headers; resp_body })
+    (read_message
+       ~limits:{ default_limits with max_body_bytes = max_int }
+       read parse_status_line)
+
+(* Writes [s] and returns the bytes written; a peer that hung up
+   (EPIPE/ECONNRESET) ends the write early. *)
+let write_all fd s =
+  let n = String.length s in
+  let written = ref 0 in
+  (try
+     while !written < n do
+       written := !written + Unix.write_substring fd s !written (n - !written)
+     done
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  !written
 
 let write_response fd r =
   (* An armed [http.write:fail] simulates a client that vanished; the
      caller treats the raised typed error like a broken pipe. *)
   Vadasa_resilience.Faultpoint.hit "http.write";
-  let s = response_to_string r in
-  let bytes = Bytes.of_string s in
-  let n = Bytes.length bytes in
-  let written = ref 0 in
-  (try
-     while !written < n do
-       written := !written + Unix.write fd bytes !written (n - !written)
-     done
-   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
-  !written
+  write_all fd (response_to_string r)
+
+(* ---- client -------------------------------------------------------------- *)
+
+let client_io fmt =
+  Vadasa_base.Error.failf ~code:"client.io" Vadasa_base.Error.Io fmt
+
+let resolve host =
+  match Unix.inet_addr_of_string host with
+  | addr -> addr
+  | exception Failure _ -> (
+    match Unix.gethostbyname host with
+    | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
+      client_io "cannot resolve host %s" host
+    | { Unix.h_addr_list; _ } -> h_addr_list.(0))
+
+let call ~host ~port ~meth ~target ?(headers = []) ?(body = "") () =
+  let addr = Unix.ADDR_INET (resolve host, port) in
+  let unreachable err =
+    client_io "cannot connect to %s:%d: %s" host port (Unix.error_message err)
+  in
+  match Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error (err, _, _) -> unreachable err
+  | fd -> (
+    let path, query = split_target target in
+    let request =
+      {
+        meth;
+        target;
+        path;
+        query;
+        version = "HTTP/1.1";
+        headers = ("host", host) :: headers;
+        body;
+        deadline = None;
+      }
+    in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    (* A server that refuses the request (413 on an oversized body)
+       answers and closes while we are still writing: [write_all] stops
+       there and the response it managed to send is still read. *)
+    match
+      Unix.connect fd addr;
+      ignore (write_all fd (request_to_string request));
+      read_response (reader_of_fd fd)
+    with
+    | Ok response -> response
+    | Error Closed -> client_io "empty response from %s:%d" host port
+    | Error (Bad_request msg | Not_implemented msg) ->
+      client_io "bad response from %s:%d: %s" host port msg
+    | Error (Payload_too_large _ | Timeout) ->
+      client_io "bad response from %s:%d" host port
+    | exception Unix.Unix_error (err, _, _) -> unreachable err)

@@ -1,12 +1,15 @@
-(** Minimal, dependency-free HTTP/1.1 over [Unix] file descriptors.
+(** Minimal, dependency-free HTTP/1.1 over [Unix] file descriptors, for
+    both the server and its clients.
 
-    One request per connection: the parser reads a single request
-    (request line, headers, [Content-Length] body) and the serializer
-    always answers with [Connection: close]. Chunked transfer encoding
-    is rejected with 501; request line, header block and body size are
+    One request per connection: the reader parses a single message
+    (start line, headers, [Content-Length] body) — a request on the
+    server, a response in {!call} — and the response serializer always
+    answers with [Connection: close]. Chunked transfer encoding is
+    rejected with 501; request line, header block and body size are
     bounded by {!limits} (413 on an oversized body, 400 on everything
-    malformed). The parser is pure over a {!reader} function, so tests
-    drive it from strings while the server drives it from sockets. *)
+    malformed). The reader is pure over a {!reader} function, so tests
+    drive it from strings while the server and client drive it from
+    sockets. *)
 
 type meth = GET | POST | HEAD | PUT | DELETE | Other of string
 
@@ -56,6 +59,11 @@ val reader_of_string : string -> reader
 
 val read_request : ?limits:limits -> reader -> (request, error) result
 
+val request_to_string : request -> string
+(** Wire form: request line, headers as given, [content-length],
+    [connection: close], body. [path] and [query] are ignored (the
+    [target] carries them). *)
+
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
 
@@ -90,6 +98,30 @@ val reason_phrase : int -> string
 val response_to_string : response -> string
 (** Full wire form: status line, headers, [content-length],
     [connection: close], body. *)
+
+val read_response : reader -> (response, error) result
+(** The inverse of {!response_to_string}, through the same header and
+    body reader as {!read_request}; header names come back lowercased.
+    {!default_limits} apply except for the body, which is unbounded. A
+    garbled status line, a malformed header or a body shorter than its
+    [Content-Length] is [Bad_request]; no bytes at all is [Closed]. *)
+
+val call :
+  host:string ->
+  port:int ->
+  meth:meth ->
+  target:string ->
+  ?headers:(string * string) list ->
+  ?body:string ->
+  unit ->
+  response
+(** One request on a fresh connection to [host] (a dotted address or a
+    resolvable name) and its response. A [host] header is added. If the
+    server answers and closes before the body is fully written (413 on
+    an oversized upload), writing stops and that response is returned.
+    Resolution, connection and framing failures raise the typed
+    [client.io] error (category Io); no [Unix_error] escapes. Callers
+    that write to sockets should ignore [SIGPIPE]. *)
 
 val write_response : Unix.file_descr -> response -> int
 (** Write the wire form, swallowing [EPIPE]/[ECONNRESET] (the client may

@@ -32,7 +32,6 @@ module Budget = Vadasa_base.Budget
 module Faultpoint = Vadasa_resilience.Faultpoint
 module Retry = Vadasa_resilience.Retry
 module S = Vadasa_sdc
-module D = Vadasa_datagen
 
 type state = Queued | Running | Done | Failed | Cancelled | Orphaned
 
@@ -383,35 +382,7 @@ let run_risk entry =
 let run_anonymize job entry =
   let options = job.options in
   let md = Registry.entry_md_snapshot entry in
-  let measure = ok_or_raise (Codec.measure_of_options options) in
-  let semantics =
-    match
-      Vadasa_relational.Null_semantics.of_string options.Codec.semantics
-    with
-    | Some s -> s
-    | None ->
-      E.fail ~code:"semantics.unknown" E.Wardedness
-        ("unknown semantics " ^ options.Codec.semantics)
-        ~context:[ ("semantics", options.Codec.semantics) ]
-  in
-  let method_ =
-    match options.Codec.method_ with
-    | "suppress" -> S.Cycle.Local_suppression
-    | "recode" ->
-      S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md)
-    | other ->
-      E.fail ~code:"method.unknown" E.Wardedness ("unknown method " ^ other)
-        ~context:[ ("method", other) ]
-  in
-  let config =
-    {
-      S.Cycle.default_config with
-      S.Cycle.measure;
-      threshold = options.Codec.threshold;
-      semantics;
-      method_;
-    }
-  in
+  let config = ok_or_raise (Codec.cycle_config options md) in
   let outcome = S.Cycle.run ~config ~budget:job.budget md in
   Json.to_string ~indent:true (Codec.anonymize_outcome_json md outcome) ^ "\n"
 

@@ -188,8 +188,8 @@ let evict_lru t =
     Hashtbl.remove t.table id;
     t.evictions <- t.evictions + 1
 
-let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~compiled
-    (md : S.Microdata.t) =
+let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
+    ~compiled (md : S.Microdata.t) =
   validate_id id;
   Telemetry.span "registry.put" @@ fun () ->
   (match
@@ -213,11 +213,6 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~compiled
   |> function
   | Some outcome -> outcome
   | None ->
-    let semantics =
-      Option.value
-        (R.Null_semantics.of_string options.Codec.semantics)
-        ~default:R.Null_semantics.Maybe_match
-    in
     (* The expensive state is built before the entry is published:
        losing a PUT race below just discards this candidate. *)
     let risk = S.Risk.Incremental.create ~semantics measure md in
@@ -586,7 +581,10 @@ let compile_measure measure =
    and journal replay. The stored CSV is the canonical union document,
    so the rebuilt scorer and chase are fixpoints over exactly the rows
    the crashed process held (reports are byte-identical because
-   incremental state always equals from-scratch state over the union). *)
+   incremental state always equals from-scratch state over the union).
+   The one lenient decode: an unknown semantics is read as maybe-match,
+   which is how data dirs written before registration rejected it were
+   scored. *)
 let decode_dataset_state json =
   let options =
     match Json.member "options" json with
@@ -607,7 +605,11 @@ let decode_dataset_state json =
     | Ok md -> md
     | Error e -> raise (E.Error e)
   in
-  (options, measure, md)
+  let semantics =
+    Result.value (Codec.semantics_of_options options)
+      ~default:R.Null_semantics.Maybe_match
+  in
+  (options, measure, semantics, md)
 
 let dump t =
   let entries =
@@ -644,12 +646,7 @@ let dump t =
 
 let restore_entry t json =
   let id = record_string json "id" in
-  let options, measure, md = decode_dataset_state json in
-  let semantics =
-    Option.value
-      (R.Null_semantics.of_string options.Codec.semantics)
-      ~default:R.Null_semantics.Maybe_match
-  in
+  let options, measure, semantics, md = decode_dataset_state json in
   let scorer = S.Risk.Incremental.create ~semantics measure md in
   let chase =
     match compile_measure measure with
@@ -708,12 +705,13 @@ let apply t json =
   match record_string json "kind" with
   | "dataset.put" ->
     let id = record_string json "id" in
-    let options, measure, md = decode_dataset_state json in
+    let options, measure, semantics, md = decode_dataset_state json in
     let compiled = compile_measure measure in
     ignore
       (put t ~id
          ~digest:(record_string json "digest")
-         ~bytes:(record_int json "bytes") ~options ~measure ~compiled md)
+         ~bytes:(record_int json "bytes") ~options ~measure ~semantics
+         ~compiled md)
   | "dataset.append" ->
     let entry = get t (record_string json "id") in
     ignore (append t entry ~csv:(record_string json "csv"))

@@ -61,13 +61,15 @@ val put :
   bytes:int ->
   options:Codec.options ->
   measure:Vadasa_sdc.Risk.measure ->
+  semantics:Vadasa_relational.Null_semantics.t ->
   compiled:(Vadasa_vadalog.Program.t * Vadasa_vadalog.Stratify.t) option ->
   Vadasa_sdc.Microdata.t ->
   put_outcome
 (** Register [md] under [id]. [digest] identifies the base payload:
     re-PUTting the identical payload is idempotent ([created = false]),
     a different payload under a live id raises [dataset.conflict].
-    [compiled] is the measure's parsed/stratified program (rule ids must
+    [measure] and [semantics] are the decoded [options] the scorer runs
+    with. [compiled] is the measure's parsed/stratified program (rule ids must
     be stable under a facts-only union — the compiled-program cache's
     contract); [None] skips chase materialization (measure outside the
     logic). [bytes] is the base document size, for accounting. *)

@@ -1,19 +1,5 @@
 (* Tiny substring-search helper shared by the test suites. *)
 
-let find_sub haystack needle =
-  let hl = String.length haystack and nl = String.length needle in
-  if nl = 0 then Some 0
-  else if nl > hl then None
-  else begin
-    let found = ref None in
-    let i = ref 0 in
-    while !found = None && !i <= hl - nl do
-      if String.equal (String.sub haystack !i nl) needle then found := Some !i
-      else incr i
-    done;
-    !found
-  end
-
 let contains haystack needle =
   let hl = String.length haystack and nl = String.length needle in
   if nl = 0 then true

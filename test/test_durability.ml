@@ -18,8 +18,8 @@ module Json = Vadasa_base.Json
 module F = Vadasa_resilience.Faultpoint
 module Retry = Vadasa_resilience.Retry
 module R = Vadasa_relational
-module S = Vadasa_sdc
-module D = Vadasa_datagen
+
+open E2e
 
 (* --- fixtures and small helpers ------------------------------------------- *)
 
@@ -43,37 +43,6 @@ let write_file path s =
 
 let file_size path = (Unix.stat path).Unix.st_size
 
-let figure6_csv =
-  lazy
-    (R.Csv.write_string (S.Microdata.relation (D.Suite.load ~scale:0.05 "R6A4U")))
-
-(* header + rows[lo, hi) as a standalone CSV document *)
-let csv_slice csv lo hi =
-  match String.split_on_char '\n' csv with
-  | header :: rows ->
-    let rows = List.filter (fun r -> r <> "") rows in
-    let keep = List.filteri (fun i _ -> i >= lo && i < hi) rows in
-    header ^ "\n" ^ String.concat "\n" keep ^ "\n"
-  | [] -> assert false
-
-let csv_rows csv =
-  match String.split_on_char '\n' csv with
-  | _ :: rows -> List.length (List.filter (fun r -> r <> "") rows)
-  | [] -> 0
-
-let md_of_csv csv =
-  match
-    Srv.Codec.microdata_of_payload
-      { Srv.Codec.csv; options = Srv.Codec.default_options }
-  with
-  | Ok md -> md
-  | Error e -> Alcotest.failf "microdata: %s" (E.to_string e)
-
-let json_of body =
-  match Json.of_string body with
-  | Ok json -> json
-  | Error m -> Alcotest.failf "body is JSON: %s (%s)" m body
-
 let jstr json name =
   match Option.bind (Json.member name json) Json.to_string_opt with
   | Some v -> v
@@ -88,10 +57,6 @@ let jbool json name =
   match Option.bind (Json.member name json) Json.to_bool_opt with
   | Some v -> v
   | None -> Alcotest.failf "missing bool field %s" name
-
-let error_code body =
-  Option.bind (Json.member "error" (json_of body)) (fun e ->
-      Option.bind (Json.member "code" e) Json.to_string_opt)
 
 (* --- the journal ----------------------------------------------------------- *)
 
@@ -384,7 +349,8 @@ let put_base registry csv =
     Registry.put registry ~id:"d"
       ~digest:(Digest.to_hex (Digest.string csv))
       ~bytes:(String.length csv) ~options:Codec.default_options
-      ~measure:(default_measure ()) ~compiled:None (md_of_csv csv)
+      ~measure:(default_measure ()) ~semantics:R.Null_semantics.Maybe_match
+      ~compiled:None (md_of_csv csv)
   in
   outcome.Registry.entry
 
@@ -392,6 +358,40 @@ let risk_string entry =
   Codec.risk_report_string ~threshold:Codec.default_options.Codec.threshold
     (Registry.entry_md entry)
     (Registry.entry_report entry)
+
+(* Data dirs written before registration checked the semantics may
+   journal an unknown one, which was scored as maybe-match: journal
+   replay and snapshot restore read it the same way instead of failing
+   recovery. *)
+let test_registry_replays_unknown_semantics () =
+  let csv = Lazy.force figure6_csv in
+  let dir = tmp_dir () in
+  let p1 = Persist.open_ ~snapshot_every:100000 ~dir () in
+  let reg1 = Registry.create ~persist:p1 () in
+  let e1 =
+    (Registry.put reg1 ~id:"d" ~digest:"base" ~bytes:(String.length csv)
+       ~options:{ Codec.default_options with Codec.semantics = "bogus" }
+       ~measure:(default_measure ()) ~semantics:R.Null_semantics.Maybe_match
+       ~compiled:None (md_of_csv csv))
+      .Registry.entry
+  in
+  let risk1 = risk_string e1 in
+  let recover () =
+    let p = Persist.open_ ~dir () in
+    let reg = Registry.create ~persist:p () in
+    Persist.recover p;
+    (p, Registry.get reg "d")
+  in
+  let check what (p, e) =
+    Alcotest.(check bool) (what ^ ": maybe-match") true
+      (Registry.entry_semantics e = R.Null_semantics.Maybe_match);
+    Alcotest.(check string) (what ^ ": report byte-identical") risk1
+      (risk_string e);
+    p
+  in
+  (* crash: only the journal survives; a clean close then snapshots *)
+  Persist.close (check "journal replay" (recover ()));
+  Persist.close (check "snapshot restore" (recover ()))
 
 (* put + two appends, crash (journal only), recover: the union CSV and
    the maintained risk report come back byte-identical — and again
@@ -487,86 +487,11 @@ let test_registry_concurrent_append_hammer () =
 
 (* --- the /v1/jobs surface over HTTP ---------------------------------------- *)
 
-let http_call_full ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let buf = Buffer.create (String.length body + 256) in
-      Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-        (("host", "localhost") :: headers);
-      Buffer.add_string buf
-        (Printf.sprintf "content-length: %d\r\n\r\n" (String.length body));
-      Buffer.add_string buf body;
-      let raw = Buffer.to_bytes buf in
-      let off = ref 0 in
-      while !off < Bytes.length raw do
-        off := !off + Unix.write fd raw !off (Bytes.length raw - !off)
-      done;
-      let resp = Buffer.create 1024 in
-      let chunk = Bytes.create 8192 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes resp chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-      in
-      drain ();
-      let raw = Buffer.contents resp in
-      let status =
-        match String.split_on_char ' ' raw with
-        | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
-        | _ -> 0
-      in
-      let head, body =
-        match Astring_contains.find_sub raw "\r\n\r\n" with
-        | Some i ->
-          ( String.sub raw 0 i,
-            String.sub raw (i + 4) (String.length raw - i - 4) )
-        | None -> (raw, "")
-      in
-      (status, String.lowercase_ascii head, body))
-
-let http_call ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let status, _head, body =
-    http_call_full ~port ~meth ~target ~headers ~body ()
-  in
-  (status, body)
-
-let start_server ?persist ?job_domains ?tenant_quota ?tenant_rate ?tenant_burst
-    () =
-  let handlers =
-    Srv.Handlers.create ?persist ?job_domains ?tenant_quota ?tenant_rate
-      ?tenant_burst ()
-  in
-  let config =
-    {
-      Srv.Server.default_config with
-      Srv.Server.port = 0;
-      domains = 2;
-      request_timeout = 60.0;
-    }
-  in
+let start_server ?persist ?job_domains () =
+  let handlers = Srv.Handlers.create ?persist ?job_domains () in
   let server = Srv.Server.create ~config handlers in
   Srv.Server.start server;
   (handlers, server, Srv.Server.port server)
-
-let with_jobs_server ?persist ?job_domains ?tenant_quota ?tenant_rate
-    ?tenant_burst k =
-  let handlers, server, port =
-    start_server ?persist ?job_domains ?tenant_quota ?tenant_rate ?tenant_burst
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Srv.Server.shutdown server;
-      Srv.Handlers.shutdown handlers)
-    (fun () -> k handlers port)
 
 let put_dataset ~port ~id csv =
   let status, _ =
@@ -599,7 +524,7 @@ let wait_job ~port id =
 
 let test_jobs_e2e_http () =
   let csv = Lazy.force figure6_csv in
-  with_jobs_server (fun _handlers port ->
+  with_server (fun _server port ->
       put_dataset ~port ~id:"fig6" csv;
       let status, body = submit_job ~port ~dataset:"fig6" ~op:"risk" () in
       Alcotest.(check int) "202 accepted" 202 status;
@@ -647,7 +572,8 @@ let test_jobs_retry_and_cancel () =
   let csv = Lazy.force figure6_csv in
   F.reset ();
   Fun.protect ~finally:F.reset (fun () ->
-      with_jobs_server ~job_domains:1 (fun _handlers port ->
+      with_server ~handlers:(Srv.Handlers.create ~job_domains:1 ())
+        (fun _server port ->
           put_dataset ~port ~id:"fig6" csv;
           (* first step attempt faults; the retry succeeds *)
           (match F.arm ~at:1 "job.step" F.Fail with
@@ -693,12 +619,13 @@ let test_jobs_admission_gates () =
   F.reset ();
   Fun.protect ~finally:F.reset (fun () ->
       (* rate: a one-token bucket that refills absurdly slowly *)
-      with_jobs_server ~tenant_rate:0.0001 ~tenant_burst:1.0
-        (fun _handlers port ->
+      with_server
+        ~handlers:(Srv.Handlers.create ~tenant_rate:0.0001 ~tenant_burst:1.0 ())
+        (fun _server port ->
           put_dataset ~port ~id:"fig6" csv;
           let status, _ = submit_job ~port ~dataset:"fig6" ~op:"risk" () in
           Alcotest.(check int) "first admitted" 202 status;
-          let status, head, body =
+          let { Http.status; resp_headers; resp_body = body } =
             http_call_full ~port ~meth:"POST" ~target:"/v1/jobs"
               ~body:"{\"dataset\": \"fig6\", \"op\": \"risk\"}" ()
           in
@@ -706,7 +633,7 @@ let test_jobs_admission_gates () =
           Alcotest.(check (option string)) "typed code"
             (Some "tenant.rate_limited") (error_code body);
           Alcotest.(check bool) "Retry-After advertised" true
-            (Astring_contains.contains head "retry-after:");
+            (List.mem_assoc "retry-after" resp_headers);
           (* another tenant has its own bucket *)
           let status, _ =
             submit_job
@@ -715,7 +642,9 @@ let test_jobs_admission_gates () =
           in
           Alcotest.(check int) "tenants are isolated" 202 status);
       (* quota: one active job per tenant *)
-      with_jobs_server ~job_domains:1 ~tenant_quota:1 (fun _handlers port ->
+      with_server
+        ~handlers:(Srv.Handlers.create ~job_domains:1 ~tenant_quota:1 ())
+        (fun _server port ->
           put_dataset ~port ~id:"fig6" csv;
           (match F.arm ~at:1 "job.step" (F.Delay 1.0) with
           | Ok () -> ()
@@ -873,7 +802,7 @@ let test_jobs_crash_resume () =
           Alcotest.(check string) "registry recovered byte-identical"
             done_result risk;
           (* the durability counters are on the Prometheus surface *)
-          let status, _, prom =
+          let { Http.status; resp_body = prom; _ } =
             http_call_full ~port ~meth:"GET" ~target:"/metrics"
               ~headers:[ ("accept", "text/plain; version=0.0.4") ]
               ()
@@ -1037,6 +966,8 @@ let () =
         [
           Alcotest.test_case "crash recover byte-identical" `Quick
             test_registry_crash_recover_identical;
+          Alcotest.test_case "unknown semantics replays leniently" `Quick
+            test_registry_replays_unknown_semantics;
           Alcotest.test_case "4-domain append hammer" `Quick
             test_registry_concurrent_append_hammer;
         ] );

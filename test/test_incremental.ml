@@ -15,8 +15,9 @@ module Value = Vadasa_base.Value
 module Faultpoint = Vadasa_resilience.Faultpoint
 module R = Vadasa_relational
 module S = Vadasa_sdc
-module D = Vadasa_datagen
 module V = Vadasa_vadalog
+
+open E2e
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -161,36 +162,11 @@ let test_incremental_agg_test_continues () =
 
 (* --- shared microdata fixtures -------------------------------------------- *)
 
-let figure6_csv =
-  lazy (R.Csv.write_string (S.Microdata.relation (D.Suite.load ~scale:0.05 "R6A4U")))
-
-(* header + rows[lo, hi) as a standalone CSV document *)
-let csv_slice csv lo hi =
-  match String.split_on_char '\n' csv with
-  | header :: rows ->
-    let rows = List.filter (fun r -> r <> "") rows in
-    let keep = List.filteri (fun i _ -> i >= lo && i < hi) rows in
-    header ^ "\n" ^ String.concat "\n" keep ^ "\n"
-  | [] -> assert false
-
-let csv_rows csv =
-  match String.split_on_char '\n' csv with
-  | _ :: rows -> List.length (List.filter (fun r -> r <> "") rows)
-  | [] -> 0
-
 (* base ~2/3, then two deltas *)
 let slice3 csv =
   let n = csv_rows csv in
   let n1 = 2 * n / 3 and n2 = 5 * n / 6 in
   (csv_slice csv 0 n1, csv_slice csv n1 n2, csv_slice csv n2 n)
-
-let md_of_csv csv =
-  match
-    Srv.Codec.microdata_of_payload
-      { Srv.Codec.csv; options = Srv.Codec.default_options }
-  with
-  | Ok md -> md
-  | Error e -> Alcotest.failf "microdata: %s" (E.to_string e)
 
 let render md report = Srv.Codec.risk_report_string ~threshold:0.5 md report
 
@@ -258,6 +234,7 @@ let default_measure () =
 let put_csv ?compiled reg id csv =
   Srv.Registry.put reg ~id ~digest:csv ~bytes:(String.length csv)
     ~options:Srv.Codec.default_options ~measure:(default_measure ())
+    ~semantics:R.Null_semantics.Maybe_match
     ~compiled:(Option.value ~default:None (Option.map Option.some compiled))
     (md_of_csv csv)
 
@@ -403,84 +380,11 @@ let test_cache_remove () =
 
 (* --- end-to-end over HTTP -------------------------------------------------- *)
 
-let http_call ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let buf = Buffer.create (String.length body + 256) in
-      Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-        (("host", "localhost") :: headers);
-      Buffer.add_string buf
-        (Printf.sprintf "content-length: %d\r\n\r\n" (String.length body));
-      Buffer.add_string buf body;
-      let raw = Buffer.to_bytes buf in
-      let off = ref 0 in
-      while !off < Bytes.length raw do
-        off := !off + Unix.write fd raw !off (Bytes.length raw - !off)
-      done;
-      let resp = Buffer.create 1024 in
-      let chunk = Bytes.create 8192 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes resp chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-      in
-      drain ();
-      let raw = Buffer.contents resp in
-      let status =
-        match String.split_on_char ' ' raw with
-        | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
-        | _ -> 0
-      in
-      let body =
-        let rec find i =
-          if i + 4 > String.length raw then None
-          else if String.sub raw i 4 = "\r\n\r\n" then Some i
-          else find (i + 1)
-        in
-        match find 0 with
-        | Some i -> String.sub raw (i + 4) (String.length raw - i - 4)
-        | None -> ""
-      in
-      (status, body))
-
-let with_server k =
-  let config =
-    {
-      Srv.Server.default_config with
-      Srv.Server.port = 0;
-      domains = 4;
-      request_timeout = 60.0;
-    }
-  in
-  let handlers = Srv.Handlers.create () in
-  let server = Srv.Server.create ~config handlers in
-  Srv.Server.start server;
-  Fun.protect
-    ~finally:(fun () -> Srv.Server.shutdown server)
-    (fun () -> k (Srv.Server.port server))
-
-let json_of body =
-  match Json.of_string body with
-  | Ok json -> json
-  | Error m -> Alcotest.failf "body is JSON: %s (%s)" m body
-
-let error_code body =
-  Option.bind (Json.member "error" (json_of body)) (fun e ->
-      Option.bind (Json.member "code" e) Json.to_string_opt)
-
 let test_e2e_registry_flow () =
   let csv = Lazy.force figure6_csv in
   let base, d1, d2 = slice3 csv in
   let csv_headers = [ ("content-type", "text/csv") ] in
-  with_server (fun port ->
+  with_server (fun _server port ->
       let call = http_call ~port in
       (* register *)
       let status, body =
@@ -505,6 +409,14 @@ let test_e2e_registry_flow () =
       Alcotest.(check int) "conflict 409" 409 status;
       Alcotest.(check (option string))
         "conflict code" (Some "dataset.conflict") (error_code body);
+      (* an unknown semantics is refused, as on /v1/anonymize *)
+      let status, body =
+        call ~meth:"PUT" ~target:"/v1/datasets/bogus?semantics=bogus"
+          ~headers:csv_headers ~body:base ()
+      in
+      Alcotest.(check int) "bad semantics 422" 422 status;
+      Alcotest.(check (option string))
+        "semantics code" (Some "semantics.unknown") (error_code body);
       (* list *)
       let status, body = call ~meth:"GET" ~target:"/v1/datasets" () in
       Alcotest.(check int) "list 200" 200 status;

@@ -9,7 +9,6 @@ module Budget = Vadasa_base.Budget
 module Clock = Vadasa_base.Clock
 module Json = Vadasa_base.Json
 module Faultpoint = Vadasa_resilience.Faultpoint
-module R = Vadasa_relational
 module S = Vadasa_sdc
 module D = Vadasa_datagen
 module V = Vadasa_vadalog
@@ -344,70 +343,10 @@ let test_pool_enqueue_fault_rejects () =
 
 (* --- end-to-end degraded risk --------------------------------------------- *)
 
-let http_call ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let buf = Buffer.create (String.length body + 256) in
-      Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-        (("host", "localhost") :: headers);
-      Buffer.add_string buf
-        (Printf.sprintf "content-length: %d\r\n\r\n" (String.length body));
-      Buffer.add_string buf body;
-      let raw = Buffer.to_bytes buf in
-      let off = ref 0 in
-      while !off < Bytes.length raw do
-        off := !off + Unix.write fd raw !off (Bytes.length raw - !off)
-      done;
-      let resp = Buffer.create 1024 in
-      let chunk = Bytes.create 8192 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes resp chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-      in
-      drain ();
-      let raw = Buffer.contents resp in
-      let status =
-        match String.split_on_char ' ' raw with
-        | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
-        | _ -> 0
-      in
-      let body =
-        match Astring_contains.find_sub raw "\r\n\r\n" with
-        | Some i -> String.sub raw (i + 4) (String.length raw - i - 4)
-        | None -> ""
-      in
-      (status, body))
-
-let with_server ?(handlers = Srv.Handlers.create ()) k =
-  let config =
-    {
-      Srv.Server.default_config with
-      Srv.Server.port = 0;
-      domains = 2;
-      request_timeout = 60.0;
-    }
-  in
-  let server = Srv.Server.create ~config handlers in
-  Srv.Server.start server;
-  Fun.protect
-    ~finally:(fun () -> Srv.Server.shutdown server)
-    (fun () -> k server (Srv.Server.port server))
-
-let figure6_csv () =
-  let md = D.Suite.load ~scale:0.05 "R6A4U" in
-  (R.Csv.write_string (S.Microdata.relation md), S.Microdata.name md)
+open E2e
 
 let test_e2e_degraded_risk () =
-  let csv, name = figure6_csv () in
+  let csv, name = Lazy.force figure6 in
   with_faults "engine.iterate:delay=30ms" (fun () ->
       with_server (fun _server port ->
           let budget_ms = 50 in
@@ -455,20 +394,14 @@ let test_e2e_error_codes () =
   with_server (fun _server port ->
       let expect_code what target ?headers ?body code status' =
         let status, resp_body =
-          http_call ~port ~meth:"POST" ~target ?headers
-            ?body ()
+          http_call ~port ~meth:"POST" ~target ?headers ?body ()
         in
         Alcotest.(check int) (what ^ " status") status' status;
-        Alcotest.(check bool)
-          (what ^ " code " ^ code)
-          true
-          (Astring_contains.contains resp_body
-             (Printf.sprintf "\"code\":\"%s\"" code)
-          || Astring_contains.contains resp_body
-               (Printf.sprintf "\"code\": \"%s\"" code))
+        Alcotest.(check (option string))
+          (what ^ " code") (Some code) (error_code resp_body)
       in
       let csv_hdr = [ ("content-type", "text/csv") ] in
-      let csv, name = figure6_csv () in
+      let csv, name = Lazy.force figure6 in
       expect_code "empty body" "/v1/risk" ~headers:csv_hdr "request.empty_body"
         400;
       expect_code "ragged csv" "/v1/risk" ~headers:csv_hdr ~body:"a,b\n1\n"
@@ -479,6 +412,12 @@ let test_e2e_error_codes () =
       expect_code "unknown method"
         ("/v1/anonymize?name=" ^ name ^ "&method=nope")
         ~headers:csv_hdr ~body:csv "method.unknown" 422;
+      expect_code "unknown semantics"
+        ("/v1/anonymize?name=" ^ name ^ "&semantics=bogus")
+        ~headers:csv_hdr ~body:csv "semantics.unknown" 422;
+      expect_code "misspelled category"
+        ("/v1/risk?name=" ^ name ^ "&category=qi_1=quasi-identifer")
+        ~headers:csv_hdr ~body:csv "category.unknown" 422;
       expect_code "bad json" "/v1/risk"
         ~headers:[ ("content-type", "application/json") ]
         ~body:"{\"nope\"" "json.invalid" 400;
@@ -514,12 +453,18 @@ let test_e2e_fault_500_and_breaker () =
             "fault code" true
             (Astring_contains.contains body "fault.handler.dispatch");
           let _ = call () in
-          (* threshold reached: the circuit is now open *)
-          let status, body = call () in
+          (* threshold reached: the circuit is now open, and the client
+             sees the Retry-After its retry loop honours *)
+          let { Srv.Http.status; resp_headers; resp_body = body } =
+            http_call_full ~port ~meth:"GET" ~target:"/healthz" ()
+          in
           Alcotest.(check int) "breaker open" 503 status;
           Alcotest.(check bool)
             "breaker code" true
             (Astring_contains.contains body "breaker.open");
+          Alcotest.(check bool)
+            "Retry-After seen by the client" true
+            (List.mem_assoc "retry-after" resp_headers);
           Alcotest.(check string)
             "breaker visible" "open"
             (Srv.Breaker.state (Srv.Handlers.breaker handlers) "GET /healthz");
@@ -531,7 +476,7 @@ let test_e2e_fault_500_and_breaker () =
 let test_e2e_server_max_facts_degrades () =
   (* The server-wide fact ceiling (serve --max-facts) degrades reasoned
      requests that bring no budget of their own. *)
-  let csv, name = figure6_csv () in
+  let csv, name = Lazy.force figure6 in
   let handlers = Srv.Handlers.create ~default_max_facts:5 () in
   with_server ~handlers (fun _server port ->
       let status, body =

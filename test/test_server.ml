@@ -9,9 +9,7 @@
 module Srv = Vadasa_server
 module Http = Srv.Http
 module Json = Vadasa_base.Json
-module R = Vadasa_relational
 module S = Vadasa_sdc
-module D = Vadasa_datagen
 module V = Vadasa_vadalog
 
 (* --- HTTP parser -------------------------------------------------------- *)
@@ -49,7 +47,13 @@ let test_parse_post_body () =
   | Error _ -> Alcotest.fail "expected a parse"
   | Ok req ->
     Alcotest.(check string) "body" body req.Http.body;
-    Alcotest.(check bool) "method" true (req.Http.meth = Http.POST)
+    Alcotest.(check bool) "method" true (req.Http.meth = Http.POST);
+    (* the client's serializer writes what the parser reads *)
+    match parse (Http.request_to_string req) with
+    | Error _ -> Alcotest.fail "wire form must parse"
+    | Ok again ->
+      Alcotest.(check string) "round-trip target" "/v1/risk" again.Http.target;
+      Alcotest.(check string) "round-trip body" body again.Http.body
 
 let test_parse_body_split_across_reads () =
   (* a reader that yields one byte at a time still produces the body *)
@@ -111,6 +115,8 @@ let test_header_block_limit () =
   | Error e ->
     Alcotest.(check int) "400" 400 (Http.error_response e).Http.status
 
+let read_response s = Http.read_response (Http.reader_of_string s)
+
 let test_response_round_trip () =
   let resp = Http.response ~status:200 "{\"ok\":true}" in
   let wire = Http.response_to_string resp in
@@ -122,12 +128,82 @@ let test_response_round_trip () =
     (Astring_contains.contains wire "content-length: 11\r\n");
   Alcotest.(check bool)
     "connection close" true
-    (Astring_contains.contains wire "connection: close\r\n")
+    (Astring_contains.contains wire "connection: close\r\n");
+  (* it reads back through the shared reader: a blank line inside the
+     body is body, header names come back lowercased *)
+  let body = "a\r\n\r\nb" in
+  let resp = Http.response ~headers:[ ("Retry-After", "3") ] ~status:503 body in
+  match read_response (Http.response_to_string resp) with
+  | Error _ -> Alcotest.fail "expected a response"
+  | Ok r ->
+    Alcotest.(check int) "status" 503 r.Http.status;
+    Alcotest.(check string) "body keeps its CRLFCRLF" body r.Http.resp_body;
+    Alcotest.(check (option string))
+      "lowercased name" (Some "3")
+      (List.assoc_opt "retry-after" r.Http.resp_headers)
+
+let test_read_response_malformed () =
+  let rejects what s =
+    match read_response s with
+    | Ok _ -> Alcotest.failf "%s: expected an error" what
+    | Error _ -> ()
+  in
+  rejects "body shorter than content-length"
+    "HTTP/1.1 200 OK\r\ncontent-length: 10\r\n\r\nshort";
+  rejects "garbled status line" "HTTP/1.1 OK 200\r\n\r\n";
+  rejects "not a status line" "GET / HTTP/1.1\r\n\r\n";
+  rejects "truncated headers" "HTTP/1.1 200 OK\r\nx: y\r\n";
+  Alcotest.(check bool)
+    "no bytes is Closed" true
+    (read_response "" = Error Http.Closed)
 
 let test_percent_decode () =
   Alcotest.(check string)
     "plus and hex" "a b/c" (Http.percent_decode "a+b%2Fc");
   Alcotest.(check string) "lone percent" "100%" (Http.percent_decode "100%")
+
+(* --- request options -------------------------------------------------- *)
+
+(* The query string and a JSON body decode through one decoder: the
+   same options, and the same failures under each shape's error code. *)
+let test_options_both_shapes () =
+  let decode ?(content_type = "text/csv") target body =
+    match
+      parse
+        (Printf.sprintf
+           "POST %s HTTP/1.1\r\ncontent-type: %s\r\ncontent-length: %d\r\n\r\n%s"
+           target content_type (String.length body) body)
+    with
+    | Error _ -> Alcotest.fail "request must parse"
+    | Ok req -> (
+      match Srv.Codec.parse_payload req with
+      | Ok p -> Json.to_string (Srv.Codec.options_to_json p.Srv.Codec.options)
+      | Error e -> "error " ^ e.Vadasa_base.Error.code)
+  in
+  let query q = decode ("/v1/risk?" ^ q) "a\n1\n" in
+  let json fields =
+    decode ~content_type:"application/json" "/v1/risk"
+      (Printf.sprintf {|{"csv": "a\n1\n", %s}|} fields)
+  in
+  Alcotest.(check string)
+    "every option"
+    (json
+       {|"name": "x", "measure": "suda", "k": 3, "threshold": 0.25,
+         "msu_threshold": 2, "categories": {"a": "identifier"},
+         "reasoned": true, "method": "recode", "semantics": "standard",
+         "budget_ms": 5, "max_facts": 7, "audit": true|})
+    (query
+       "name=x&measure=suda&k=3&threshold=0.25&msu-threshold=2&category=a=identifier&reasoned=true&method=recode&semantics=standard&budget-ms=5&max-facts=7&audit=true");
+  List.iter
+    (fun (q, j) ->
+      Alcotest.(check string) q "error request.bad_param" (query q);
+      Alcotest.(check string) j "error request.bad_field" (json j))
+    [
+      ("k=x", {|"k": "x"|});
+      ("threshold=x", {|"threshold": "x"|});
+      ("budget-ms=0", {|"budget_ms": 0|});
+      ("category=a", {|"categories": {"a": 1}|});
+    ]
 
 (* --- router -------------------------------------------------------------- *)
 
@@ -305,92 +381,12 @@ let test_database_concurrent_lookup () =
   List.iter Domain.join domains;
   Alcotest.(check int) "no torn reads" 0 (Atomic.get errors)
 
-(* --- tiny HTTP client for the e2e tests ---------------------------------- *)
-
-(* Full variant: also returns the raw header block, for tests that
-   assert on response headers. *)
-let http_call_full ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let buf = Buffer.create (String.length body + 256) in
-      Buffer.add_string buf (Printf.sprintf "%s %s HTTP/1.1\r\n" meth target);
-      List.iter
-        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-        (("host", "localhost") :: headers);
-      Buffer.add_string buf
-        (Printf.sprintf "content-length: %d\r\n\r\n" (String.length body));
-      Buffer.add_string buf body;
-      let raw = Buffer.to_bytes buf in
-      let off = ref 0 in
-      while !off < Bytes.length raw do
-        off := !off + Unix.write fd raw !off (Bytes.length raw - !off)
-      done;
-      (* the server always closes: read to EOF *)
-      let resp = Buffer.create 1024 in
-      let chunk = Bytes.create 8192 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes resp chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-      in
-      drain ();
-      let raw = Buffer.contents resp in
-      let status =
-        match String.split_on_char ' ' raw with
-        | _ :: code :: _ -> int_of_string_opt code |> Option.value ~default:0
-        | _ -> 0
-      in
-      let head, body =
-        match Astring_contains.find_sub raw "\r\n\r\n" with
-        | Some i ->
-          ( String.sub raw 0 i,
-            String.sub raw (i + 4) (String.length raw - i - 4) )
-        | None -> (raw, "")
-      in
-      (status, head, body))
-
-let http_call ~port ~meth ~target ?(headers = []) ?(body = "") () =
-  let status, _head, body =
-    http_call_full ~port ~meth ~target ~headers ~body ()
-  in
-  (status, body)
-
 (* --- end-to-end ----------------------------------------------------------- *)
 
-let figure6_csv () =
-  (* A scaled-down Figure 6 dataset (R6A4U shape, ~300 tuples). *)
-  let md = D.Suite.load ~scale:0.05 "R6A4U" in
-  (R.Csv.write_string (S.Microdata.relation md), S.Microdata.name md)
-
-let with_server ?config ?router k =
-  let config =
-    match config with
-    | Some c -> c
-    | None ->
-      {
-        Srv.Server.default_config with
-        Srv.Server.port = 0;
-        domains = 4;
-        request_timeout = 60.0;
-      }
-  in
-  let handlers = Srv.Handlers.create () in
-  let server = Srv.Server.create ~config ?router handlers in
-  Srv.Server.start server;
-  Fun.protect
-    ~finally:(fun () ->
-      Srv.Server.shutdown server;
-      Srv.Handlers.shutdown handlers)
-    (fun () -> k server (Srv.Server.port server))
+open E2e
 
 let test_e2e_concurrent_risk () =
-  let csv, name = figure6_csv () in
+  let csv, name = Lazy.force figure6 in
   (* What the CLI's [risk --json] prints for this input: same codec. *)
   let expected =
     let payload =
@@ -431,7 +427,7 @@ let test_e2e_concurrent_risk () =
         (Srv.Cache.size (Srv.Handlers.datasets handlers)))
 
 let test_e2e_program_cache_hit () =
-  let csv, name = figure6_csv () in
+  let csv, name = Lazy.force figure6 in
   with_server (fun server port ->
       let target = "/v1/reason?name=" ^ name in
       let call () =
@@ -494,9 +490,8 @@ let test_e2e_error_statuses () =
 let test_e2e_oversized_413 () =
   let config =
     {
-      Srv.Server.default_config with
-      Srv.Server.port = 0;
-      domains = 1;
+      config with
+      Srv.Server.domains = 1;
       max_body_bytes = 64;
     }
   in
@@ -506,7 +501,19 @@ let test_e2e_oversized_413 () =
           ~headers:[ ("content-type", "text/csv") ]
           ~body:(String.make 1000 'x') ()
       in
-      Alcotest.(check int) "413" 413 status)
+      Alcotest.(check int) "413" 413 status;
+      (* A multi-MB upload outlives the socket buffers: the server
+         answers and closes mid-write. The client stops writing and
+         returns the 413 — or, when the reset overtook the response, a
+         typed client.io; never a raw Unix_error. *)
+      match
+        http_call ~port ~meth:"POST" ~target:"/v1/risk"
+          ~headers:[ ("content-type", "text/csv") ]
+          ~body:(String.make (8 * 1024 * 1024) 'x') ()
+      with
+      | status, _ -> Alcotest.(check int) "multi-MB 413" 413 status
+      | exception Vadasa_base.Error.Error e ->
+        Alcotest.(check string) "typed client error" "client.io" e.code)
 
 let test_e2e_pool_saturation_503 () =
   (* One worker, one queue slot, and a route that blocks until released:
@@ -590,11 +597,8 @@ let test_e2e_request_id_round_trip () =
   in
   let config =
     {
-      Srv.Server.default_config with
-      Srv.Server.port = 0;
-      domains = 2;
-      request_timeout = 60.0;
-      access_log = Some sink;
+      config with
+      Srv.Server.access_log = Some sink;
       trace_sample = Some 1;
     }
   in
@@ -604,16 +608,15 @@ let test_e2e_request_id_round_trip () =
     ~finally:(fun () -> T.set_enabled was_enabled)
     (fun () ->
       with_server ~config (fun _server port ->
-          let status, head, _body =
+          let resp =
             http_call_full ~port ~meth:"GET" ~target:"/healthz"
               ~headers:[ ("x-vadasa-request-id", "test-id-123") ]
               ()
           in
-          Alcotest.(check int) "200" 200 status;
-          Alcotest.(check bool)
-            "request id echoed in the response" true
-            (Astring_contains.contains (String.lowercase_ascii head)
-               "x-vadasa-request-id: test-id-123");
+          Alcotest.(check int) "200" 200 resp.Http.status;
+          Alcotest.(check (option string))
+            "request id echoed in the response" (Some "test-id-123")
+            (List.assoc_opt "x-vadasa-request-id" resp.Http.resp_headers);
           (* the log and trace lines land after the response is written *)
           let deadline = Unix.gettimeofday () +. 5.0 in
           while
@@ -639,15 +642,15 @@ let test_e2e_request_id_round_trip () =
 
 let test_e2e_metrics_content_negotiation () =
   with_server (fun _server port ->
-      let status, head, body =
+      let { Http.status; resp_headers; resp_body = body } =
         http_call_full ~port ~meth:"GET" ~target:"/metrics"
           ~headers:[ ("accept", "text/plain; version=0.0.4") ]
           ()
       in
       Alcotest.(check int) "prometheus 200" 200 status;
-      Alcotest.(check bool)
-        "prometheus content type" true
-        (Astring_contains.contains head "text/plain; version=0.0.4");
+      Alcotest.(check (option string))
+        "prometheus content type" (Some Srv.Prom.content_type)
+        (List.assoc_opt "content-type" resp_headers);
       Alcotest.(check bool)
         "exposition body" true
         (String.length body > 0 && body.[0] = '#');
@@ -762,10 +765,8 @@ let test_e2e_trace_sample_rate () =
   in
   let config =
     {
-      Srv.Server.default_config with
-      Srv.Server.port = 0;
-      domains = 1;
-      request_timeout = 60.0;
+      config with
+      Srv.Server.domains = 1;
       access_log = Some sink;
       trace_sample = Some 2;
     }
@@ -813,10 +814,8 @@ let test_e2e_slow_request_logged () =
   in
   let config =
     {
-      Srv.Server.default_config with
-      Srv.Server.port = 0;
-      domains = 1;
-      request_timeout = 60.0;
+      config with
+      Srv.Server.domains = 1;
       access_log = Some sink;
       trace_sample = None;
       slow_ms = Some 1;
@@ -829,7 +828,7 @@ let test_e2e_slow_request_logged () =
     (fun () ->
       with_server ~config (fun _server port ->
           (* a full risk estimation comfortably exceeds 1 ms *)
-          let csv, name = figure6_csv () in
+          let csv, name = Lazy.force figure6 in
           let status, _ =
             http_call ~port ~meth:"POST" ~target:("/v1/risk?name=" ^ name)
               ~headers:[ ("content-type", "text/csv") ]
@@ -938,7 +937,7 @@ let test_e2e_explain_not_found_422 () =
         (Astring_contains.contains resp "fact.invalid"))
 
 let test_e2e_anonymize_audit_embedded () =
-  let csv, name = figure6_csv () in
+  let csv, name = Lazy.force figure6 in
   with_server (fun _server port ->
       let call target =
         http_call ~port ~meth:"POST" ~target
@@ -992,10 +991,14 @@ let () =
           Alcotest.test_case "chunked 501" `Quick test_chunked_501;
           Alcotest.test_case "header block limit" `Quick test_header_block_limit;
           Alcotest.test_case "response wire form" `Quick test_response_round_trip;
+          Alcotest.test_case "malformed responses" `Quick
+            test_read_response_malformed;
           Alcotest.test_case "percent decode" `Quick test_percent_decode;
         ] );
       ( "router",
         [ Alcotest.test_case "dispatch/404/405" `Quick test_router_dispatch ] );
+      ( "options",
+        [ Alcotest.test_case "query and JSON agree" `Quick test_options_both_shapes ] );
       ( "cache",
         [
           Alcotest.test_case "hit and miss counters" `Quick test_cache_hit_miss;
