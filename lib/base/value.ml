@@ -29,7 +29,19 @@ let rec compare a b =
   | Coll xs, Coll ys -> List.compare compare xs ys
   | _ -> Int.compare (constructor_rank a) (constructor_rank b)
 
-let equal a b = compare a b = 0
+(* Same relation as [compare a b = 0], without building the order:
+   [Float.equal] is [Float.compare x y = 0], so [-0.] equals [0.] and
+   [nan] equals itself. *)
+let rec equal a b =
+  match a, b with
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y -> Float.equal x y
+  | Str x, Str y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
+  | Null x, Null y -> Int.equal x y
+  | Pair (x1, y1), Pair (x2, y2) -> equal x1 x2 && equal y1 y2
+  | Coll xs, Coll ys -> List.equal equal xs ys
+  | _ -> false
 
 let rec equal_maybe a b =
   match a, b with
@@ -39,14 +51,47 @@ let rec equal_maybe a b =
     List.length xs = List.length ys && List.for_all2 equal_maybe xs ys
   | _ -> equal a b
 
+(* Allocation-free: the payload's polymorphic hash (which maps [-0.] and
+   [0.], and every [nan], to one value, as [equal] requires) mixed with
+   the constructor. Tables built with [Hashtbl.Make] keep the low bits. *)
+let mix h x = (h * 31) + x
+
 let rec hash = function
-  | Int x -> Hashtbl.hash (0, x)
-  | Float x -> Hashtbl.hash (1, x)
-  | Str x -> Hashtbl.hash (2, x)
-  | Bool x -> Hashtbl.hash (3, x)
-  | Null x -> Hashtbl.hash (4, x)
-  | Pair (x, y) -> Hashtbl.hash (5, hash x, hash y)
-  | Coll xs -> List.fold_left (fun acc v -> (acc * 31) + hash v) 7 xs
+  | Int x -> Hashtbl.hash x
+  | Float x -> mix (Hashtbl.hash x) 1
+  | Str x -> mix (Hashtbl.hash x) 2
+  | Bool x -> mix (Bool.to_int x) 3
+  | Null x -> mix (Hashtbl.hash x) 4
+  | Pair (x, y) -> mix (mix (hash x) (hash y)) 5
+  | Coll xs -> List.fold_left (fun acc v -> mix acc (hash v)) 7 xs
+
+let equal_array a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i >= n || (equal a.(i) b.(i) && go (i + 1)) in
+  go 0
+
+let hash_array a =
+  let h = ref (Array.length a) in
+  for i = 0 to Array.length a - 1 do
+    h := mix !h (hash a.(i))
+  done;
+  !h
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
+module Array_tbl = Hashtbl.Make (struct
+  type nonrec t = t array
+
+  let equal = equal_array
+  let hash = hash_array
+end)
 
 let is_null = function Null _ -> true | _ -> false
 

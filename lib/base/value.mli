@@ -32,6 +32,21 @@ val equal_maybe : t -> t -> bool
     order). *)
 
 val hash : t -> int
+(** Consistent with {!equal}: [-0.] and [0.] hash alike, as do all
+    [nan]s. Allocation-free. *)
+
+val equal_array : t array -> t array -> bool
+(** Same length and {!equal} componentwise — fact identity. *)
+
+val hash_array : t array -> int
+(** Consistent with {!equal_array}. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by values under {!equal}. *)
+
+module Array_tbl : Hashtbl.S with type key = t array
+(** Hash tables keyed by value tuples under {!equal_array}: the fact
+    store's dedup table, Skolem memos, aggregation groups. *)
 
 val is_null : t -> bool
 

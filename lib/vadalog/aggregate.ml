@@ -23,14 +23,20 @@ let is_agg_name name = Option.is_some (op_of_string name)
 
 type state = {
   op : op;
-  table : (string, Value.t) Hashtbl.t;
+  table : Value.t Value.Array_tbl.t;  (* contributor -> contribution *)
   (* Numeric running value for Sum/Count/Prod, recomputed lazily for the
      order-based operators. *)
   mutable running : float;
   mutable dirty : bool;
 }
 
-let create op = { op; table = Hashtbl.create 8; running = (match op with Prod -> 1.0 | _ -> 0.0); dirty = false }
+let create op =
+  {
+    op;
+    table = Value.Array_tbl.create 8;
+    running = (match op with Prod -> 1.0 | _ -> 0.0);
+    dirty = false;
+  }
 
 let numeric v =
   match Value.as_float v with
@@ -46,9 +52,9 @@ let supersedes op v old =
   | Count -> false
 
 let contribute state ~contributor v =
-  match Hashtbl.find_opt state.table contributor with
+  match Value.Array_tbl.find_opt state.table contributor with
   | None ->
-    Hashtbl.add state.table contributor v;
+    Value.Array_tbl.add state.table contributor v;
     (match state.op with
     | Sum -> state.running <- state.running +. numeric v
     | Prod -> state.running <- state.running *. numeric v
@@ -57,12 +63,12 @@ let contribute state ~contributor v =
     true
   | Some old ->
     if supersedes state.op v old then begin
-      Hashtbl.replace state.table contributor v;
+      Value.Array_tbl.replace state.table contributor v;
       (match state.op with
       | Sum -> state.running <- state.running -. numeric old +. numeric v
       | Prod ->
         (* Rebuild: dividing out is numerically unsafe around zero. *)
-        state.running <- Hashtbl.fold (fun _ x acc -> acc *. numeric x) state.table 1.0
+        state.running <- Value.Array_tbl.fold (fun _ x acc -> acc *. numeric x) state.table 1.0
       | Count | Min | Max | Union -> state.dirty <- true);
       true
     end
@@ -71,9 +77,9 @@ let contribute state ~contributor v =
 let current state =
   match state.op with
   | Sum | Prod -> Value.Float state.running
-  | Count -> Value.Int (Hashtbl.length state.table)
+  | Count -> Value.Int (Value.Array_tbl.length state.table)
   | Min ->
-    let best = Hashtbl.fold
+    let best = Value.Array_tbl.fold
         (fun _ v acc ->
           match acc with
           | None -> Some v
@@ -84,7 +90,7 @@ let current state =
     | Some v -> v
     | None -> invalid_arg "Aggregate.current: mmin over empty group")
   | Max ->
-    let best = Hashtbl.fold
+    let best = Value.Array_tbl.fold
         (fun _ v acc ->
           match acc with
           | None -> Some v
@@ -96,11 +102,11 @@ let current state =
     | None -> invalid_arg "Aggregate.current: mmax over empty group")
   | Union ->
     Value.coll
-      (Hashtbl.fold
+      (Value.Array_tbl.fold
          (fun _ v acc ->
            match v with
            | Value.Coll xs -> xs @ acc
            | x -> x :: acc)
          state.table [])
 
-let contributors state = Hashtbl.length state.table
+let contributors state = Value.Array_tbl.length state.table

@@ -31,8 +31,10 @@ type state
 
 val create : op -> state
 
-val contribute : state -> contributor:string -> Vadasa_base.Value.t -> bool
-(** Feed one contribution keyed by the canonical contributor string.
+val contribute :
+  state -> contributor:Vadasa_base.Value.t array -> Vadasa_base.Value.t -> bool
+(** Feed one contribution keyed by the contributor terms' values
+    (identified by {!Vadasa_base.Value.equal_array}).
     Returns [true] when the aggregate value changed. Raises
     [Invalid_argument] on non-numeric contributions to numeric operators. *)
 

@@ -87,13 +87,16 @@ let () =
            (Vadasa_base.Strsim.similarity (Value.to_string a)
               (Value.to_string b))))
 
-let apply name args =
+let resolve name =
   match Hashtbl.find_opt registry name with
   | Some f ->
     (* Value-level type errors (e.g. taking the size of a non-collection)
        surface uniformly as builtin errors. *)
-    (try f args with Invalid_argument message -> err "%s: %s" name message)
-  | None -> err "unknown builtin function: %s" name
+    fun args ->
+      (try f args with Invalid_argument message -> err "%s: %s" name message)
+  | None -> fun _ -> err "unknown builtin function: %s" name
+
+let apply name args = resolve name args
 
 let is_builtin name = Hashtbl.mem registry name
 

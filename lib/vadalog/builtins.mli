@@ -12,6 +12,11 @@ val apply : string -> Vadasa_base.Value.t list -> Vadasa_base.Value.t
 (** [apply name args]. Raises {!Error} on unknown names or ill-typed
     arguments. *)
 
+val resolve : string -> Vadasa_base.Value.t list -> Vadasa_base.Value.t
+(** [resolve name] looks the function up once; applying the result is
+    {!apply} [name] without the name lookup. Unknown names still raise
+    {!Error} when applied, not when resolved. *)
+
 val is_builtin : string -> bool
 
 val names : unit -> string list

@@ -8,20 +8,16 @@ type provenance =
       parents : (string * Value.t array) list;
     }
 
-let value_key v = Value.type_name v ^ "\x01" ^ Value.to_string v
+(* An index bucket: the insertion indexes of the facts sharing one value
+   at one position, ascending, in a growable array ([ids] has spare
+   capacity past [len]). Only the single writer appends; a reader that
+   captured [len] may keep reading [ids] even if the writer later swaps
+   in a grown copy, because growth copies the prefix unchanged. *)
+type bucket = { mutable ids : int array; mutable len : int }
 
-let args_key args =
-  let buf = Buffer.create 32 in
-  Array.iter
-    (fun v ->
-      let s = value_key v in
-      Buffer.add_string buf (string_of_int (String.length s));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf s)
-    args;
-  Buffer.contents buf
+let empty_bucket = { ids = [||]; len = 0 }
 
-(* Positional indexes are built lazily on the first [lookup] over a
+(* Positional indexes are built lazily on the first probe of a
    position. Publication must be safe under concurrent readers (the
    server shares quiescent databases across domains): each index table
    is built fully before it becomes reachable, and the position → table
@@ -31,18 +27,18 @@ let args_key args =
    contract in [database.mli]/[engine.mli]. *)
 module Index_map = Map.Make (Int)
 
-type index = (string, int list ref) Hashtbl.t
+type index = bucket Value.Tbl.t
 
-type pred_store = {
+type relation = {
   mutable data : Value.t array array;
   mutable size : int;
-  keys : (string, int) Hashtbl.t;  (* fact key -> insertion index *)
+  keys : int Value.Array_tbl.t;  (* fact -> insertion index *)
   mutable prov : provenance array;
   indexes : index Index_map.t Atomic.t;
 }
 
 type t = {
-  preds : (string, pred_store) Hashtbl.t;
+  preds : (string, relation) Hashtbl.t;
   mutable total : int;
   track_provenance : bool;
 }
@@ -50,105 +46,106 @@ type t = {
 let create ?(track_provenance = true) () =
   { preds = Hashtbl.create 64; total = 0; track_provenance }
 
-let store t pred =
+let relation t pred =
   match Hashtbl.find_opt t.preds pred with
-  | Some s -> s
+  | Some r -> r
   | None ->
-    let s =
+    let r =
       {
         data = [||];
         size = 0;
-        keys = Hashtbl.create 256;
+        keys = Value.Array_tbl.create 256;
         prov = [||];
         indexes = Atomic.make Index_map.empty;
       }
     in
-    Hashtbl.add t.preds pred s;
-    s
+    Hashtbl.add t.preds pred r;
+    r
 
-let grow s =
-  let cap = Array.length s.data in
-  if s.size >= cap then begin
+let grow r =
+  let cap = Array.length r.data in
+  if r.size >= cap then begin
     let cap' = max 16 (2 * cap) in
     let data' = Array.make cap' [||] in
-    Array.blit s.data 0 data' 0 s.size;
-    s.data <- data';
+    Array.blit r.data 0 data' 0 r.size;
+    r.data <- data';
     let prov' = Array.make cap' Edb in
-    Array.blit s.prov 0 prov' 0 s.size;
-    s.prov <- prov'
+    Array.blit r.prov 0 prov' 0 r.size;
+    r.prov <- prov'
   end
+
+let bucket_push table v idx =
+  match Value.Tbl.find_opt table v with
+  | None -> Value.Tbl.add table v { ids = [| idx |]; len = 1 }
+  | Some b ->
+    if b.len = Array.length b.ids then begin
+      let ids = Array.make (max 4 (2 * b.len)) 0 in
+      Array.blit b.ids 0 ids 0 b.len;
+      b.ids <- ids
+    end;
+    b.ids.(b.len) <- idx;
+    b.len <- b.len + 1
 
 (* Maintaining existing indexes on insert is writer-side work: [add] is
    only legal from the single mutating domain (see the contract). *)
-let index_insert s pos v idx =
-  match Index_map.find_opt pos (Atomic.get s.indexes) with
-  | None -> ()
-  | Some table ->
-    let k = value_key v in
-    (match Hashtbl.find_opt table k with
-    | Some cell -> cell := idx :: !cell
-    | None -> Hashtbl.add table k (ref [ idx ]))
-
-(* [key] must equal [args_key args]; the parallel chase's workers
-   compute it off the writer domain so the merge replay doesn't. *)
-let add_prekeyed t ?(prov = Edb) ~key pred args =
-  let s = store t pred in
-  if Hashtbl.mem s.keys key then false
+let rel_add t r ?(prov = Edb) args =
+  if Value.Array_tbl.mem r.keys args then false
   else begin
-    grow s;
-    let idx = s.size in
-    s.data.(idx) <- args;
-    if t.track_provenance then s.prov.(idx) <- prov;
-    Hashtbl.add s.keys key idx;
-    s.size <- idx + 1;
+    grow r;
+    let idx = r.size in
+    r.data.(idx) <- args;
+    if t.track_provenance then r.prov.(idx) <- prov;
+    Value.Array_tbl.add r.keys args idx;
+    r.size <- idx + 1;
     t.total <- t.total + 1;
-    Array.iteri (fun pos v -> index_insert s pos v idx) args;
+    let indexes = Atomic.get r.indexes in
+    if not (Index_map.is_empty indexes) then
+      Index_map.iter
+        (fun pos table ->
+          if pos < Array.length args then bucket_push table args.(pos) idx)
+        indexes;
     true
   end
 
-let add t ?prov pred args = add_prekeyed t ?prov ~key:(args_key args) pred args
+let add t ?prov pred args = rel_add t (relation t pred) ?prov args
+
+let rel_mem r args = Value.Array_tbl.mem r.keys args
 
 let mem t pred args =
   match Hashtbl.find_opt t.preds pred with
   | None -> false
-  | Some s -> Hashtbl.mem s.keys (args_key args)
+  | Some r -> rel_mem r args
 
-let mem_key t pred ~key =
-  match Hashtbl.find_opt t.preds pred with
-  | None -> false
-  | Some s -> Hashtbl.mem s.keys key
+let rel_size r = r.size
+
+let rel_nth r i = r.data.(i)
 
 let pred_size t pred =
-  match Hashtbl.find_opt t.preds pred with None -> 0 | Some s -> s.size
+  match Hashtbl.find_opt t.preds pred with None -> 0 | Some r -> r.size
 
 let nth t pred i =
-  let s = store t pred in
-  if i < 0 || i >= s.size then invalid_arg "Database.nth: out of bounds";
-  s.data.(i)
+  match Hashtbl.find_opt t.preds pred with
+  | Some r when i >= 0 && i < r.size -> r.data.(i)
+  | _ -> invalid_arg "Database.nth: out of bounds"
 
 let facts t pred =
   match Hashtbl.find_opt t.preds pred with
   | None -> []
-  | Some s -> List.init s.size (fun i -> s.data.(i))
+  | Some r -> List.init r.size (fun i -> r.data.(i))
 
 let iter_pred t pred f =
   match Hashtbl.find_opt t.preds pred with
   | None -> ()
-  | Some s ->
-    for i = 0 to s.size - 1 do
-      f s.data.(i)
+  | Some r ->
+    for i = 0 to r.size - 1 do
+      f r.data.(i)
     done
 
-let build_index s pos =
-  let table = Hashtbl.create (max 16 s.size) in
-  for i = 0 to s.size - 1 do
-    let args = s.data.(i) in
-    if pos < Array.length args then begin
-      let k = value_key args.(pos) in
-      match Hashtbl.find_opt table k with
-      | Some cell -> cell := i :: !cell
-      | None -> Hashtbl.add table k (ref [ i ])
-    end
+let build_index r pos =
+  let table = Value.Tbl.create (max 16 r.size) in
+  for i = 0 to r.size - 1 do
+    let args = r.data.(i) in
+    if pos < Array.length args then bucket_push table args.(pos) i
   done;
   table
 
@@ -156,63 +153,48 @@ let build_index s pos =
    re-reads: if another domain published the position first its table
    wins (ours is discarded), keeping exactly one live index per
    position. *)
-let rec publish_index s pos table =
-  let m = Atomic.get s.indexes in
+let rec publish_index r pos table =
+  let m = Atomic.get r.indexes in
   match Index_map.find_opt pos m with
   | Some existing -> existing
   | None ->
-    if Atomic.compare_and_set s.indexes m (Index_map.add pos table m) then table
-    else publish_index s pos table
+    if Atomic.compare_and_set r.indexes m (Index_map.add pos table m) then table
+    else publish_index r pos table
+
+let probe r ~pos v =
+  let table =
+    match Index_map.find_opt pos (Atomic.get r.indexes) with
+    | Some table -> table
+    | None -> publish_index r pos (build_index r pos)
+  in
+  match Value.Tbl.find_opt table v with Some b -> b | None -> empty_bucket
+
+module Bucket = struct
+  type t = bucket
+
+  let length b = b.len
+  let get b i = b.ids.(i)
+end
 
 let lookup t pred ~pos v =
   match Hashtbl.find_opt t.preds pred with
   | None -> []
-  | Some s ->
-    let table =
-      match Index_map.find_opt pos (Atomic.get s.indexes) with
-      | Some table -> table
-      | None -> publish_index s pos (build_index s pos)
-    in
-    (match Hashtbl.find_opt table (value_key v) with
-    | Some cell -> List.rev !cell
-    | None -> [])
-
-(* With a pool, each missing position's index is built as its own task
-   — index construction over a quiescent store is read-only until the
-   CAS publication, which tolerates concurrent builders by design. *)
-let build_all_indexes ?pool t pred =
-  match Hashtbl.find_opt t.preds pred with
-  | None -> ()
-  | Some s ->
-    let arity = if s.size = 0 then 0 else Array.length s.data.(0) in
-    let missing = ref [] in
-    for pos = arity - 1 downto 0 do
-      if not (Index_map.mem pos (Atomic.get s.indexes)) then
-        missing := pos :: !missing
-    done;
-    let build pos = ignore (publish_index s pos (build_index s pos)) in
-    (match (pool, !missing) with
-    | Some pool, (_ :: _ :: _ as positions)
-      when Vadasa_base.Task_pool.domains pool > 1 ->
-      let tasks =
-        Array.of_list (List.map (fun pos () -> build pos) positions)
-      in
-      Array.iter
-        (function Error e -> raise e | Ok () -> ())
-        (Vadasa_base.Task_pool.run_all pool tasks)
-    | _, positions -> List.iter build positions)
+  | Some r ->
+    let b = probe r ~pos v in
+    List.init b.len (fun i -> b.ids.(i))
 
 let total t = t.total
 
 let predicates t =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.preds [])
+  Hashtbl.fold (fun k r acc -> if r.size > 0 then k :: acc else acc) t.preds []
+  |> List.sort String.compare
 
 let provenance_of t pred args =
   if not t.track_provenance then None
   else
     match Hashtbl.find_opt t.preds pred with
     | None -> None
-    | Some s ->
-      (match Hashtbl.find_opt s.keys (args_key args) with
+    | Some r ->
+      (match Value.Array_tbl.find_opt r.keys args with
       | None -> None
-      | Some idx -> Some s.prov.(idx))
+      | Some idx -> Some r.prov.(idx))

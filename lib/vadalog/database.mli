@@ -2,19 +2,30 @@
     elimination, lazily-built positional indexes and optional provenance.
 
     Insertion order is what the semi-naive evaluator's deltas are defined
-    over: facts with index ≥ a watermark are "new".
+    over: facts with index ≥ a watermark are "new". Facts are identified
+    structurally — {!Vadasa_base.Value.equal_array} — so two facts are
+    one exactly when their arguments are equal values: [Int 1],
+    [Float 1.] and [Str "1"] stay apart, [1.00000000000001] and [1.] stay
+    apart, and [-0.] is [0.].
 
     {b Thread-safety contract.} A database is {e single-writer}: {!add}
-    (and anything that calls it) must come from at most one domain at a
-    time, with no concurrent readers. Once the store is {e quiescent} —
-    no further {!add} calls — any number of domains may concurrently
-    call the read-side operations ({!mem}, {!facts}, {!nth},
-    {!iter_pred}, {!lookup}, {!provenance_of}, …). {!lookup} stays safe
-    even though it builds positional indexes lazily: each index table is
-    fully built before being published through an atomic compare-and-set
-    of an immutable position → index map, so a concurrent reader sees
-    either no index (and builds its own candidate; CAS losers are
-    discarded) or a complete one, never a partially-built table. *)
+    and {!rel_add} (and anything that calls them), and {!relation} when
+    it creates a predicate, must come from at most one domain at a time,
+    with no concurrent readers. Once the store is {e quiescent} — no
+    further writes — any number of domains may concurrently call the
+    read-side operations ({!mem}, {!rel_mem}, {!facts}, {!nth},
+    {!rel_nth}, {!iter_pred}, {!lookup}, {!probe}, {!provenance_of}, …).
+    Probes stay safe even though positional indexes are built lazily:
+    each index table, buckets included, is fully built before being
+    published through an atomic compare-and-set of an immutable
+    position → index map, so a concurrent reader sees either no index
+    (and builds its own candidate; CAS losers are discarded) or a
+    complete one, never a partially-built table. After publication a
+    bucket's growable array changes only under {!add}, i.e. never while
+    readers run; a single-domain caller that keeps a {!Bucket.t} across
+    its own inserts still reads a valid prefix, because growth copies
+    the ascending indexes into a larger array and leaves the old one
+    intact. *)
 
 type provenance =
   | Edb  (** asserted input fact *)
@@ -27,7 +38,7 @@ type provenance =
 type t
 
 val create : ?track_provenance:bool -> unit -> t
-(** An empty store. [track_provenance] (default [false]) keeps the
+(** An empty store. [track_provenance] (default [true]) keeps the
     {!provenance} of every fact; the engine turns it on so
     explanations ({!provenance_of}) work. *)
 
@@ -35,23 +46,9 @@ val add : t -> ?prov:provenance -> string -> Vadasa_base.Value.t array -> bool
 (** [true] when the fact was new. Default provenance is [Edb].
     Write-side: subject to the single-writer contract above. *)
 
-val add_prekeyed :
-  t -> ?prov:provenance -> key:string -> string ->
-  Vadasa_base.Value.t array -> bool
-(** {!add} with the dedup key supplied by the caller. [key] {e must}
-    equal [{!args_key} args] — this is unchecked. The parallel chase's
-    workers compute keys off the writer domain during their read-only
-    join phase, so the single-threaded merge replay skips the key
-    construction; any other caller should use {!add}. Write-side. *)
-
 val mem : t -> string -> Vadasa_base.Value.t array -> bool
 (** Membership under standard equality (labelled nulls compare by
     label). Read-side: safe from any domain on a quiescent store. *)
-
-val mem_key : t -> string -> key:string -> bool
-(** {!mem} by precomputed {!args_key}. Read-side: safe from any domain
-    on a quiescent store — the parallel merge's sharded dedup probes
-    this concurrently before any insertion of the batch happens. *)
 
 val pred_size : t -> string -> int
 (** Number of facts of a predicate (0 for unknown predicates). *)
@@ -69,19 +66,48 @@ val iter_pred : t -> string -> (Vadasa_base.Value.t array -> unit) -> unit
     evaluator's workers run concurrently on a quiescent store. *)
 
 val lookup : t -> string -> pos:int -> Vadasa_base.Value.t -> int list
-(** Insertion indexes of facts whose argument at [pos] equals the value
-    (standard equality); builds the positional index on first use and
-    maintains it afterwards. Safe to call from multiple domains on a
-    quiescent store (see the thread-safety contract above). *)
+(** Insertion indexes, ascending, of facts whose argument at [pos]
+    equals the value (standard equality); builds the positional index on
+    first use and maintains it afterwards. Safe to call from multiple
+    domains on a quiescent store (see the thread-safety contract
+    above). *)
 
-val build_all_indexes : ?pool:Vadasa_base.Task_pool.t -> t -> string -> unit
-(** Eagerly build the positional index of every argument position of a
-    predicate (no-op for unknown predicates and already-indexed
-    positions). Callers that publish a quiescent store to concurrent
-    readers can use this to pre-pay index construction. With [pool],
-    the missing positions build as parallel tasks — index construction
-    is read-only until each table's atomic publication, so concurrent
-    builders are safe (CAS losers are discarded, as under {!lookup}). *)
+(** {2 Relation handles}
+
+    The chase resolves each predicate once, when it compiles a rule, and
+    then works on the handle: no predicate-name hashing per probe or per
+    insert. *)
+
+type relation
+(** One predicate's facts, indexes and provenance. *)
+
+val relation : t -> string -> relation
+(** The predicate's store, created empty on first request (a write). *)
+
+val rel_add :
+  t -> relation -> ?prov:provenance -> Vadasa_base.Value.t array -> bool
+(** {!add} through a handle of this database. Write-side. *)
+
+val rel_mem : relation -> Vadasa_base.Value.t array -> bool
+
+val rel_size : relation -> int
+
+val rel_nth : relation -> int -> Vadasa_base.Value.t array
+(** Fact by insertion index, unchecked beyond array bounds. *)
+
+module Bucket : sig
+  type t
+
+  val length : t -> int
+
+  val get : t -> int -> int
+  (** [get b i], [i < length b]: the [i]-th insertion index, ascending. *)
+end
+
+val probe : relation -> pos:int -> Vadasa_base.Value.t -> Bucket.t
+(** The facts whose argument at [pos] equals the value, as an index
+    bucket (empty when none); builds the position's index on first
+    use. Facts inserted later are appended to the same bucket. *)
 
 val total : t -> int
 (** Facts across all predicates — the number the engine's fact-ceiling
@@ -92,10 +118,3 @@ val predicates : t -> string list
 
 val provenance_of : t -> string -> Vadasa_base.Value.t array -> provenance option
 (** [None] when the fact is absent or provenance tracking is off. *)
-
-val value_key : Vadasa_base.Value.t -> string
-(** Canonical, type-tagged key — distinguishes [Int 1] from [Str "1"]. *)
-
-val args_key : Vadasa_base.Value.t array -> string
-(** {!value_key} over a fact's arguments, comma-joined — the store's
-    internal dedup key, exposed for canonical renderings of facts. *)
