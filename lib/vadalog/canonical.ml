@@ -44,11 +44,14 @@ let rec render_value buf origin memo (v : Value.t) =
       rendered;
     Buffer.add_char buf '}'
   | scalar ->
-    (* Type-tagged like [Database.value_key], so int 1, float 1. and
-       string "1" stay distinct. *)
+    (* Type-tagged, so int 1, float 1. and string "1" stay distinct;
+       floats print every bit (hexadecimal), so values that agree only
+       to [string_of_float]'s 12 digits stay distinct too. *)
     Buffer.add_string buf (Value.type_name scalar);
     Buffer.add_char buf ':';
-    Buffer.add_string buf (Value.to_string scalar)
+    (match scalar with
+    | Value.Float x -> Printf.bprintf buf "%h" x
+    | _ -> Buffer.add_string buf (Value.to_string scalar))
 
 and null_name origin memo n =
   match Hashtbl.find_opt memo n with

@@ -13,6 +13,6 @@
 
 val of_engine : Engine.t -> string
 (** One sorted line per fact, [pred(type:value,...)], newline-terminated.
-    Scalars are type-tagged (like {!Database.value_key}), collections
-    re-sorted under the canonical null naming. Intended for saturated,
+    Scalars are type-tagged, floats rendered losslessly in hexadecimal,
+    collections re-sorted under the canonical null naming. Intended for saturated,
     quiescent engines. *)
