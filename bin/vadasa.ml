@@ -1075,7 +1075,7 @@ let serve_cmd =
     let engine_pool =
       if engine_domains > 1 then
         Some
-          (Vadasa_base.Task_pool.create ~name:"engine"
+          (Vadasa_base.Task_pool.create
              ~on_wait:(fun dt -> T.observe "pool.wait" dt)
              ~domains:engine_domains ())
       else None

@@ -22,7 +22,6 @@ type batch = {
 }
 
 type t = {
-  name : string;
   n_domains : int;
   mutex : Mutex.t; (* guards [pending] and [workers] *)
   cond : Condition.t; (* signalled on submit and on stop *)
@@ -79,12 +78,10 @@ let rec worker_loop t =
       task ();
       worker_loop t
 
-let create ?(name = "task-pool") ?on_wait ~domains () =
-  if domains < 1 then
-    invalid_arg (Printf.sprintf "Task_pool.create (%s): domains must be >= 1" name);
+let create ?on_wait ~domains () =
+  if domains < 1 then invalid_arg "Task_pool.create: domains must be >= 1";
   let t =
     {
-      name;
       n_domains = domains;
       mutex = Mutex.create ();
       cond = Condition.create ();

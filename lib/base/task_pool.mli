@@ -21,10 +21,9 @@
 
 type t
 
-val create : ?name:string -> ?on_wait:(float -> unit) -> domains:int -> unit -> t
+val create : ?on_wait:(float -> unit) -> domains:int -> unit -> t
 (** Spawn [domains - 1] worker domains ([domains] must be >= 1; the
-    calling domain is the remaining unit of parallelism). [name] only
-    labels log lines. [on_wait] observes per-task queue wait: it is
+    calling domain is the remaining unit of parallelism). [on_wait] observes per-task queue wait: it is
     called once per task that runs through a parallel {!run_all}, with
     the seconds elapsed between the batch's submission and that task's
     start, on the domain that runs the task — inject a telemetry probe
@@ -48,9 +47,9 @@ val effective : requested:int -> int
 (** [min requested (recommended ())], floored at 1 — the width a
     consumer should size a pool to when [requested] comes from
     configuration rather than measurement. The engine applies this cap
-    by default ([Engine.create ~cap_domains]); callers that want to
-    oversubscribe deliberately (scheduler tests, fairness experiments)
-    can bypass it by building the pool themselves. *)
+    to [Engine.create ~domains]; callers that want to oversubscribe
+    deliberately (scheduler tests, fairness experiments) bypass it by
+    building the pool themselves and passing [Engine.create ~pool]. *)
 
 val run_all : t -> (unit -> 'a) array -> ('a, exn) result array
 (** Execute every closure, returning per-task results in input order.

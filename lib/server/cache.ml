@@ -39,21 +39,20 @@ let touch t entry =
   t.tick <- t.tick + 1;
   entry.last_used <- t.tick
 
-(* caller holds the lock *)
-let evict_lru t =
+let evict_lru table ~last_used =
   let victim =
     Hashtbl.fold
       (fun key entry acc ->
         match acc with
-        | Some (_, best) when best.last_used <= entry.last_used -> acc
+        | Some (_, best) when last_used best <= last_used entry -> acc
         | _ -> Some (key, entry))
-      t.table None
+      table None
   in
   match victim with
-  | None -> ()
+  | None -> false
   | Some (key, _) ->
-    Hashtbl.remove t.table key;
-    t.evictions <- t.evictions + 1
+    Hashtbl.remove table key;
+    true
 
 let find_opt t key =
   with_lock t (fun () ->
@@ -67,7 +66,10 @@ let find_opt t key =
         None)
 
 let insert_locked t key value =
-  if Hashtbl.length t.table >= t.capacity then evict_lru t;
+  if
+    Hashtbl.length t.table >= t.capacity
+    && evict_lru t.table ~last_used:(fun e -> e.last_used)
+  then t.evictions <- t.evictions + 1;
   t.tick <- t.tick + 1;
   Hashtbl.replace t.table key { value; last_used = t.tick }
 

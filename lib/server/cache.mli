@@ -43,5 +43,12 @@ val capacity : ('k, 'v) t -> int
 
 val clear : ('k, 'v) t -> unit
 
+val evict_lru : ('k, 'e) Hashtbl.t -> last_used:('e -> int) -> bool
+(** Remove the entry with the smallest [last_used] tick (the first in
+    [Hashtbl.fold] order on a tie); [false] when the table is empty.
+    The one victim-selection rule of every LRU table in the server:
+    the caches here and the dataset registry. Not synchronized — the
+    caller holds the table's lock. *)
+
 val stats : ('k, 'v) t -> Vadasa_base.Json.t
 (** Object with [size], [capacity], [hits], [misses], [evictions]. *)

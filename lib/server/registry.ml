@@ -174,18 +174,7 @@ let touch t entry =
 
 (* caller holds [t.mu] *)
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun id entry acc ->
-        match acc with
-        | Some (_, best) when best.last_used <= entry.last_used -> acc
-        | _ -> Some (id, entry))
-      t.table None
-  in
-  match victim with
-  | None -> ()
-  | Some (id, _) ->
-    Hashtbl.remove t.table id;
+  if Cache.evict_lru t.table ~last_used:(fun (e : entry) -> e.last_used) then
     t.evictions <- t.evictions + 1
 
 let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics

@@ -37,14 +37,9 @@ type relation = {
   indexes : index Index_map.t Atomic.t;
 }
 
-type t = {
-  preds : (string, relation) Hashtbl.t;
-  mutable total : int;
-  track_provenance : bool;
-}
+type t = { preds : (string, relation) Hashtbl.t; mutable total : int }
 
-let create ?(track_provenance = true) () =
-  { preds = Hashtbl.create 64; total = 0; track_provenance }
+let create () = { preds = Hashtbl.create 64; total = 0 }
 
 let relation t pred =
   match Hashtbl.find_opt t.preds pred with
@@ -94,7 +89,7 @@ let rel_add t r ?(prov = Edb) args =
     grow r;
     let idx = r.size in
     r.data.(idx) <- args;
-    if t.track_provenance then r.prov.(idx) <- prov;
+    r.prov.(idx) <- prov;
     Value.Array_tbl.add r.keys args idx;
     r.size <- idx + 1;
     t.total <- t.total + 1;
@@ -190,11 +185,9 @@ let predicates t =
   |> List.sort String.compare
 
 let provenance_of t pred args =
-  if not t.track_provenance then None
-  else
-    match Hashtbl.find_opt t.preds pred with
+  match Hashtbl.find_opt t.preds pred with
+  | None -> None
+  | Some r ->
+    (match Value.Array_tbl.find_opt r.keys args with
     | None -> None
-    | Some r ->
-      (match Value.Array_tbl.find_opt r.keys args with
-      | None -> None
-      | Some idx -> Some r.prov.(idx))
+    | Some idx -> Some r.prov.(idx))

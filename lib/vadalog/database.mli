@@ -37,9 +37,8 @@ type provenance =
 
 type t
 
-val create : ?track_provenance:bool -> unit -> t
-(** An empty store. [track_provenance] (default [true]) keeps the
-    {!provenance} of every fact; the engine turns it on so
+val create : unit -> t
+(** An empty store. It keeps the {!provenance} of every fact, so
     explanations ({!provenance_of}) work. *)
 
 val add : t -> ?prov:provenance -> string -> Vadasa_base.Value.t array -> bool
@@ -117,4 +116,4 @@ val predicates : t -> string list
 (** Every predicate with at least one fact, sorted. *)
 
 val provenance_of : t -> string -> Vadasa_base.Value.t array -> provenance option
-(** [None] when the fact is absent or provenance tracking is off. *)
+(** [None] when the fact is absent. *)

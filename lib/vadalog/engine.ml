@@ -10,13 +10,12 @@ let log_src = Logs.Src.create "vadasa.engine" ~doc:"chase evaluation"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
-  track_provenance : bool;
   max_iterations : int;
   max_facts : int;
 }
 
 let default_config =
-  { track_provenance = true; max_iterations = 100_000; max_facts = 10_000_000 }
+  { max_iterations = 100_000; max_facts = 10_000_000 }
 
 exception Limit of string
 
@@ -31,7 +30,7 @@ exception Limit of string
    evaluations. *)
 let target_chunk_scans = 16_384
 (* Estimated scans per chunk a worker should receive: big enough to
-   amortize task dispatch + scratch acquisition, small enough to keep
+   amortize task dispatch and chunk set-up, small enough to keep
    [domains * 4] chunks available for load balancing. *)
 
 let min_parallel_scans = 2 * target_chunk_scans
@@ -214,7 +213,7 @@ type null_origin = {
 }
 
 type binding_ctx = {
-  mutable regs : Value.t array;
+  regs : Value.t array;
   mutable parents : (string * Value.t array) list;
 }
 
@@ -222,24 +221,18 @@ let unset = Value.Int 0
 
 let new_ctx cr = { regs = Array.make cr.nslots unset; parents = [] }
 
-(* ---- parallel-evaluation worker scratch ------------------------------- *)
+(* ---- parallel-evaluation worker output ------------------------------ *)
 
+(* One body binding a worker found, captured for replay at merge time. *)
 type emission = {
-  e_vals : Value.t array;
-      (* values of [c_capture], same order; [||] when heads were
-         computed by the worker (existential-free rules need no replay) *)
+  e_vals : Value.t array;  (* values of [c_capture], same order *)
   e_parents : (string * Value.t array) list;
       (* as ctx.parents: reverse match order *)
-  e_heads : Value.t array array;
-      (* head facts in [emit] order; [||] for rules with existentials,
-         whose Skolem terms must be invented at merge time *)
 }
-
-let no_emission = { e_vals = [||]; e_parents = []; e_heads = [||] }
 
 (* Worker-local profiler counters: summed into the rule's shared
    accumulator at merge time, keeping the shared record single-writer. *)
-let scratch_prof () =
+let chunk_prof () =
   {
     Profile.r_label = "";
     r_stratum = 0;
@@ -253,55 +246,6 @@ let scratch_prof () =
     r_nulls = 0;
     r_groups = 0;
   }
-
-(* Reusable per-worker join state, banked in a [Joinstate.t] so chunks
-   stop allocating (and minor-GC-syncing every domain over) a fresh
-   register file, buffer and profiler shard each. *)
-type wscratch = {
-  ws_ctx : binding_ctx;
-  ws_prof : Profile.rule;
-  mutable ws_emits : emission array;  (* grow-only emission buffer *)
-  mutable ws_n : int;  (* live prefix of [ws_emits] *)
-}
-
-let ws_make () =
-  {
-    ws_ctx = { regs = [||]; parents = [] };
-    ws_prof = scratch_prof ();
-    ws_emits = Array.make 64 no_emission;
-    ws_n = 0;
-  }
-
-(* Restore a scratch to a state indistinguishable from [ws_make ()]:
-   byte-identity of parallel runs relies on reuse carrying nothing
-   across chunks (see Joinstate's contract). Capacities are kept — that
-   is the point — but live contents are cleared so parked scratch
-   doesn't pin dead facts against the GC. *)
-let ws_reset ws =
-  Array.fill ws.ws_ctx.regs 0 (Array.length ws.ws_ctx.regs) unset;
-  ws.ws_ctx.parents <- [];
-  Array.fill ws.ws_emits 0 ws.ws_n no_emission;
-  ws.ws_n <- 0;
-  let p = ws.ws_prof in
-  p.Profile.r_evals <- 0;
-  p.Profile.r_time <- 0.0;
-  p.Profile.r_scanned <- 0;
-  p.Profile.r_matched <- 0;
-  p.Profile.r_bindings <- 0;
-  p.Profile.r_derived <- 0;
-  p.Profile.r_duplicates <- 0;
-  p.Profile.r_nulls <- 0;
-  p.Profile.r_groups <- 0
-
-let ws_push ws e =
-  let cap = Array.length ws.ws_emits in
-  if ws.ws_n >= cap then begin
-    let grown = Array.make (2 * cap) no_emission in
-    Array.blit ws.ws_emits 0 grown 0 ws.ws_n;
-    ws.ws_emits <- grown
-  end;
-  ws.ws_emits.(ws.ws_n) <- e;
-  ws.ws_n <- ws.ws_n + 1
 
 type t = {
   program : Program.t;
@@ -317,7 +261,6 @@ type t = {
   prof : Profile.t;
   pool : Task_pool.t option;  (* None = fully sequential evaluation *)
   pool_owned : bool;  (* created by us (shutdown stops it) vs borrowed *)
-  scratch : wscratch Joinstate.t;  (* reusable worker join state *)
   mutable s_stratum : int;  (* stratum currently evaluating *)
   mutable s_iteration : int;  (* fixpoint iteration within it *)
   mutable s_strata_run : int;
@@ -721,29 +664,25 @@ let compile_rule prof db rule =
 (* ---- construction ----------------------------------------------------- *)
 
 let create ?(config = default_config) ?(first_null_label = 1) ?strat
-    ?(domains = 1) ?(cap_domains = true) ?pool program =
+    ?(domains = 1) ?pool program =
   (match Program.validate program with
   | Ok () -> ()
   | Error errors ->
     invalid_arg ("Engine.create: " ^ String.concat "; " errors));
   if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
   (* Oversubscribing a host costs real time under OCaml 5 (every minor
-     collection synchronizes all running domains), so by default the
-     requested parallelism is clamped to what the host can actually run
-     — [Task_pool.recommended] honors cgroup/affinity limits, so a
+     collection synchronizes all running domains), so the requested
+     parallelism is clamped to what the host can actually run —
+     [Task_pool.recommended] honors cgroup/affinity limits, so a
      container pinned to one core evaluates sequentially no matter what
-     [~domains] asks for. Callers that must exercise the parallel
-     machinery regardless (tests, experiments) pass
-     [~cap_domains:false]; an explicit [~pool] is never clamped. *)
-  let domains =
-    if cap_domains then Task_pool.effective ~requested:domains else domains
-  in
+     [~domains] asks for. An explicit [~pool] is never clamped. *)
+  let domains = Task_pool.effective ~requested:domains in
   let pool, pool_owned =
     match pool with
     | Some p -> (Some p, false)
     | None when domains > 1 ->
       ( Some
-          (Task_pool.create ~name:"engine"
+          (Task_pool.create
              ~on_wait:(fun dt -> Telemetry.observe "pool.wait" dt)
              ~domains ()),
         true )
@@ -752,7 +691,7 @@ let create ?(config = default_config) ?(first_null_label = 1) ?strat
   let strat =
     match strat with Some s -> s | None -> Stratify.compute program
   in
-  let db = Database.create ~track_provenance:config.track_provenance () in
+  let db = Database.create () in
   List.iter
     (fun (pred, args) -> ignore (Database.add db pred args))
     program.Program.facts;
@@ -777,7 +716,6 @@ let create ?(config = default_config) ?(first_null_label = 1) ?strat
     prof;
     pool;
     pool_owned;
-    scratch = Joinstate.create ~make:ws_make ~reset:ws_reset;
     s_stratum = 0;
     s_iteration = 0;
     s_strata_run = 0;
@@ -841,10 +779,9 @@ let smallest_bucket regs a =
    given; every other atom reads the facts present when the step starts,
    restricted to insertion indexes below [bounds.(a_src)] (see
    [plan_jobs]). *)
-let run_plan ?(poll = ignore) t plan ~delta ~bounds ~prof ctx ~on_binding =
+let run_plan ?(poll = ignore) plan ~delta ~bounds ~prof ctx ~on_binding =
   let n = Array.length plan in
   let regs = ctx.regs in
-  let track = t.config.track_provenance in
   let rec exec i =
     if i >= n then begin
       prof.Profile.r_bindings <- prof.Profile.r_bindings + 1;
@@ -887,13 +824,10 @@ let run_plan ?(poll = ignore) t plan ~delta ~bounds ~prof ctx ~on_binding =
     let fact = Database.rel_nth a.a_rel idx in
     if match_args regs a.a_args fact then begin
       prof.Profile.r_matched <- prof.Profile.r_matched + 1;
-      if track then begin
-        let saved = ctx.parents in
-        ctx.parents <- (a.a_pred, fact) :: saved;
-        exec (i + 1);
-        ctx.parents <- saved
-      end
-      else exec (i + 1)
+      let saved = ctx.parents in
+      ctx.parents <- (a.a_pred, fact) :: saved;
+      exec (i + 1);
+      ctx.parents <- saved
     end
   in
   exec 0
@@ -1007,14 +941,12 @@ let emit_plain t cr ctx =
     Array.iteri (fun i (_, s) -> regs.(s) <- nulls.(i)) cr.existentials
   end;
   let prov =
-    if t.config.track_provenance then
-      Database.Derived
-        {
-          rule_id = rule.Rule.id;
-          rule_label = rule.Rule.label;
-          parents = List.rev ctx.parents;
-        }
-    else Database.Edb
+    Database.Derived
+      {
+        rule_id = rule.Rule.id;
+        rule_label = rule.Rule.label;
+        parents = List.rev ctx.parents;
+      }
   in
   insert_heads t cr ~prov regs
 
@@ -1037,13 +969,11 @@ let emit_agg_head t cr g regs group result =
       g.g_post
   in
   if passes then
-    let prov =
-      if t.config.track_provenance then
-        Database.Derived
-          { rule_id = rule.Rule.id; rule_label = rule.Rule.label; parents = [] }
-      else Database.Edb
-    in
-    insert_heads t cr ~prov regs
+    insert_heads t cr
+      ~prov:
+        (Database.Derived
+           { rule_id = rule.Rule.id; rule_label = rule.Rule.label; parents = [] })
+      regs
 
 (* The order Bind-rule groups emit in — which fixes fact insertion order
    and, downstream, null labels, so it must not drift between versions.
@@ -1115,7 +1045,7 @@ let eval_agg_rule t cr =
     | None -> ()
   in
   let n = Array.length cr.atom_preds in
-  run_plan t cr.plans.(n) ~delta:None ~bounds:cr.unbounded ~prof:cr.c_prof ctx
+  run_plan cr.plans.(n) ~delta:None ~bounds:cr.unbounded ~prof:cr.c_prof ctx
     ~on_binding;
   if g.g_test = None then
     List.iter
@@ -1135,7 +1065,7 @@ type job = {
 let eval_plain_rule t j =
   let cr = j.j_cr in
   let ctx = new_ctx cr in
-  run_plan t cr.plans.(j.j_plan) ~delta:j.j_delta ~bounds:j.j_bounds
+  run_plan cr.plans.(j.j_plan) ~delta:j.j_delta ~bounds:j.j_bounds
     ~prof:cr.c_prof ctx
     ~on_binding:(fun () -> emit_plain t cr ctx)
 
@@ -1205,19 +1135,18 @@ let plan_jobs ~iteration ~watermark ~snap ~recursive plain_rules =
 
    - phase 1 (parallel, read-only): the delta range is cut into
      contiguous chunks sized by the rule's cost model; each worker runs
-     the join plan over its chunk against the frozen database into a
-     reused [wscratch]. For existential-free rules the worker also
-     evaluates the head atoms — pure functions of the body binding — so
-     the merge doesn't have to. Nothing is written to the database, the
-     Skolem memo, or the shared profiler.
+     the join plan over its chunk against the frozen database, capturing
+     per binding the [c_capture] slots and the matched parents. Nothing
+     is written to the database, the Skolem memo, or the shared
+     profiler.
    - phase 2 (single-threaded merge): the coordinator replays the
-     buffered bindings in job order, then chunk order, then binding
+     captured bindings in job order, then chunk order, then binding
      order — exactly the order sequential evaluation would have emitted
-     them — inserting the worker-computed head facts. Rules with
-     existentials replay through [emit_plain], so skolemization stays
-     sequential and deterministic. Insertion order, labelled null
-     names, dedup outcomes and provenance are therefore identical to a
-     sequential run.
+     them — through [emit_plain], the sequential path's own emitter, so
+     head evaluation and skolemization stay sequential and
+     deterministic. Insertion order, labelled null names, dedup
+     outcomes and provenance are therefore identical to a sequential
+     run.
 
    A (rule, plan) job is eligible only when it is {e snapshot-safe}:
    its head predicates do not intersect the predicates the plan reads
@@ -1284,88 +1213,49 @@ let adaptive_chunks ~domains ~spd lo hi =
 let parallel_safe cr k =
   not (List.exists (fun p -> List.mem p cr.c_heads) cr.c_plan_reads.(k))
 
-(* Phase 1 of one chunk, on a worker domain. *)
+(* Phase 1 of one chunk, on a worker domain: the chunk's profiler
+   counters, its captured bindings (reverse order) and its join time. *)
 let run_chunk t ~budget j lo hi =
   Faultpoint.hit "engine.chunk";
   worker_poll t budget ();
   let t0 = Profile.now () in
   let cr = j.j_cr in
-  let ws = Joinstate.acquire t.scratch in
-  try
-    let ctx = ws.ws_ctx in
-    if Array.length ctx.regs < cr.nslots then
-      ctx.regs <- Array.make cr.nslots unset;
-    let precompute = Array.length cr.existentials = 0 in
-    run_plan t cr.plans.(j.j_plan) ~delta:(Some (lo, hi)) ~bounds:j.j_bounds
-      ~prof:ws.ws_prof ~poll:(worker_poll t budget) ctx
-      ~on_binding:(fun () ->
-        let regs = ctx.regs in
-        ws_push ws
-          (if precompute then
-             {
-               e_vals = [||];
-               e_parents = ctx.parents;
-               e_heads =
-                 Array.map (fun h -> Array.map (Expr.run regs) h.h_args) cr.emit;
-             }
-           else
-             {
-               e_vals = Array.map (fun s -> regs.(s)) cr.c_capture;
-               e_parents = ctx.parents;
-               e_heads = [||];
-             }));
-    let elapsed = Profile.now () -. t0 in
-    (* Recorded on the worker domain into its registry shard. *)
-    Telemetry.observe "engine.chunk.size" (float_of_int (hi - lo));
-    Telemetry.observe "engine.chunk.scanned"
-      (float_of_int ws.ws_prof.Profile.r_scanned);
-    Telemetry.observe "engine.chunk.join" elapsed;
-    (ws, elapsed)
-  with e ->
-    Joinstate.release t.scratch ws;
-    raise e
+  let ctx = new_ctx cr in
+  let prof = chunk_prof () in
+  let emits = ref [] in
+  run_plan cr.plans.(j.j_plan) ~delta:(Some (lo, hi)) ~bounds:j.j_bounds ~prof
+    ~poll:(worker_poll t budget) ctx
+    ~on_binding:(fun () ->
+      emits :=
+        {
+          e_vals = Array.map (fun s -> ctx.regs.(s)) cr.c_capture;
+          e_parents = ctx.parents;
+        }
+        :: !emits);
+  let elapsed = Profile.now () -. t0 in
+  (* Recorded on the worker domain into its registry shard. *)
+  Telemetry.observe "engine.chunk.size" (float_of_int (hi - lo));
+  Telemetry.observe "engine.chunk.scanned" (float_of_int prof.Profile.r_scanned);
+  Telemetry.observe "engine.chunk.join" elapsed;
+  (prof, !emits, elapsed)
 
 (* Phase 2 for one chunk: fold the worker's counters into the rule's
-   and replay its emissions in order. *)
-let merge_chunk t j lo hi ws elapsed =
+   and replay its bindings in order. *)
+let merge_chunk t j lo hi (wp, emits, elapsed) =
   let cr = j.j_cr in
   let p = cr.c_prof in
-  let wp = ws.ws_prof in
   p.Profile.r_time <- p.Profile.r_time +. elapsed;
   p.Profile.r_scanned <- p.Profile.r_scanned + wp.Profile.r_scanned;
   p.Profile.r_matched <- p.Profile.r_matched + wp.Profile.r_matched;
   p.Profile.r_bindings <- p.Profile.r_bindings + wp.Profile.r_bindings;
   spd_update cr ~plan:j.j_plan ~delta:(hi - lo) ~scanned:wp.Profile.r_scanned;
-  if Array.length cr.existentials = 0 then
-    for k = 0 to ws.ws_n - 1 do
-      let e = ws.ws_emits.(k) in
-      let prov =
-        if t.config.track_provenance then
-          Database.Derived
-            {
-              rule_id = cr.rule.Rule.id;
-              rule_label = cr.rule.Rule.label;
-              parents = List.rev e.e_parents;
-            }
-        else Database.Edb
-      in
-      Array.iteri
-        (fun i args ->
-          let h = cr.emit.(i) in
-          record_derivation t cr h.h_pred (Database.rel_add t.db h.h_rel ~prov args))
-        e.e_heads;
-      check_fact_limit t
-    done
-  else begin
-    let ctx = new_ctx cr in
-    for k = 0 to ws.ws_n - 1 do
-      let e = ws.ws_emits.(k) in
+  let ctx = new_ctx cr in
+  List.iter
+    (fun e ->
       Array.iteri (fun i s -> ctx.regs.(s) <- e.e_vals.(i)) cr.c_capture;
       ctx.parents <- e.e_parents;
-      emit_plain t cr ctx
-    done
-  end;
-  Joinstate.release t.scratch ws
+      emit_plain t cr ctx)
+    (List.rev emits)
 
 let run_parallel_batch t pool ~budget jobs =
   (* One evaluation per job, accounted up front so [r_evals] matches the
@@ -1392,14 +1282,8 @@ let run_parallel_batch t pool ~budget jobs =
   in
   (* Fail before any merge: a worker error (typed fault, budget
      interrupt) leaves the database untouched by this batch, and the
-     first task in submission order wins deterministically. Successful
-     tasks' scratch goes back to the bank first. *)
-  if Array.exists (function Error _ -> true | Ok _ -> false) results then begin
-    Array.iter
-      (function Ok (ws, _) -> Joinstate.release t.scratch ws | Error _ -> ())
-      results;
-    Array.iter (function Error e -> raise e | Ok _ -> ()) results
-  end;
+     first task in submission order wins deterministically. *)
+  Array.iter (function Error e -> raise e | Ok _ -> ()) results;
   (* The serial tail that caps parallel speedup gets its own span and
      histogram. *)
   Telemetry.span "engine.merge" (fun () ->
@@ -1408,7 +1292,7 @@ let run_parallel_batch t pool ~budget jobs =
         (fun i (j, lo, hi) ->
           match results.(i) with
           | Error _ -> assert false
-          | Ok (ws, elapsed) -> merge_chunk t j lo hi ws elapsed)
+          | Ok chunk -> merge_chunk t j lo hi chunk)
         chunks;
       Telemetry.observe "engine.merge.replay" (Profile.now () -. t0))
 
@@ -1659,7 +1543,7 @@ let publish_telemetry t =
     set "engine.agg.groups" t.s_agg_groups;
     set "engine.iterations" t.s_iterations;
     set "engine.strata" (Array.length t.strat.Stratify.strata);
-    if t.config.track_provenance then set "engine.provenance.nodes" t.s_derived;
+    set "engine.provenance.nodes" t.s_derived;
     let by_label = Hashtbl.create 16 in
     Hashtbl.iter
       (fun _ cr ->

@@ -36,13 +36,12 @@
     join phase in parallel over contiguous delta chunks, then a
     single-threaded merge replays the buffered bindings in sequential
     emission order. Chunks are sized adaptively by a per-rule cost
-    model (estimated scanned facts), batches below a work threshold
-    run sequentially, workers reuse join scratch from a lock-free
-    {!Joinstate} bank, and for existential-free rules the workers
-    compute the head facts, so the merge's serial tail is the inserts
-    themselves. The sequential and the parallel evaluator run the same
-    set of (rule, plan) evaluations, so their profiler counters agree
-    too. Results
+    model (estimated scanned facts) and batches below a work threshold
+    run sequentially. Workers capture only each binding's slots and
+    parent facts; the merge replays every binding through the same
+    head emitter the sequential path uses. The sequential and the
+    parallel evaluator run the same set of (rule, plan) evaluations,
+    so their profiler counters agree too. Results
     — fact insertion order, labelled-null names, provenance, dedup and
     aggregate-contributor semantics — are byte-identical to
     [~domains:1]. Rules whose plans read their own head predicates,
@@ -70,7 +69,6 @@
     coordinator emits spans). *)
 
 type config = {
-  track_provenance : bool;  (** default [true] *)
   max_iterations : int;  (** per-stratum fixpoint guard, default 100_000 *)
   max_facts : int;  (** global derivation guard, default 10_000_000 *)
 }
@@ -104,7 +102,7 @@ type t
 
 val create :
   ?config:config -> ?first_null_label:int -> ?strat:Stratify.t ->
-  ?domains:int -> ?cap_domains:bool -> ?pool:Vadasa_base.Task_pool.t ->
+  ?domains:int -> ?pool:Vadasa_base.Task_pool.t ->
   Program.t -> t
 (** Loads the program's inline facts; raises [Invalid_argument] on programs
     that fail {!Program.validate} and {!Stratify.Not_stratifiable} on
@@ -119,20 +117,18 @@ val create :
 
     [domains] (default [1], must be ≥ 1) enables parallel evaluation:
     the engine creates — and owns — a {!Vadasa_base.Task_pool} of that
-    many domains, released by {!shutdown}. [cap_domains] (default
-    [true]) clamps the request to
+    many domains, released by {!shutdown}. The request is clamped to
     {!Vadasa_base.Task_pool.recommended} — the host's useful
     parallelism under cgroup/affinity limits — because oversubscribing
     OCaml 5 domains costs real time (every minor collection
     synchronizes all running domains): [~domains:4] on a one-core
-    container evaluates sequentially. Pass [~cap_domains:false] to
-    exercise the parallel machinery regardless (tests, scheduler
-    experiments). [pool] instead {e borrows} an existing pool (it wins
-    over [domains] when both are given, is never stopped by
-    {!shutdown}, and is never clamped — the caller already chose its
-    size); a server with its own request workers shares one engine
-    pool across requests this way, keeping the process-wide domain
-    count fixed. With an effective [domains = 1] and no [pool],
+    container evaluates sequentially. [pool] instead {e borrows} an
+    existing pool (it wins over [domains] when both are given, is
+    never stopped by {!shutdown}, and is never clamped — the caller
+    already chose its size, which is how tests exercise the parallel
+    machinery on small hosts); a server with its own request workers
+    shares one engine pool across requests this way, keeping the
+    process-wide domain count fixed. With an effective [domains = 1] and no [pool],
     evaluation is exactly the sequential engine. *)
 
 val add_fact : t -> string -> Vadasa_base.Value.t list -> unit

@@ -18,10 +18,7 @@ module D = Vadasa_datagen
 module V = Vadasa_vadalog
 
 let chase ~domains program =
-  let engine = V.Engine.create ~domains ~cap_domains:false program in
-  Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () ->
+  Pooled_engine.with_engine ~domains program (fun engine ->
       V.Engine.run engine;
       Fact_dump.database (V.Engine.database engine))
 

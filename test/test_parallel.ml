@@ -22,7 +22,7 @@ let test_pool_create_invalid () =
   | exception Invalid_argument _ -> ()
 
 let test_pool_ordered_results () =
-  let pool = Task_pool.create ~name:"test" ~domains:4 () in
+  let pool = Task_pool.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Task_pool.stop pool)
     (fun () ->
@@ -117,16 +117,12 @@ let dump_profile engine =
            r.r_bindings r.r_derived r.r_duplicates r.r_nulls r.r_groups)
        (rules (V.Engine.profile engine)))
 
-(* [cap_domains:false] everywhere in this file: engines must exercise
-   the parallel machinery at the requested domain count even on hosts
-   (CI containers, pinned cgroups) with fewer cores — the default cap
-   would silently turn these into sequential runs. *)
+(* [Pooled_engine] everywhere in this file: engines must exercise the
+   parallel machinery at the requested domain count even on hosts (CI
+   containers, pinned cgroups) with fewer cores — the domain cap would
+   silently turn these into sequential runs. *)
 let run_program ?domains source =
-  let program = V.Parser.parse source in
-  let engine = V.Engine.create ?domains ~cap_domains:false program in
-  Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () ->
+  Pooled_engine.with_engine ?domains (V.Parser.parse source) (fun engine ->
       V.Engine.run engine;
       (dump_database (V.Engine.database engine), dump_profile engine))
 
@@ -220,6 +216,22 @@ let synthetic_collisions =
   Buffer.add_string buf "@output(\"out\").\n@output(\"out2\").\n";
   Buffer.contents buf
 
+(* The head shapes no other workload has: an existential (one null per
+   distinct frontier value, so most bindings hit the Skolem memo across
+   chunk boundaries) and a constant head argument. Both rules replay
+   their captured bindings through the sequential emitter at merge
+   time. 800 [acct] facts put the first iteration above the
+   sequential-fallback threshold. *)
+let synthetic_heads =
+  let buf = Buffer.create 16384 in
+  for i = 0 to 799 do
+    Buffer.add_string buf (Printf.sprintf "acct(%d, %d).\n" i (i mod 53))
+  done;
+  Buffer.add_string buf "holder(B, H) :- acct(X, B).\n";
+  Buffer.add_string buf "flag(X, \"high\", B) :- acct(X, B), B > 26.\n";
+  Buffer.add_string buf "@output(\"holder\").\n@output(\"flag\").\n";
+  Buffer.contents buf
+
 let test_examples_byte_identical () =
   let programs = example_programs () in
   Alcotest.(check bool) "found example programs" true (programs <> []);
@@ -259,6 +271,7 @@ let test_synthetic_byte_identical () =
       ("band", synthetic_band);
       ("skewed", synthetic_skewed);
       ("collisions", synthetic_collisions);
+      ("heads", synthetic_heads);
     ]
 
 let test_collision_duplicates_accounted () =
@@ -267,11 +280,8 @@ let test_collision_duplicates_accounted () =
      dedup verdict came from (frozen store, in-batch classification, or
      the merge's own probe). *)
   let stats_of domains =
-    let program = V.Parser.parse synthetic_collisions in
-    let engine = V.Engine.create ~domains ~cap_domains:false program in
-    Fun.protect
-      ~finally:(fun () -> V.Engine.shutdown engine)
-      (fun () ->
+    Pooled_engine.with_engine ~domains (V.Parser.parse synthetic_collisions)
+      (fun engine ->
         V.Engine.run engine;
         V.Engine.stats engine)
   in
@@ -298,14 +308,20 @@ let test_parallel_path_actually_runs () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (E.to_string e));
   Fun.protect ~finally:Faultpoint.reset (fun () ->
-      ignore (run_program ~domains:1 synthetic_tc);
+      let programs = [ ("tc", synthetic_tc); ("heads", synthetic_heads) ] in
+      List.iter (fun (_, source) -> ignore (run_program ~domains:1 source)) programs;
       Alcotest.(check int)
         "sequential run never chunks" 0
         (Faultpoint.hit_count "engine.chunk");
-      ignore (run_program ~domains:4 synthetic_tc);
-      Alcotest.(check bool)
-        "parallel run executes chunk tasks" true
-        (Faultpoint.hit_count "engine.chunk" > 0))
+      List.iter
+        (fun (name, source) ->
+          let before = Faultpoint.hit_count "engine.chunk" in
+          ignore (run_program ~domains:4 source);
+          Alcotest.(check bool)
+            (name ^ ": parallel run executes chunk tasks")
+            true
+            (Faultpoint.hit_count "engine.chunk" > before))
+        programs)
 
 let test_adaptive_gating_skips_tiny_workloads () =
   (* The cost model must refuse to parallelize work that cannot pay for
@@ -335,8 +351,8 @@ let test_adaptive_gating_skips_tiny_workloads () =
         "big workload still chunks" true
         (Faultpoint.hit_count "engine.chunk" > 0))
 
-let test_cap_domains_respects_host () =
-  (* The default cap clamps [~domains] to the host's useful parallelism;
+let test_domain_cap_respects_host () =
+  (* [Engine.create] clamps [~domains] to the host's useful parallelism;
      an explicit pool is the caller's own choice and is never clamped. *)
   let program = V.Parser.parse synthetic_band in
   let capped = V.Engine.create ~domains:64 program in
@@ -378,10 +394,7 @@ let test_budget_interrupt_mid_run_is_batch_prefix () =
     (fun () ->
       V.Engine.run full;
       let full_db = V.Engine.database full in
-      let interrupted = V.Engine.create ~domains:4 ~cap_domains:false program in
-      Fun.protect
-        ~finally:(fun () -> V.Engine.shutdown interrupted)
-        (fun () ->
+      Pooled_engine.with_engine ~domains:4 program (fun interrupted ->
           let budget = Budget.create ~max_facts:800 () in
           (match V.Engine.run ~budget interrupted with
           | () -> Alcotest.fail "fact budget did not interrupt"
@@ -400,51 +413,10 @@ let test_budget_interrupt_mid_run_is_batch_prefix () =
                 (is_prefix (facts_keys part_db pred) (facts_keys full_db pred)))
             (V.Database.predicates part_db)))
 
-(* --- joinstate bank -------------------------------------------------------- *)
-
-let test_joinstate_reuses_and_resets () =
-  let resets = ref 0 in
-  let made = ref 0 in
-  let bank =
-    V.Joinstate.create
-      ~make:(fun () ->
-        incr made;
-        ref [])
-      ~reset:(fun cell ->
-        incr resets;
-        cell := [])
-  in
-  Alcotest.(check int) "empty bank parks nothing" 0 (V.Joinstate.parked bank);
-  let first = V.Joinstate.acquire bank in
-  first := [ 1; 2; 3 ];
-  V.Joinstate.release bank first;
-  Alcotest.(check int) "reset ran on release" 1 !resets;
-  Alcotest.(check int) "released value is parked" 1 (V.Joinstate.parked bank);
-  let second = V.Joinstate.acquire bank in
-  Alcotest.(check bool) "bank reuses the parked value" true (first == second);
-  Alcotest.(check (list int)) "reused value was reset" [] !second;
-  Alcotest.(check int) "no fresh allocation on reuse" 1 !made;
-  let third = V.Joinstate.acquire bank in
-  Alcotest.(check bool) "empty bank makes a fresh value" true (third != second);
-  Alcotest.(check int) "fresh allocation counted" 2 !made
-
-let test_joinstate_with_scratch_releases_on_exception () =
-  let bank = V.Joinstate.create ~make:(fun () -> ref 0) ~reset:(fun c -> c := 0) in
-  (match V.Joinstate.with_scratch bank (fun c ->
-       c := 42;
-       failwith "boom")
-   with
-  | (_ : unit) -> Alcotest.fail "exception swallowed"
-  | exception Failure m -> Alcotest.(check string) "original exception" "boom" m);
-  Alcotest.(check int)
-    "scratch released despite exception" 1 (V.Joinstate.parked bank);
-  let c = V.Joinstate.acquire bank in
-  Alcotest.(check int) "scratch was reset" 0 !c
-
 let test_pool_reuse_across_engines () =
   (* The server shape: one borrowed pool, several engines, shutdown is a
      no-op on the borrowed pool. *)
-  let pool = Task_pool.create ~name:"shared" ~domains:4 () in
+  let pool = Task_pool.create ~domains:4 () in
   Fun.protect
     ~finally:(fun () -> Task_pool.stop pool)
     (fun () ->
@@ -494,11 +466,7 @@ let test_risk_via_engine_identical () =
    dump linear in the database size on recursive programs and also
    pins the [Unknown] cut to the same facts at every domain count. *)
 let provenance_dump ?domains source =
-  let program = V.Parser.parse source in
-  let engine = V.Engine.create ?domains ~cap_domains:false program in
-  Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () ->
+  Pooled_engine.with_engine ?domains (V.Parser.parse source) (fun engine ->
       V.Engine.run engine;
       let db = V.Engine.database engine in
       let buf = Buffer.create 8192 in
@@ -538,11 +506,8 @@ let test_chunk_fault_typed_error () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (E.to_string e));
   Fun.protect ~finally:Faultpoint.reset (fun () ->
-      let program = V.Parser.parse synthetic_tc in
-      let engine = V.Engine.create ~domains:4 ~cap_domains:false program in
-      Fun.protect
-        ~finally:(fun () -> V.Engine.shutdown engine)
-        (fun () ->
+      Pooled_engine.with_engine ~domains:4 (V.Parser.parse synthetic_tc)
+        (fun engine ->
           match V.Engine.run engine with
           | () -> Alcotest.fail "armed chunk fault did not fire"
           | exception E.Error err ->
@@ -555,11 +520,8 @@ let test_stratum_fault_typed_error () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (E.to_string e));
   Fun.protect ~finally:Faultpoint.reset (fun () ->
-      let program = V.Parser.parse synthetic_tc in
-      let engine = V.Engine.create ~domains:4 ~cap_domains:false program in
-      Fun.protect
-        ~finally:(fun () -> V.Engine.shutdown engine)
-        (fun () ->
+      Pooled_engine.with_engine ~domains:4 (V.Parser.parse synthetic_tc)
+        (fun engine ->
           match V.Engine.run engine with
           | () -> Alcotest.fail "armed stratum fault did not fire"
           | exception E.Error err ->
@@ -569,11 +531,8 @@ let test_stratum_fault_typed_error () =
 let test_budget_interrupt_parallel () =
   (* A zero-fact budget must interrupt a multi-domain chase with the
      same structured payload the sequential engine raises. *)
-  let program = V.Parser.parse synthetic_tc in
-  let engine = V.Engine.create ~domains:4 ~cap_domains:false program in
-  Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () ->
+  Pooled_engine.with_engine ~domains:4 (V.Parser.parse synthetic_tc)
+    (fun engine ->
       let budget = Budget.create ~max_facts:10 () in
       match V.Engine.run ~budget engine with
       | () -> Alcotest.fail "fact ceiling did not interrupt"
@@ -611,21 +570,14 @@ let () =
             test_parallel_path_actually_runs;
           Alcotest.test_case "adaptive gating skips tiny workloads" `Quick
             test_adaptive_gating_skips_tiny_workloads;
-          Alcotest.test_case "cap_domains respects the host" `Quick
-            test_cap_domains_respects_host;
+          Alcotest.test_case "domain cap respects the host" `Quick
+            test_domain_cap_respects_host;
           Alcotest.test_case "shared pool across engines" `Quick
             test_pool_reuse_across_engines;
           Alcotest.test_case "reasoned risks, domains 1/2/4" `Slow
             test_risk_via_engine_identical;
           Alcotest.test_case "derivation trees, domains 1/2/4" `Slow
             test_provenance_byte_identical;
-        ] );
-      ( "joinstate",
-        [
-          Alcotest.test_case "reuse and reset" `Quick
-            test_joinstate_reuses_and_resets;
-          Alcotest.test_case "with_scratch releases on exception" `Quick
-            test_joinstate_with_scratch_releases_on_exception;
         ] );
       ( "faults",
         [

@@ -596,14 +596,14 @@ let test_first_null_label () =
     Alcotest.(check bool) "label offset" true (n >= 100)
   | _ -> Alcotest.fail "expected one fact with a null"
 
-let test_multiple_heads () =
+let test_head_conjunction () =
   let engine =
     run_program "p(a). q(X), r(X, X) :- p(X)."
   in
   Alcotest.(check int) "q derived" 1 (List.length (V.Engine.facts engine "q"));
   Alcotest.(check int) "r derived" 1 (List.length (V.Engine.facts engine "r"))
 
-let test_multiple_heads_shared_existential () =
+let test_head_conjunction_shared_existential () =
   (* The same invented null must appear in both heads. *)
   let engine = run_program "p(a). q(X, Z), r(Z) :- p(X)." in
   match V.Engine.facts engine "q", V.Engine.facts engine "r" with
@@ -1099,9 +1099,9 @@ let () =
           Alcotest.test_case "idempotent run" `Quick test_run_idempotent;
           Alcotest.test_case "incremental facts" `Quick test_incremental_facts;
           Alcotest.test_case "null label seeding" `Quick test_first_null_label;
-          Alcotest.test_case "multiple heads" `Quick test_multiple_heads;
+          Alcotest.test_case "multiple heads" `Quick test_head_conjunction;
           Alcotest.test_case "shared existential across heads" `Quick
-            test_multiple_heads_shared_existential;
+            test_head_conjunction_shared_existential;
           Alcotest.test_case "constant-only rule" `Quick test_constant_only_rule;
           Alcotest.test_case "division by zero" `Quick test_guard_division_by_zero;
           Alcotest.test_case "repeated variable" `Quick
