@@ -1,14 +1,13 @@
 module Value = Vadasa_base.Value
 module Relational = Vadasa_relational
-module Tuple = Relational.Tuple
 module Relation = Relational.Relation
 
 type t = {
   oracle : Oracle.t;
   width : int;
-  full_index : (string, int list) Hashtbl.t;
+  full_index : int list Value.Array_tbl.t;
   (* per-attribute value index, for targets with suppressed values *)
-  attr_index : (string, int list) Hashtbl.t array;
+  attr_index : int list Value.Tbl.t array;
   total : int;
 }
 
@@ -20,18 +19,16 @@ let build oracle =
     | 0 -> 0
     | _ -> Array.length (Oracle.qi_values oracle 0)
   in
-  let full_index = Hashtbl.create (max 16 n) in
-  let attr_index = Array.init width (fun _ -> Hashtbl.create (max 16 n)) in
+  let full_index = Value.Array_tbl.create (max 16 n) in
+  let attr_index = Array.init width (fun _ -> Value.Tbl.create (max 16 n)) in
   for r = n - 1 downto 0 do
     let qi = Oracle.qi_values oracle r in
-    let key = Tuple.key qi in
-    let existing = try Hashtbl.find full_index key with Not_found -> [] in
-    Hashtbl.replace full_index key (r :: existing);
+    let existing = try Value.Array_tbl.find full_index qi with Not_found -> [] in
+    Value.Array_tbl.replace full_index qi (r :: existing);
     Array.iteri
       (fun p v ->
-        let k = Value.to_string v in
-        let existing = try Hashtbl.find attr_index.(p) k with Not_found -> [] in
-        Hashtbl.replace attr_index.(p) k (r :: existing))
+        let existing = try Value.Tbl.find attr_index.(p) v with Not_found -> [] in
+        Value.Tbl.replace attr_index.(p) v (r :: existing))
       qi
   done;
   { oracle; width; full_index; attr_index; total = n }
@@ -47,13 +44,12 @@ let candidates t target =
   match constant_positions with
   | [] -> List.init t.total (fun r -> r)
   | _ when List.length constant_positions = t.width ->
-    (try Hashtbl.find t.full_index (Tuple.key target) with Not_found -> [])
+    (try Value.Array_tbl.find t.full_index target with Not_found -> [])
   | p0 :: rest ->
     (* Intersect per-attribute postings, starting from one list and
        filtering against the others via the oracle rows themselves. *)
     let initial =
-      try Hashtbl.find t.attr_index.(p0) (Value.to_string target.(p0))
-      with Not_found -> []
+      try Value.Tbl.find t.attr_index.(p0) target.(p0) with Not_found -> []
     in
     List.filter
       (fun r ->

@@ -10,13 +10,12 @@ let project rel attrs =
   out
 
 let distinct rel =
-  let seen = Hashtbl.create 256 in
+  let seen = Value.Array_tbl.create 256 in
   Relation.filter
     (fun t ->
-      let k = Tuple.key t in
-      if Hashtbl.mem seen k then false
+      if Value.Array_tbl.mem seen t then false
       else begin
-        Hashtbl.add seen k ();
+        Value.Array_tbl.add seen t ();
         true
       end)
     rel
@@ -35,15 +34,15 @@ let sort_by rel cmp =
   Relation.of_tuples (Relation.schema rel) (Array.to_list arr)
 
 let group_indices rel ~cols =
-  let groups = Hashtbl.create 1024 in
+  let groups = Value.Array_tbl.create 1024 in
   Relation.iteri
     (fun i t ->
-      let k = Tuple.key (Tuple.project t cols) in
-      let members = try Hashtbl.find groups k with Not_found -> [] in
-      Hashtbl.replace groups k (i :: members))
+      let k = Tuple.project t cols in
+      let members = try Value.Array_tbl.find groups k with Not_found -> [] in
+      Value.Array_tbl.replace groups k (i :: members))
     rel;
   (* Store members ascending. *)
-  Hashtbl.iter (fun k members -> Hashtbl.replace groups k (List.rev members)) groups;
+  Value.Array_tbl.filter_map_inplace (fun _ members -> Some (List.rev members)) groups;
   groups
 
 let joined_schema ~left ~right ~right_only =
@@ -59,6 +58,25 @@ let joined_schema ~left ~right ~right_only =
     ~name:(Schema.name ls ^ "_" ^ Schema.name rs)
     (left_attrs @ right_attrs)
 
+(* Hash [right] on its [r_cols] projection, then add [combine lt rt] to [out]
+   for every left tuple (in order) and every right tuple agreeing with it on
+   [l_cols] (newest right tuple first). *)
+let hash_join ~out ~left ~l_cols ~right ~r_cols combine =
+  let index = Value.Array_tbl.create 1024 in
+  Relation.iter
+    (fun t ->
+      let k = Tuple.project t r_cols in
+      let existing = try Value.Array_tbl.find index k with Not_found -> [] in
+      Value.Array_tbl.replace index k (t :: existing))
+    right;
+  Relation.iter
+    (fun lt ->
+      match Value.Array_tbl.find_opt index (Tuple.project lt l_cols) with
+      | None -> ()
+      | Some matches ->
+        List.iter (fun rt -> Relation.add out (combine lt rt)) matches)
+    left
+
 let natural_join left right =
   let ls = Relation.schema left and rs = Relation.schema right in
   let shared =
@@ -69,27 +87,10 @@ let natural_join left right =
   in
   let schema' = joined_schema ~left ~right ~right_only in
   let out = Relation.create schema' in
-  let l_shared = Schema.indices_of ls shared in
-  let r_shared = Schema.indices_of rs shared in
   let r_only = Schema.indices_of rs right_only in
-  (* Hash the right side on the shared-attribute key. *)
-  let index = Hashtbl.create 1024 in
-  Relation.iter
-    (fun t ->
-      let k = Tuple.key (Tuple.project t r_shared) in
-      let existing = try Hashtbl.find index k with Not_found -> [] in
-      Hashtbl.replace index k (t :: existing))
-    right;
-  Relation.iter
-    (fun lt ->
-      let k = Tuple.key (Tuple.project lt l_shared) in
-      match Hashtbl.find_opt index k with
-      | None -> ()
-      | Some matches ->
-        List.iter
-          (fun rt -> Relation.add out (Array.append lt (Tuple.project rt r_only)))
-          matches)
-    left;
+  hash_join ~out ~left ~l_cols:(Schema.indices_of ls shared) ~right
+    ~r_cols:(Schema.indices_of rs shared) (fun lt rt ->
+      Array.append lt (Tuple.project rt r_only));
   out
 
 let equi_join ~left ~right ~on =
@@ -108,21 +109,7 @@ let equi_join ~left ~right ~on =
       @ List.map rename (Array.to_list (Schema.attributes rs)))
   in
   let out = Relation.create schema' in
-  let index = Hashtbl.create 1024 in
-  Relation.iter
-    (fun t ->
-      let k = Tuple.key (Tuple.project t r_cols) in
-      let existing = try Hashtbl.find index k with Not_found -> [] in
-      Hashtbl.replace index k (t :: existing))
-    right;
-  Relation.iter
-    (fun lt ->
-      let k = Tuple.key (Tuple.project lt l_cols) in
-      match Hashtbl.find_opt index k with
-      | None -> ()
-      | Some matches ->
-        List.iter (fun rt -> Relation.add out (Array.append lt rt)) matches)
-    left;
+  hash_join ~out ~left ~l_cols ~right ~r_cols Array.append;
   out
 
 module Group_stats = struct
@@ -139,75 +126,69 @@ module Group_stats = struct
       | Some x -> x
       | None -> 1.0)
 
-  (* Exact (standard-semantics) grouping: one hash pass. *)
+  (* Per-group size and weight sum over the rows [rows] (ascending, so each
+     weight sum accumulates in row order). *)
+  let tally (groups : Column_codes.groups) w rows =
+    let size = Array.make groups.count 0 in
+    let ws = Array.make groups.count 0.0 in
+    List.iter
+      (fun i ->
+        let g = groups.id.(i) in
+        size.(g) <- size.(g) + 1;
+        ws.(g) <- ws.(g) +. w.(i))
+      rows;
+    (size, ws)
+
+  let all_columns codes = Array.init (Column_codes.width codes) Fun.id
+
+  (* Exact (standard-semantics) grouping: one pass over the group ids. *)
   let compute_standard ~rel ~qi ~weight =
     let n = Relation.cardinal rel in
-    let freq = Array.make n 0 in
-    let weight_sum = Array.make n 0.0 in
-    let groups = Hashtbl.create (max 16 n) in
-    Relation.iteri
-      (fun i t ->
-        let k = Tuple.key (Tuple.project t qi) in
-        let members, ws =
-          try Hashtbl.find groups k with Not_found -> ([], 0.0)
-        in
-        Hashtbl.replace groups k (i :: members, ws +. weight_of rel weight i))
-      rel;
-    Hashtbl.iter
-      (fun _ (members, ws) ->
-        let size = List.length members in
-        List.iter
-          (fun i ->
-            freq.(i) <- size;
-            weight_sum.(i) <- ws)
-          members)
-      groups;
-    { freq; weight_sum }
+    let codes = Column_codes.encode rel qi in
+    let groups = Column_codes.group_ids codes (all_columns codes) in
+    let w = Array.init n (weight_of rel weight) in
+    let size, ws = tally groups w (List.init n Fun.id) in
+    {
+      freq = Array.map (fun g -> size.(g)) groups.id;
+      weight_sum = Array.map (fun g -> ws.(g)) groups.id;
+    }
 
   (* Maybe-match grouping: constants grouped exactly; null-bearing tuples
-     matched against per-mask indexes of the constant cohort and pairwise
-     against each other. *)
+     matched against per-mask groupings of the constant cohort and, by
+     null-pattern class, against each other. *)
   let compute_maybe ~rel ~qi ~weight =
     let n = Relation.cardinal rel in
     let freq = Array.make n 0 in
     let weight_sum = Array.make n 0.0 in
-    let proj = Array.init n (fun i -> Tuple.project (Relation.get rel i) qi) in
-    let w = Array.init n (fun i -> weight_of rel weight i) in
+    let codes = Column_codes.encode rel qi in
+    let w = Array.init n (weight_of rel weight) in
     let const_idx = ref [] and null_idx = ref [] in
     for i = n - 1 downto 0 do
-      if Tuple.has_null proj.(i) then null_idx := i :: !null_idx
+      if Column_codes.has_null codes i then null_idx := i :: !null_idx
       else const_idx := i :: !const_idx
     done;
     let const_idx = !const_idx and null_idx = !null_idx in
     (* 1. Exact groups among all-constant tuples. *)
-    let groups = Hashtbl.create (max 16 n) in
+    let exact = Column_codes.group_ids codes (all_columns codes) in
+    let size, ws = tally exact w const_idx in
     List.iter
       (fun i ->
-        let k = Tuple.key proj.(i) in
-        let members, ws = try Hashtbl.find groups k with Not_found -> ([], 0.0) in
-        Hashtbl.replace groups k (i :: members, ws +. w.(i)))
+        let g = exact.id.(i) in
+        freq.(i) <- size.(g);
+        weight_sum.(i) <- ws.(g))
       const_idx;
-    Hashtbl.iter
-      (fun _ (members, ws) ->
-        let size = List.length members in
-        List.iter
-          (fun i ->
-            freq.(i) <- size;
-            weight_sum.(i) <- ws)
-          members)
-      groups;
     (* Null tuples start by matching themselves. *)
     List.iter
       (fun i ->
         freq.(i) <- 1;
         weight_sum.(i) <- w.(i))
       null_idx;
-    (* 2. Null vs constant, via one index per distinct null mask: constant
-       tuples keyed by their values at the mask's constant positions. *)
+    (* 2. Null vs constant, one grouping per distinct null mask: tuples
+       grouped by their codes at the mask's constant positions. *)
     let masks = Hashtbl.create 8 in
     List.iter
       (fun i ->
-        let m = Tuple.null_mask proj.(i) in
+        let m = Column_codes.null_mask codes i in
         let members = try Hashtbl.find masks m with Not_found -> [] in
         Hashtbl.replace masks m (i :: members))
       null_idx;
@@ -221,52 +202,49 @@ module Group_stats = struct
     in
     Hashtbl.iter
       (fun m members ->
-        let positions = const_positions_of_mask m in
-        let index = Hashtbl.create 1024 in
-        List.iter
-          (fun j ->
-            let k = Tuple.key (Tuple.project proj.(j) positions) in
-            let cohort, ws = try Hashtbl.find index k with Not_found -> ([], 0.0) in
-            Hashtbl.replace index k (j :: cohort, ws +. w.(j)))
-          const_idx;
+        let groups = Column_codes.group_ids codes (const_positions_of_mask m) in
+        let cohort_size, cohort_ws = tally groups w const_idx in
+        let cohort = Array.make groups.count [] in
+        List.iter (fun j -> cohort.(groups.id.(j)) <- j :: cohort.(groups.id.(j))) const_idx;
         List.iter
           (fun i ->
-            let k = Tuple.key (Tuple.project proj.(i) positions) in
-            match Hashtbl.find_opt index k with
-            | None -> ()
-            | Some (cohort, ws) ->
-              freq.(i) <- freq.(i) + List.length cohort;
-              weight_sum.(i) <- weight_sum.(i) +. ws;
+            let g = groups.id.(i) in
+            if cohort_size.(g) > 0 then begin
+              freq.(i) <- freq.(i) + cohort_size.(g);
+              weight_sum.(i) <- weight_sum.(i) +. cohort_ws.(g);
               List.iter
                 (fun j ->
                   freq.(j) <- freq.(j) + 1;
                   weight_sum.(j) <- weight_sum.(j) +. w.(i))
-                cohort)
+                cohort.(g)
+            end)
           members)
       masks;
     (* 3. Null vs null. Suppressed tuples cluster into few patterns (same
        null positions, same remaining constants — null labels are
        irrelevant to =⊥), so we compare pattern classes, not tuples:
-       O(c²) class tests plus O(m) bookkeeping instead of O(m²). *)
-    let class_key p =
-      let normalized =
-        Array.map (fun v -> if Value.is_null v then Value.Null 0 else v) p
-      in
-      Tuple.key normalized
-    in
-    let classes = Hashtbl.create 64 in
+       O(c²) class tests plus O(m) bookkeeping instead of O(m²). Classes
+       are numbered in order of first appearance. *)
+    let patterns = Column_codes.group_ids ~normalize_nulls:true codes (all_columns codes) in
+    let members = Array.make patterns.count [] in
+    let ws = Array.make patterns.count 0.0 in
+    let order = ref [] in
     List.iter
       (fun i ->
-        let k = class_key proj.(i) in
-        match Hashtbl.find_opt classes k with
-        | Some (repr, members, ws) ->
-          Hashtbl.replace classes k (repr, i :: members, ws +. w.(i))
-        | None -> Hashtbl.add classes k (proj.(i), [ i ], w.(i)))
+        let p = patterns.id.(i) in
+        if members.(p) = [] then begin
+          order := (p, i) :: !order;
+          ws.(p) <- w.(i)
+        end
+        else ws.(p) <- ws.(p) +. w.(i);
+        members.(p) <- i :: members.(p))
       null_idx;
-    let class_list =
-      Hashtbl.fold (fun _ cls acc -> cls :: acc) classes []
+    let class_arr =
+      Array.of_list
+        (List.rev_map
+           (fun (p, first) -> (Tuple.project (Relation.get rel first) qi, members.(p), ws.(p)))
+           !order)
     in
-    let class_arr = Array.of_list class_list in
     let c = Array.length class_arr in
     let credit members ~count ~weight =
       List.iter

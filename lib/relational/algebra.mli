@@ -36,8 +36,8 @@ val sort_by :
   Relation.t -> (Tuple.t -> Tuple.t -> int) -> Relation.t
 
 val group_indices :
-  Relation.t -> cols:int array -> (string, int list) Hashtbl.t
-(** Standard-semantics grouping: canonical projected key → member positions
+  Relation.t -> cols:int array -> int list Vadasa_base.Value.Array_tbl.t
+(** Standard-semantics grouping: projected values → member positions
     (ascending). *)
 
 (** Per-tuple statistics of the quasi-identifier combination each tuple
@@ -70,8 +70,23 @@ module Group_stats : sig
       where one suppression lifts the frequency of tuple 1 from 1 to 5 and
       of tuples 2–5 from 2 to 3.
 
-      Cost: O(n) for all-constant data; plus O(m·n̄ + m²) where m is the
-      number of null-bearing tuples and n̄ the size of the matched constant
-      cohorts — m stays small because suppression only touches risky
+      Grouping runs on {!Column_codes}: the quasi-identifier columns are
+      encoded once per call and every grouping below is a pass over dense
+      group ids. Values group under {!Vadasa_base.Value.equal}, so values
+      that merely render alike ([Int 1] and [Str "1"]) stay apart.
+
+      Under [Maybe_match], each null-bearing tuple first collects the
+      constant tuples agreeing with it on its non-null positions (one
+      grouping per distinct null mask), then its null-pattern class
+      collects every compatible class. Classes (same null positions, same
+      constants) are visited in order of first appearance in the relation;
+      that order fixes the order of the floating-point additions into
+      [weight_sum] of null-bearing tuples.
+
+      Cost: O(n·q) for all-constant data over q quasi-identifiers; plus
+      O(n·q) per distinct null mask, O(m·n̄) cohort crediting and O(c²)
+      class tests, where m is the number of null-bearing tuples, n̄ the size
+      of their matched constant cohorts and c the number of null-pattern
+      classes — m and c stay small because suppression only touches risky
       tuples. *)
 end

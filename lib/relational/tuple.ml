@@ -44,18 +44,6 @@ let null_mask t =
   Array.iteri (fun i v -> if Value.is_null v then mask := !mask lor (1 lsl i)) t;
   !mask
 
-let key t =
-  let buf = Buffer.create 32 in
-  Array.iter
-    (fun v ->
-      let s = Value.to_string v in
-      Buffer.add_string buf (string_of_int (String.length s));
-      Buffer.add_char buf ':';
-      Buffer.add_string buf s;
-      Buffer.add_char buf '|')
-    t;
-  Buffer.contents buf
-
 let pp ppf t =
   Format.fprintf ppf "(%s)"
     (String.concat ", " (Array.to_list (Array.map Value.to_string t)))

@@ -28,10 +28,6 @@ val null_mask : t -> int
 (** Bitmask of null positions; tuples wider than 62 attributes are not
     supported by the mask (raises [Invalid_argument]). *)
 
-val key : t -> string
-(** Canonical string key of the tuple, safe for hashtable grouping:
-    values are length-prefixed so that no two distinct tuples collide. *)
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -103,8 +103,8 @@ let apply_action config ids md ~tuple ~attr =
 (* Within-round bookkeeping of this round's suppressions, so one labelled
    null can rescue several pending tuples (the paper's "wider risk
    reduction effect", Figure 7b). Each suppression event is recorded as the
-   suppressed tuple's new projection: null-position mask plus the canonical
-   key of its constant positions. A pending tuple gains one maybe-match per
+   suppressed tuple's new projection: null-position mask plus the values at
+   its constant positions. A pending tuple gains one maybe-match per
    recorded event agreeing with it on the event's constant positions. The
    gain is an over-approximation (it may recount tuples that already
    matched), which is safe: a skipped tuple is re-examined by the next
@@ -112,7 +112,7 @@ let apply_action config ids md ~tuple ~attr =
 module Round_gains = struct
   type t = {
     qi : int array;
-    tables : (int, (string, int) Hashtbl.t) Hashtbl.t;  (* mask -> key -> count *)
+    tables : (int, int Value.Array_tbl.t) Hashtbl.t;  (* mask -> constants -> count *)
   }
 
   let create qi = { qi; tables = Hashtbl.create 8 }
@@ -133,17 +133,17 @@ module Round_gains = struct
     let proj = projection md tuple t.qi in
     let mask = Relational.Tuple.null_mask proj in
     let positions = constant_positions proj in
-    let key = Relational.Tuple.key (Relational.Tuple.project proj positions) in
+    let key = Relational.Tuple.project proj positions in
     let table =
       match Hashtbl.find_opt t.tables mask with
       | Some table -> table
       | None ->
-        let table = Hashtbl.create 64 in
+        let table = Value.Array_tbl.create 64 in
         Hashtbl.add t.tables mask table;
         table
     in
-    let current = try Hashtbl.find table key with Not_found -> 0 in
-    Hashtbl.replace table key (current + 1)
+    let current = try Value.Array_tbl.find table key with Not_found -> 0 in
+    Value.Array_tbl.replace table key (current + 1)
 
   let gained t md ~tuple =
     let proj = projection md tuple t.qi in
@@ -160,10 +160,8 @@ module Round_gains = struct
            constant in the pending tuple too. *)
         if Array.exists (fun p -> Value.is_null proj.(p)) positions then acc
         else
-          let key =
-            Relational.Tuple.key (Relational.Tuple.project proj positions)
-          in
-          acc + (try Hashtbl.find table key with Not_found -> 0))
+          let key = Relational.Tuple.project proj positions in
+          acc + (try Value.Array_tbl.find table key with Not_found -> 0))
       t.tables 0
 end
 

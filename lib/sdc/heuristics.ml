@@ -1,7 +1,4 @@
-module Value = Vadasa_base.Value
-module Relation = Vadasa_relational.Relation
-module Tuple = Vadasa_relational.Tuple
-module Schema = Vadasa_relational.Schema
+module Column_codes = Vadasa_relational.Column_codes
 
 type tuple_order = Less_significant_first | Most_risky_first | In_order
 
@@ -18,48 +15,29 @@ let order_tuples order md ~risk indices =
 type qi_choice = Most_risky_qi | Most_selective_qi | First_qi
 
 type cache = {
-  (* leave_one_out.(j): frequency of each tuple's projection onto the
-     quasi-identifiers minus attribute j *)
-  leave_one_out : (string, int) Hashtbl.t array;
+  (* leave_one_out.(j): each tuple's group id over the quasi-identifiers
+     minus attribute j; sizes.(j): the size of each of those groups *)
+  leave_one_out : int array array;
+  sizes : int array array;
   distinct_counts : int array;  (* per quasi-identifier *)
   qi_attrs : string array;
-  projections : Tuple.t array;
 }
 
 let build_cache md =
-  let rel = Microdata.relation md in
-  let qi = Microdata.qi_positions md in
-  let m = Array.length qi in
-  let n = Relation.cardinal rel in
-  let projections = Array.init n (fun i -> Tuple.project (Relation.get rel i) qi) in
-  let leave_one_out =
-    Array.init m (fun j ->
-        let keep =
-          Array.of_list
-            (List.filter (fun p -> p <> j) (List.init m (fun p -> p)))
-        in
-        let table = Hashtbl.create (max 16 n) in
-        Array.iter
-          (fun proj ->
-            let key = Tuple.key (Tuple.project proj keep) in
-            let c = try Hashtbl.find table key with Not_found -> 0 in
-            Hashtbl.replace table key (c + 1))
-          projections;
-        table)
+  let codes =
+    Column_codes.encode (Microdata.relation md) (Microdata.qi_positions md)
   in
-  let distinct_counts =
+  let m = Column_codes.width codes in
+  let groups =
     Array.init m (fun j ->
-        let seen = Hashtbl.create 64 in
-        Array.iter
-          (fun proj -> Hashtbl.replace seen (Value.to_string proj.(j)) ())
-          projections;
-        Hashtbl.length seen)
+        Column_codes.group_ids codes
+          (Array.of_list (List.filter (fun p -> p <> j) (List.init m Fun.id))))
   in
   {
-    leave_one_out;
-    distinct_counts;
+    leave_one_out = Array.map (fun g -> g.Column_codes.id) groups;
+    sizes = Array.map Column_codes.group_sizes groups;
+    distinct_counts = Array.init m (Column_codes.distinct_values codes);
     qi_attrs = Array.of_list (Microdata.quasi_identifiers md);
-    projections;
   }
 
 let qi_index cache attr =
@@ -70,13 +48,7 @@ let qi_index cache attr =
   in
   go 0
 
-let freq_without cache ~tuple j =
-  let m = Array.length cache.qi_attrs in
-  let keep =
-    Array.of_list (List.filter (fun p -> p <> j) (List.init m (fun p -> p)))
-  in
-  let key = Tuple.key (Tuple.project cache.projections.(tuple) keep) in
-  try Hashtbl.find cache.leave_one_out.(j) key with Not_found -> 0
+let freq_without cache ~tuple j = cache.sizes.(j).(cache.leave_one_out.(j).(tuple))
 
 let choose_qi choice cache md ~tuple ~candidates =
   ignore md;

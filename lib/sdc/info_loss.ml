@@ -51,11 +51,9 @@ let generalization_loss hierarchy md =
 let distinct_combinations md =
   let rel = Microdata.relation md in
   let qi = Microdata.qi_positions md in
-  let seen = Hashtbl.create 256 in
-  Relation.iter
-    (fun t -> Hashtbl.replace seen (Tuple.key (Tuple.project t qi)) ())
-    rel;
-  Hashtbl.length seen
+  let seen = Value.Array_tbl.create 256 in
+  Relation.iter (fun t -> Value.Array_tbl.replace seen (Tuple.project t qi) ()) rel;
+  Value.Array_tbl.length seen
 
 let distinct_combination_ratio before after =
   let b = distinct_combinations before in

@@ -125,6 +125,7 @@ let measure_to_string = function
      estimation (one RNG sequenced across tuples in index order) and
      custom measures (caller-supplied closures may carry state). *)
 module Incremental = struct
+  module Value = Vadasa_base.Value
   module Relation = Relational.Relation
   module Tuple = Relational.Tuple
 
@@ -149,8 +150,8 @@ module Incremental = struct
     md : Microdata.t;  (* shared with the caller, rows appended in place *)
     score : (freq:int -> weight_sum:float -> float) option;
         (* per-tuple scorer; [None] = measure needs full re-estimation *)
-    groups : (string, int list * float) Hashtbl.t;
-        (* QI key -> (members, reversed; weight sum in row order) *)
+    groups : (int list * float) Value.Array_tbl.t;
+        (* QI values -> (members, reversed; weight sum in row order) *)
     mutable scored : int;  (* rows covered by [report] *)
     mutable has_null : bool;  (* some scored row has a QI null *)
     mutable report : report;
@@ -173,24 +174,20 @@ module Incremental = struct
           Stats.Estimator.benedetti_franconi ~freq ~weight_sum)
     | Individual (Monte_carlo _) | Suda _ | Custom _ -> None
 
-  let qi_key md rel i =
-    Tuple.key (Tuple.project (Relation.get rel i) (Microdata.qi_positions md))
-
   (* Fold rows [lo, hi) into the buckets, returning the touched keys. *)
   let absorb t lo hi =
     let rel = Microdata.relation t.md in
     let qi = Microdata.qi_positions t.md in
-    let touched = Hashtbl.create 16 in
+    let touched = Value.Array_tbl.create 16 in
     for i = lo to hi - 1 do
-      if Tuple.has_null (Tuple.project (Relation.get rel i) qi) then
-        t.has_null <- true;
-      let key = qi_key t.md rel i in
+      let key = Tuple.project (Relation.get rel i) qi in
+      if Tuple.has_null key then t.has_null <- true;
       let members, ws =
-        try Hashtbl.find t.groups key with Not_found -> ([], 0.0)
+        try Value.Array_tbl.find t.groups key with Not_found -> ([], 0.0)
       in
-      Hashtbl.replace t.groups key
+      Value.Array_tbl.replace t.groups key
         (i :: members, ws +. Microdata.weight_of t.md i);
-      if not (Hashtbl.mem touched key) then Hashtbl.add touched key ()
+      Value.Array_tbl.replace touched key ()
     done;
     touched
 
@@ -201,7 +198,7 @@ module Incremental = struct
         semantics;
         md;
         score = scorer measure;
-        groups = Hashtbl.create 64;
+        groups = Value.Array_tbl.create 64;
         scored = 0;
         has_null = false;
         report = estimate ~semantics measure md;
@@ -248,9 +245,9 @@ module Incremental = struct
       Array.blit old.risk 0 risk 0 lo;
       let score = Option.get t.score in
       let rescored = ref 0 in
-      Hashtbl.iter
+      Value.Array_tbl.iter
         (fun key () ->
-          let members, ws = Hashtbl.find t.groups key in
+          let members, ws = Value.Array_tbl.find t.groups key in
           let size = List.length members in
           List.iter
             (fun i ->
@@ -264,7 +261,7 @@ module Incremental = struct
       {
         rows_added;
         rows_rescored = !rescored;
-        groups_touched = Hashtbl.length touched;
+        groups_touched = Value.Array_tbl.length touched;
         fallback = None;
       }
 

@@ -1,7 +1,6 @@
-module Value = Vadasa_base.Value
 module Relational = Vadasa_relational
-module Tuple = Relational.Tuple
 module Relation = Relational.Relation
+module Column_codes = Relational.Column_codes
 
 type tuple_msus = {
   msus : int array list;
@@ -27,68 +26,56 @@ let subsets m max_size =
 let mask_of positions =
   Array.fold_left (fun acc p -> acc lor (1 lsl p)) 0 positions
 
-(* Frequency table of the projections onto [positions] of all tuples. *)
-let freq_table projections positions =
-  let table = Hashtbl.create (Array.length projections) in
-  Array.iter
-    (fun proj ->
-      let key = Tuple.key (Tuple.project proj positions) in
-      let current = try Hashtbl.find table key with Not_found -> 0 in
-      Hashtbl.replace table key (current + 1))
-    projections;
-  table
-
 let find_msus ?(max_size = 3) md =
   let rel = Microdata.relation md in
   let qi = Microdata.qi_positions md in
   let m = Array.length qi in
   let n = Relation.cardinal rel in
   let max_size = min max_size m in
-  let projections =
-    Array.init n (fun i -> Tuple.project (Relation.get rel i) qi)
+  let codes = Column_codes.encode rel qi in
+  let subset_arr = Array.of_list (subsets m max_size) in
+  let masks = Array.map mask_of subset_arr in
+  (* One frequency table per subset: each tuple's group id, each group's
+     size. *)
+  let tables =
+    Array.map
+      (fun positions ->
+        let groups = Column_codes.group_ids codes positions in
+        (groups.Column_codes.id, Column_codes.group_sizes groups))
+      subset_arr
   in
-  let subset_list = subsets m max_size in
-  let tables = Hashtbl.create (List.length subset_list) in
-  List.iter
-    (fun positions ->
-      Hashtbl.replace tables (mask_of positions)
-        (positions, freq_table projections positions))
-    subset_list;
-  (* Frequency of tuple [i] for subset [mask], restricted to the tuple's
+  let subset_of_mask = Hashtbl.create (Array.length masks) in
+  Array.iteri (fun s mask -> Hashtbl.replace subset_of_mask mask s) masks;
+  let full = (1 lsl m) - 1 in
+  let non_null_mask =
+    Array.init n (fun i -> full land lnot (Column_codes.null_mask codes i))
+  in
+  (* Frequency of tuple [i] for subset [s], restricted to the tuple's
      non-null positions (maybe-match handling of suppressed values). *)
-  let non_null_mask = Array.map (fun _ -> 0) projections in
-  Array.iteri
-    (fun i proj ->
-      let mask = ref 0 in
-      Array.iteri
-        (fun p v -> if not (Value.is_null v) then mask := !mask lor (1 lsl p))
-        proj;
-      non_null_mask.(i) <- !mask)
-    projections;
-  let freq_of i mask =
-    let effective = mask land non_null_mask.(i) in
+  let freq_of i s =
+    let effective = masks.(s) land non_null_mask.(i) in
     if effective = 0 then n
     else
-      let positions, table = Hashtbl.find tables effective in
-      let key = Tuple.key (Tuple.project projections.(i) positions) in
-      (try Hashtbl.find table key with Not_found -> 0)
+      let s = if effective = masks.(s) then s else Hashtbl.find subset_of_mask effective in
+      let id, size = tables.(s) in
+      size.(id.(i))
   in
   Array.init n (fun i ->
       let found = ref [] in
       let found_masks = ref [] in
-      List.iter
-        (fun positions ->
-          let mask = mask_of positions in
+      Array.iteri
+        (fun s positions ->
+          let mask = masks.(s) in
           (* Minimality pruning: a superset of a found MSU is unique but
              not minimal — skip without touching the tables. *)
           let dominated =
             List.exists (fun m' -> m' land mask = m') !found_masks
           in
-          if (not dominated) && freq_of i mask = 1 then begin
+          if (not dominated) && freq_of i s = 1 then begin
             found := positions :: !found;
             found_masks := mask :: !found_masks
           end)
-        subset_list;
+        subset_arr;
       let msus = List.rev !found in
       let min_size =
         List.fold_left

@@ -7,9 +7,12 @@
     risky when it has an MSU smaller than a threshold.
 
     Search strategy: one frequency table per attribute subset of size ≤
-    [max_size], computed in a single pass over the data each, then per-tuple
-    minimality by subset-of-found-MSU pruning — the greedy preemption that
-    keeps Figure 7f free of the combinatorial blowup.
+    [max_size] — each tuple's dense group id over the subset plus each
+    group's size, computed from the dictionary-encoded quasi-identifier
+    columns ({!Vadasa_relational.Column_codes}) in one pass each — then
+    per-tuple minimality by subset-of-found-MSU pruning, the greedy
+    preemption that keeps Figure 7f free of the combinatorial blowup.
+    Values are compared under {!Vadasa_base.Value.equal}.
 
     Labelled nulls (from earlier suppression rounds) are handled in the
     maybe-match spirit: a tuple's frequency for a subset is looked up on the

@@ -36,10 +36,59 @@ let test_tuple_ops () =
   let p = R.Tuple.project t [| 2; 0 |] in
   Alcotest.check value "projected" (Value.Null 2) (R.Tuple.get p 0)
 
-let test_tuple_key_injective () =
-  let a = R.Tuple.of_list [ Value.Str "ab"; Value.Str "c" ] in
-  let b = R.Tuple.of_list [ Value.Str "a"; Value.Str "bc" ] in
-  Alcotest.(check bool) "keys differ" false (String.equal (R.Tuple.key a) (R.Tuple.key b))
+let test_distinct_tuples_stay_distinct () =
+  (* ("ab", "c") and ("a", "bc") concatenate alike; neither duplicate
+     elimination nor grouping may merge them. *)
+  let rel =
+    R.Relation.of_tuples
+      (R.Schema.of_names ~name:"t" [ "x"; "y" ])
+      [
+        [| Value.Str "ab"; Value.Str "c" |];
+        [| Value.Str "a"; Value.Str "bc" |];
+        [| Value.Str "ab"; Value.Str "c" |];
+      ]
+  in
+  Alcotest.(check int) "distinct keeps both" 2
+    (R.Relation.cardinal (R.Algebra.distinct rel));
+  Alcotest.(check int) "two groups" 2
+    (Value.Array_tbl.length (R.Algebra.group_indices rel ~cols:[| 0; 1 |]));
+  let stats =
+    R.Algebra.Group_stats.compute ~semantics:R.Null_semantics.Standard ~rel
+      ~qi:[| 0; 1 |] ()
+  in
+  Alcotest.(check (array int)) "group sizes" [| 2; 1; 2 |]
+    stats.R.Algebra.Group_stats.freq
+
+(* Values that render alike but differ under [Value.equal] form distinct
+   groups: 0.30000000000000004 and 0.3 both print as "0.3", Int 1 and
+   Str "1" both as "1". *)
+let test_lookalike_values_stay_apart () =
+  let rel =
+    R.Relation.of_tuples
+      (R.Schema.of_names ~name:"t" [ "x"; "y" ])
+      [
+        [| Value.Float 0.30000000000000004; Value.Int 1 |];
+        [| Value.Float 0.3; Value.Str "1" |];
+        [| Value.Float 0.3; Value.Int 1 |];
+        [| Value.Float 0.3; Value.Int 1 |];
+      ]
+  in
+  Alcotest.(check int) "distinct" 3 (R.Relation.cardinal (R.Algebra.distinct rel));
+  List.iter
+    (fun semantics ->
+      let stats =
+        R.Algebra.Group_stats.compute ~semantics ~rel ~qi:[| 0; 1 |] ()
+      in
+      Alcotest.(check (array int))
+        (R.Null_semantics.to_string semantics)
+        [| 1; 1; 2; 2 |] stats.R.Algebra.Group_stats.freq;
+      let by_x = R.Algebra.Group_stats.compute ~semantics ~rel ~qi:[| 0 |] () in
+      Alcotest.(check (array int)) "floats" [| 1; 3; 3; 3 |]
+        by_x.R.Algebra.Group_stats.freq;
+      let by_y = R.Algebra.Group_stats.compute ~semantics ~rel ~qi:[| 1 |] () in
+      Alcotest.(check (array int)) "int vs string" [| 3; 1; 3; 3 |]
+        by_y.R.Algebra.Group_stats.freq)
+    [ R.Null_semantics.Standard; R.Null_semantics.Maybe_match ]
 
 let test_relation_mutation () =
   let rel = mk_rel [ "a" ] [ [ "1" ]; [ "2" ] ] in
@@ -292,13 +341,13 @@ let test_union_arity_mismatch () =
 let test_group_indices () =
   let rel = mk_rel [ "a"; "b" ] [ [ "x"; "1" ]; [ "y"; "2" ]; [ "x"; "3" ] ] in
   let groups = R.Algebra.group_indices rel ~cols:[| 0 |] in
-  Alcotest.(check int) "two groups" 2 (Hashtbl.length groups);
+  Alcotest.(check int) "two groups" 2 (Value.Array_tbl.length groups);
   let sizes =
-    List.sort compare (Hashtbl.fold (fun _ l acc -> List.length l :: acc) groups [])
+    List.sort compare (Value.Array_tbl.fold (fun _ l acc -> List.length l :: acc) groups [])
   in
   Alcotest.(check (list int)) "sizes" [ 1; 2 ] sizes;
   (* Members are stored ascending. *)
-  Hashtbl.iter
+  Value.Array_tbl.iter
     (fun _ members ->
       Alcotest.(check (list int)) "ascending" (List.sort compare members) members)
     groups
@@ -356,7 +405,8 @@ let () =
       ( "tuple",
         [
           Alcotest.test_case "operations" `Quick test_tuple_ops;
-          Alcotest.test_case "key injective" `Quick test_tuple_key_injective;
+          Alcotest.test_case "distinct tuples stay distinct" `Quick
+            test_distinct_tuples_stay_distinct;
         ] );
       ( "relation",
         [
@@ -382,6 +432,8 @@ let () =
           Alcotest.test_case "null vs null" `Quick test_group_stats_null_vs_null;
           Alcotest.test_case "tuple equality semantics" `Quick
             test_null_semantics_tuple_equal;
+          Alcotest.test_case "look-alike values stay apart" `Quick
+            test_lookalike_values_stay_apart;
         ] );
       ( "csv",
         [

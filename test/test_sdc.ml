@@ -1189,6 +1189,168 @@ let prop_control_closure_engine_native =
       in
       S.Business.control_closure g = S.Business.control_closure_via_engine g)
 
+(* --- encoded keys vs the string-keyed reference -------------------------- *)
+
+(* A generated microdata DB: [m] quasi-identifiers q0.. then a weight w.
+   Each column holds one value type (ints, "c"-prefixed strings or
+   quarter floats), so no two distinct values render alike and the
+   string-keyed reference groups exactly like the encoded path. Cells are
+   suppressed at [null_rate]; a suppressed cell takes a fresh null label
+   or reuses an earlier one. *)
+type encoded_case = {
+  m : int;
+  n : int;
+  domain : int;
+  null_rate : float;
+  fractional : bool;
+  seed : int;
+}
+
+let print_encoded_case c =
+  Printf.sprintf "m=%d n=%d domain=%d null_rate=%.2f fractional=%b seed=%d" c.m
+    c.n c.domain c.null_rate c.fractional c.seed
+
+let gen_encoded_case ~wide =
+  QCheck2.Gen.(
+    let* m = if wide then return 9 else int_range 3 9 in
+    let* n = if wide then int_range 150 250 else int_range 1 60 in
+    let* domain = if wide then return 100_000 else int_range 1 6 in
+    let* null_rate = if wide then oneofl [ 0.0; 0.02 ] else oneofl [ 0.0; 0.1; 0.3 ] in
+    let* fractional = bool in
+    let* seed = int_range 0 1_000_000 in
+    return { m; n; domain; null_rate; fractional; seed })
+
+let encoded_case_md c =
+  let st = Random.State.make [| c.seed |] in
+  let labels = ref [] in
+  let next_label = ref 0 in
+  let cell kind =
+    if Random.State.float st 1.0 < c.null_rate then
+      match !labels with
+      | _ :: _ when Random.State.bool st ->
+        Value.Null (List.nth !labels (Random.State.int st (List.length !labels)))
+      | _ ->
+        incr next_label;
+        labels := !next_label :: !labels;
+        Value.Null !next_label
+    else
+      let k = Random.State.int st c.domain in
+      match kind with
+      | 0 -> Value.Int k
+      | 1 -> Value.Str ("c" ^ string_of_int k)
+      | _ -> Value.Float (float_of_int k *. 0.25)
+  in
+  let kinds = Array.init c.m (fun _ -> Random.State.int st 3) in
+  let rows =
+    List.init c.n (fun _ ->
+        let weight =
+          if c.fractional then 0.1 +. Random.State.float st 50.0
+          else float_of_int (1 + Random.State.int st 50)
+        in
+        Array.append (Array.map cell kinds) [| Value.Float weight |])
+  in
+  let names = List.init c.m (Printf.sprintf "q%d") in
+  let rel = R.Relation.of_tuples (R.Schema.of_names ~name:"gen" (names @ [ "w" ])) rows in
+  S.Microdata.make rel
+    (List.map (fun a -> (a, S.Microdata.Quasi_identifier)) names
+    @ [ ("w", S.Microdata.Weight) ])
+
+let float_bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let float_rel_close a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)))
+       a b
+
+let encoded_matches_reference c =
+  let md = encoded_case_md c in
+  let rel = S.Microdata.relation md in
+  let qi = S.Microdata.qi_positions md in
+  let weight = Option.get (S.Microdata.weight_position md) in
+  let check_stats semantics =
+    let encoded = R.Algebra.Group_stats.compute ~semantics ~rel ~qi ~weight () in
+    let reference = String_keyed.Group_stats.compute ~semantics ~rel ~qi ~weight () in
+    let ws_ok =
+      match semantics with
+      | R.Null_semantics.Maybe_match when c.fractional ->
+        float_rel_close encoded.weight_sum reference.weight_sum
+      | R.Null_semantics.Standard | R.Null_semantics.Maybe_match ->
+        float_bits_equal encoded.weight_sum reference.weight_sum
+    in
+    if encoded.freq <> reference.freq then
+      QCheck2.Test.fail_reportf "%s freq differs" (R.Null_semantics.to_string semantics);
+    if not ws_ok then
+      QCheck2.Test.fail_reportf "%s weight_sum differs" (R.Null_semantics.to_string semantics)
+  in
+  check_stats R.Null_semantics.Standard;
+  check_stats R.Null_semantics.Maybe_match;
+  let msus = Array.map (fun t -> t.S.Risk_suda.msus) (S.Risk_suda.find_msus md) in
+  if msus <> String_keyed.find_msus md then QCheck2.Test.fail_report "MSUs differ";
+  let cache = S.Heuristics.build_cache md in
+  Array.iteri
+    (fun j per_tuple ->
+      Array.iteri
+        (fun i f ->
+          if S.Heuristics.freq_without cache ~tuple:i j <> f then
+            QCheck2.Test.fail_reportf "leave-one-out freq of tuple %d without q%d" i j)
+        per_tuple)
+    (String_keyed.leave_one_out md);
+  true
+
+let prop_encoded_matches_reference =
+  QCheck2.Test.make ~name:"encoded grouping equals the string-keyed reference"
+    ~count:300 ~print:print_encoded_case (gen_encoded_case ~wide:false)
+    encoded_matches_reference
+
+(* Nine columns of ~200 distinct values each: the product of their
+   cardinalities exceeds 62 bits, so group ids go through the fold path. *)
+let prop_encoded_matches_reference_wide =
+  QCheck2.Test.make ~name:"encoded grouping equals the reference past 62 bits"
+    ~count:10 ~print:print_encoded_case (gen_encoded_case ~wide:true)
+    (fun c ->
+      let md = encoded_case_md c in
+      let codes = R.Column_codes.encode (S.Microdata.relation md) (S.Microdata.qi_positions md) in
+      let product =
+        List.fold_left
+          (fun acc j ->
+            let card = R.Column_codes.cardinality codes j in
+            if acc > max_int / card then max_int else acc * card)
+          1 (List.init c.m Fun.id)
+      in
+      if product < max_int then QCheck2.Test.fail_reportf "product %d fits in 62 bits" product;
+      encoded_matches_reference c)
+
+(* Values that render alike but differ under Value.equal: Int 1 vs Str "1"
+   and 0.3 vs 0.30000000000000004. Each tuple is unique on the pair of
+   attributes and on nothing smaller; the string-keyed reference saw one
+   combination shared by all four. *)
+let test_suda_lookalike_values () =
+  let rel =
+    R.Relation.of_tuples
+      (R.Schema.of_names ~name:"t" [ "x"; "y" ])
+      [
+        [| Value.Int 1; Value.Float 0.3 |];
+        [| Value.Str "1"; Value.Float 0.3 |];
+        [| Value.Int 1; Value.Float 0.30000000000000004 |];
+        [| Value.Str "1"; Value.Float 0.30000000000000004 |];
+      ]
+  in
+  let md =
+    S.Microdata.make rel
+      [ ("x", S.Microdata.Quasi_identifier); ("y", S.Microdata.Quasi_identifier) ]
+  in
+  Array.iteri
+    (fun i t ->
+      Alcotest.(check (list (array int)))
+        (Printf.sprintf "tuple %d" i)
+        [ [| 0; 1 |] ] t.S.Risk_suda.msus)
+    (S.Risk_suda.find_msus md);
+  Alcotest.(check (list (array int))) "string keys merged them" []
+    (String_keyed.find_msus md).(0)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sdc"
@@ -1343,6 +1505,9 @@ let () =
             test_explain_tuple_risk_wording;
           Alcotest.test_case "SUDA DIS ordering" `Quick test_suda_dis_ordering;
         ] );
+      ( "encoded keys",
+        Alcotest.test_case "SUDA look-alike values" `Quick test_suda_lookalike_values
+        :: qcheck [ prop_encoded_matches_reference; prop_encoded_matches_reference_wide ] );
       ( "properties",
         qcheck
           [
