@@ -125,7 +125,7 @@ type head = {
 type group = {
   state : Aggregate.state;
   key : Value.t array;  (* values of the group variables *)
-  seq : int;  (* creation rank within the rule *)
+  seq : int;  (* creation rank within the rule: Bind groups emit in it *)
   mutable emitted : bool;
       (* Test rules: the group has passed and emitted its heads. They
          depend on the group's values alone, so every later emission
@@ -975,40 +975,30 @@ let emit_agg_head t cr g regs group result =
            { rule_id = rule.Rule.id; rule_label = rule.Rule.label; parents = [] })
       regs
 
-(* The order Bind-rule groups emit in — which fixes fact insertion order
-   and, downstream, null labels, so it must not drift between versions.
-   It is the iteration order of a stdlib [Hashtbl] of 64 initial buckets
-   keyed by each group's length-prefixed "type\001rendering" string: by
-   bucket ([Hashtbl.hash] of that string, masked to the width the group
-   count grows the table to), newest group first within a bucket. The
-   rendering is built once per group per Bind evaluation, never per
-   binding. *)
-let emission_order g =
-  let n = Value.Array_tbl.length g.g_groups in
-  let rec width w = if n > 2 * w then width (2 * w) else w in
-  let mask = width 64 - 1 in
-  let rendering key =
-    let buf = Buffer.create 32 in
-    Array.iter
-      (fun v ->
-        let s = Value.type_name v ^ "\x01" ^ Value.to_string v in
-        Buffer.add_string buf (string_of_int (String.length s));
-        Buffer.add_char buf ':';
-        Buffer.add_string buf s)
-      key;
-    Buffer.contents buf
-  in
-  Value.Array_tbl.fold
-    (fun key group acc -> (Hashtbl.hash (rendering key) land mask, group) :: acc)
-    g.g_groups []
-  |> List.sort (fun (b1, g1) (b2, g2) ->
-         if b1 <> b2 then Int.compare b1 b2 else Int.compare g2.seq g1.seq)
-  |> List.map snd
+(* One rule evaluation: a (rule, plan) job of [plan_jobs], or an
+   aggregate-binding rule's single unrestricted pass. *)
+type job = {
+  j_cr : compiled_rule;
+  j_plan : int;
+  j_delta : (int * int) option;  (* the delta atom's range *)
+  j_bounds : int array;  (* per positive atom: read below this index *)
+}
 
-(* One full evaluation of an aggregate rule. For Bind rules, every group
-   emits at the end; for Test rules, groups that pass emit as soon as
-   they pass. *)
-let eval_agg_rule t cr =
+let full_job cr =
+  {
+    j_cr = cr;
+    j_plan = Array.length cr.atom_preds;
+    j_delta = None;
+    j_bounds = cr.unbounded;
+  }
+
+(* One evaluation of an aggregate rule. A Test rule feeds the job's
+   bindings into its persistent groups, and a group emits its heads the
+   first time it passes; re-feeding a binding changes nothing, since
+   contributions are kept per contributor. A Bind rule runs once over
+   its saturated body, then every group emits in creation order. *)
+let eval_agg_rule t j =
+  let cr = j.j_cr in
   let g = Option.get cr.agg in
   let ctx = new_ctx cr in
   let out = Array.make cr.nslots unset in
@@ -1044,30 +1034,23 @@ let eval_agg_rule t cr =
       end
     | None -> ()
   in
-  let n = Array.length cr.atom_preds in
-  run_plan cr.plans.(n) ~delta:None ~bounds:cr.unbounded ~prof:cr.c_prof ctx
-    ~on_binding;
-  if g.g_test = None then
-    List.iter
-      (fun group ->
-        if Aggregate.contributors group.state > 0 then
-          emit_agg_head t cr g out group (Some (Aggregate.current group.state)))
-      (emission_order g)
-
-(* One evaluation of a plain rule: a (rule, plan) job of [plan_jobs]. *)
-type job = {
-  j_cr : compiled_rule;
-  j_plan : int;
-  j_delta : (int * int) option;  (* the delta atom's range *)
-  j_bounds : int array;  (* per positive atom: read below this index *)
-}
-
-let eval_plain_rule t j =
-  let cr = j.j_cr in
-  let ctx = new_ctx cr in
   run_plan cr.plans.(j.j_plan) ~delta:j.j_delta ~bounds:j.j_bounds
-    ~prof:cr.c_prof ctx
-    ~on_binding:(fun () -> emit_plain t cr ctx)
+    ~prof:cr.c_prof ctx ~on_binding;
+  if g.g_test = None then
+    Value.Array_tbl.fold (fun _ group acc -> group :: acc) g.g_groups []
+    |> List.sort (fun a b -> Int.compare a.seq b.seq)
+    |> List.iter (fun group ->
+           emit_agg_head t cr g out group (Some (Aggregate.current group.state)))
+
+let eval_job t j =
+  match j.j_cr.agg with
+  | Some _ -> eval_agg_rule t j
+  | None ->
+    let cr = j.j_cr in
+    let ctx = new_ctx cr in
+    run_plan cr.plans.(j.j_plan) ~delta:j.j_delta ~bounds:j.j_bounds
+      ~prof:cr.c_prof ctx
+      ~on_binding:(fun () -> emit_plain t cr ctx)
 
 (* Every rule evaluation goes through here: the profiler's per-rule self
    time and evaluation count come from this wrapper (plus the optional
@@ -1081,29 +1064,29 @@ let eval_timed cr f =
     ~finally:(fun () -> p.Profile.r_time <- p.Profile.r_time +. (Profile.now () -. t0))
     (fun () -> Telemetry.span cr.c_span f)
 
-(* The plain-rule evaluations of one fixpoint iteration, in order —
-   computed once, so the sequential and the parallel evaluator run the
-   same plans (and count the same profiler events).
+(* The rule evaluations of one fixpoint iteration, in order — plain and
+   aggregate-test rules alike, computed once, so the sequential and the
+   parallel evaluator run the same plans (and count the same profiler
+   events).
 
    Plan [k] of a rule reads the delta of its positive atom [k]. For a
-   rule none of whose body predicates is a head of a plain or test rule
-   of the stratum, the body does not change while the stratum iterates,
-   and plan [k] reads every earlier atom [j < k] only below that atom's
+   rule none of whose body predicates is a head the stratum iterates
+   on, the body does not change while the stratum iterates, and plan
+   [k] reads every earlier atom [j < k] only below that atom's
    watermark — classic semi-naive evaluation. A binding whose atoms
-   [j < k] are not all old was already emitted by plan [j] for the
+   [j < k] are not all old was already enumerated by plan [j] for the
    smallest such [j] (earlier in this very iteration), so this skips
-   exactly the re-emissions and changes no output; a plan with an
-   earlier atom that has no old facts yet is skipped outright. Other
-   rules keep reading every atom in full: their inner scans must see
-   facts emitted during the iteration. *)
-let plan_jobs ~iteration ~watermark ~snap ~recursive plain_rules =
+   exactly the repeats and changes no output; a plan with an earlier
+   atom that has no old facts yet is skipped outright. Other rules keep
+   reading every atom in full: their inner scans must see facts emitted
+   during the iteration. A binding they enumerate twice emits a
+   duplicate (plain rule) or re-contributes what its contributor
+   already gave (aggregate test), which changes nothing. *)
+let plan_jobs ~iteration ~watermark ~snap ~recursive rules =
   List.concat_map
     (fun cr ->
       let n = Array.length cr.atom_preds in
-      if n = 0 then
-        if iteration = 1 then
-          [ { j_cr = cr; j_plan = n; j_delta = None; j_bounds = cr.unbounded } ]
-        else []
+      if n = 0 then if iteration = 1 then [ full_job cr ] else []
       else
         let fixed_body =
           not (List.exists (fun p -> List.mem p recursive) cr.c_preds)
@@ -1125,7 +1108,7 @@ let plan_jobs ~iteration ~watermark ~snap ~recursive plain_rules =
                 { j_cr = cr; j_plan = k; j_delta = Some (lo, hi); j_bounds = bounds }
             end)
           (List.init n Fun.id))
-    plain_rules
+    rules
 
 (* ---- parallel evaluation ---------------------------------------------- *)
 
@@ -1211,7 +1194,8 @@ let adaptive_chunks ~domains ~spd lo hi =
       (start, start + base + if i < rem then 1 else 0))
 
 let parallel_safe cr k =
-  not (List.exists (fun p -> List.mem p cr.c_heads) cr.c_plan_reads.(k))
+  cr.agg = None
+  && not (List.exists (fun p -> List.mem p cr.c_heads) cr.c_plan_reads.(k))
 
 (* Phase 1 of one chunk, on a worker domain: the chunk's profiler
    counters, its captured bindings (reverse order) and its join time. *)
@@ -1296,7 +1280,7 @@ let run_parallel_batch t pool ~budget jobs =
         chunks;
       Telemetry.observe "engine.merge.replay" (Profile.now () -. t0))
 
-(* The parallel counterpart of the sequential plain-rule pass of
+(* The parallel counterpart of the sequential pass of
    [run_stratum]: walk the same jobs in the same order, batching
    consecutive snapshot-safe jobs and flushing a batch whenever the next
    job must observe its predecessors' emissions. *)
@@ -1304,7 +1288,7 @@ let run_jobs_parallel t pool ~budget jobs =
   let seq_eval j =
     let cr = j.j_cr in
     let scanned_before = cr.c_prof.Profile.r_scanned in
-    eval_timed cr (fun () -> eval_plain_rule t j);
+    eval_timed cr (fun () -> eval_job t j);
     (* Sequential evaluations feed the cost model too, so a rule that
        never parallelizes still has a current estimate when its delta
        finally grows. *)
@@ -1345,9 +1329,6 @@ let run_jobs_parallel t pool ~budget jobs =
 let is_bind_rule cr =
   match cr.agg with Some { g_test = None; _ } -> true | _ -> false
 
-let is_test_rule cr =
-  match cr.agg with Some { g_test = Some _; _ } -> true | _ -> false
-
 let run_stratum ?budget ?seed t index rules =
   t.s_stratum <- index;
   t.s_iteration <- 0;
@@ -1387,14 +1368,11 @@ let run_stratum ?budget ?seed t index rules =
      emitted by the previous run and would only come back as
      duplicates). *)
   let bind_rules = if incremental then [] else List.filter is_bind_rule compiled in
-  let test_rules = List.filter is_test_rule compiled in
-  let plain_rules =
-    List.filter (fun cr -> not (is_bind_rule cr || is_test_rule cr)) compiled
-  in
-  let plain_rules =
-    if incremental then
-      List.filter (fun cr -> Array.length cr.atom_preds > 0) plain_rules
-    else plain_rules
+  let fixpoint_rules =
+    List.filter
+      (fun cr ->
+        not (is_bind_rule cr || (incremental && Array.length cr.atom_preds = 0)))
+      compiled
   in
   let iteration = ref 0 in
   let stratum_start = Profile.now () in
@@ -1405,7 +1383,7 @@ let run_stratum ?budget ?seed t index rules =
   @@ fun () ->
   (* Aggregate-binding rules: inputs are saturated, evaluate once. *)
   List.iter
-    (fun cr -> eval_timed cr (fun () -> eval_agg_rule t cr))
+    (fun cr -> eval_timed cr (fun () -> eval_agg_rule t (full_job cr)))
     bind_rules;
   (* Heads the fixpoint derives: a rule reading none of them sees a
      fixed body while the stratum iterates (see [plan_jobs]). *)
@@ -1425,7 +1403,7 @@ let run_stratum ?budget ?seed t index rules =
   let watermark pred =
     match Hashtbl.find_opt seen pred with Some w -> w | None -> 0
   in
-  let continue = ref (plain_rules <> [] || test_rules <> []) in
+  let continue = ref (fixpoint_rules <> []) in
   while !continue do
     incr iteration;
     t.s_iteration <- !iteration;
@@ -1452,29 +1430,17 @@ let run_stratum ?budget ?seed t index rules =
                 if not (Hashtbl.mem snapshot p) then
                   Hashtbl.add snapshot p (Database.pred_size t.db p))
               (preds_of cr))
-          (plain_rules @ test_rules));
+          fixpoint_rules);
     let snap pred =
       match Hashtbl.find_opt snapshot pred with Some s -> s | None -> 0
     in
     let jobs =
-      plan_jobs ~iteration:!iteration ~watermark ~snap ~recursive plain_rules
+      plan_jobs ~iteration:!iteration ~watermark ~snap ~recursive fixpoint_rules
     in
     (match t.pool with
     | Some pool -> run_jobs_parallel t pool ~budget jobs
     | None ->
-      List.iter (fun j -> eval_timed j.j_cr (fun () -> eval_plain_rule t j)) jobs);
-    List.iter
-      (fun cr ->
-        (* The unconditional first evaluation only matters for a cold
-           start (empty [seen]); a continued stratum re-tests only on a
-           real delta — its persistent contributor tables already hold
-           every previous contribution. *)
-        let dirty =
-          ((not incremental) && !iteration = 1)
-          || List.exists (fun p -> watermark p < snap p) (preds_of cr)
-        in
-        if dirty then eval_timed cr (fun () -> eval_agg_rule t cr))
-      test_rules;
+      List.iter (fun j -> eval_timed j.j_cr (fun () -> eval_job t j)) jobs);
     Hashtbl.iter (fun pred s -> Hashtbl.replace seen pred s) snapshot;
     Telemetry.observe "engine.iteration.derived"
       (float_of_int (t.s_derived - derived_before));
@@ -1490,7 +1456,7 @@ let run_stratum ?budget ?seed t index rules =
           List.exists
             (fun p -> watermark p < Database.pred_size t.db p)
             (preds_of cr))
-        (plain_rules @ test_rules)
+        fixpoint_rules
     in
     continue := after > before || frontier_pending
   done;

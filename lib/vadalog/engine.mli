@@ -3,13 +3,16 @@
     Evaluation strategy:
     - rules are {!Stratify}ed; strata run bottom-up;
     - within a stratum, aggregate-{e binding} rules run first, once (their
-      bodies are saturated by construction), then the remaining rules reach
-      a fixpoint by semi-naive evaluation (per-atom deltas over the fact
-      store's insertion order). A rule whose body predicates the stratum
-      does not derive reads, in its delta plan for atom [k], every earlier
-      atom only below its watermark, so each body binding is enumerated
-      once; rules whose bodies the stratum derives read inner atoms in
-      full, seeing facts emitted during the iteration;
+      bodies are saturated by construction); each emits its groups in
+      creation order, the order in which each group's first binding was
+      found. Then the remaining rules, plain rules and aggregate tests
+      alike, reach a fixpoint by semi-naive evaluation (per-atom deltas
+      over the fact store's insertion order). A rule whose body
+      predicates the stratum does not derive reads, in its delta plan
+      for atom [k], every earlier atom only below its watermark, so each
+      body binding is enumerated once; rules whose bodies the stratum
+      derives read inner atoms in full, seeing facts emitted during the
+      iteration;
     - rules are compiled once, at {!create}: every variable gets a slot in
       a per-evaluation register file, every body atom a sequence of
       check-constant / check-slot / bind-slot operations fixed by its
@@ -21,12 +24,15 @@
     - existential head variables are satisfied by the Skolem chase: one
       fresh labelled null per (rule, existential variable, frontier
       binding), memoized so the chase terminates on warded programs;
-    - monotone aggregate {e tests} re-evaluate while their inputs grow —
-      their contributor tables persist across iterations, so recursion
-      through [msum(...) > t] converges (Section 4.4's company control).
-      A group emits its heads the first time it passes; its heads depend
-      on the group's values alone, so later passes would only repeat
-      them;
+    - monotone aggregate {e tests} are semi-naive too: each delta plan
+      feeds only new bindings into the rule's groups, whose contributor
+      tables persist across iterations (and incremental continuations),
+      so recursion through [msum(...) > t] converges (Section 4.4's
+      company control). A group's test is checked whenever a binding
+      contributes to it — a threshold reading a non-group variable
+      reads that binding's value — and the group emits its heads the
+      first time it passes; its heads depend on the group's values
+      alone, so later passes would only repeat them;
     - every derived fact can record its rule and parent facts for
       {!Provenance} explanations.
 

@@ -158,7 +158,38 @@ let test_incremental_agg_test_continues () =
   Alcotest.(check bool) "delta tips group a over" true
     (contains expected "big(string:a)");
   Alcotest.(check string) "aggregate test continues" expected
-    (canonical_incremental ~domains:1 src base [ delta ])
+    (canonical_incremental ~domains:1 src base [ delta ]);
+  (* Company control (Section 4.4) recurses through the test. Along a
+     ladder, a(i) controls b(i) directly and a(i+1) jointly: its own 40%
+     plus b(i)'s 20%. The facts come in triples, and the base/delta cuts
+     split triples, so a delta both tips groups over the threshold and
+     extends the chain that control propagates along. *)
+  let control_src =
+    {|
+      rel(X, X) :- own(X, Y, W).
+      rel(X, Y) :- own(X, Y, W), W > 0.5.
+      rel(X, Y) :- rel(X, Z), own(Z, Y, W), X != Y, msum(W, <Z>) > 0.5.
+    |}
+  in
+  let own x y w = ("own", [| Value.Str x; Value.Str y; Value.Float w |]) in
+  let a i = Printf.sprintf "a%d" i and b i = Printf.sprintf "b%d" i in
+  let ladder =
+    List.concat
+      (List.init 10 (fun i ->
+           [ own (a i) (b i) 0.6; own (a i) (a (i + 1)) 0.4; own (b i) (a (i + 1)) 0.2 ]))
+  in
+  let slice lo hi = List.filteri (fun i _ -> lo <= i && i < hi) ladder in
+  let expected = canonical_scratch control_src ladder in
+  Alcotest.(check bool) "control reaches the end of the ladder" true
+    (contains expected "rel(string:a0,string:a10)");
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "company control continues at %d domains" domains)
+        expected
+        (canonical_incremental ~domains control_src (slice 0 20)
+           [ slice 20 25; slice 25 30 ]))
+    [ 1; 2; 4 ]
 
 (* --- shared microdata fixtures -------------------------------------------- *)
 
