@@ -30,20 +30,42 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive [Printf]'s [%g] conversions end in: same digits,
+   without parsing a format string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest representation that round-trips; JSON has no nan/inf, so
-   clamp them to null-safe literals. *)
+   clamp them to null-safe literals. An integral value below 1e12 is
+   what [%.12g] prints anyway: its decimal digits, with no point. *)
 let float_repr f =
-  if Float.is_nan f then "0"
+  if Float.abs f < 1e12 && Float.is_integer f && f <> 0.0 then
+    string_of_int (int_of_float f)
+  else if Float.is_nan f then "0"
   else if f = Float.infinity then "1e308"
   else if f = Float.neg_infinity then "-1e308"
   else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
-let to_string ?(indent = false) t =
+(* A line break and its indentation, for nesting depths up to 31. *)
+let newline_indent = "\n" ^ String.make 62 ' '
+
+let to_string ?(float_repr = float_repr) ?(indent = false) t =
   let buf = Buffer.create 256 in
-  let pad depth = if indent then Buffer.add_string buf (String.make (2 * depth) ' ') in
-  let nl () = if indent then Buffer.add_char buf '\n' in
+  (* With [indent], a line break and two spaces per [depth]. *)
+  let newline depth =
+    if indent then begin
+      let n = 1 + (2 * depth) in
+      if n <= String.length newline_indent then
+        Buffer.add_substring buf newline_indent 0 n
+      else begin
+        Buffer.add_char buf '\n';
+        for _ = 1 to 2 * depth do
+          Buffer.add_char buf ' '
+        done
+      end
+    end
+  in
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -53,36 +75,26 @@ let to_string ?(indent = false) t =
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
       Buffer.add_char buf '[';
-      nl ();
       List.iteri
         (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
+          if i > 0 then Buffer.add_char buf ',';
+          newline (depth + 1);
           go (depth + 1) item)
         items;
-      nl ();
-      pad depth;
+      newline depth;
       Buffer.add_char buf ']'
     | Obj [] -> Buffer.add_string buf "{}"
     | Obj fields ->
       Buffer.add_char buf '{';
-      nl ();
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
+          if i > 0 then Buffer.add_char buf ',';
+          newline (depth + 1);
           escape buf k;
           Buffer.add_string buf (if indent then ": " else ":");
           go (depth + 1) v)
         fields;
-      nl ();
-      pad depth;
+      newline depth;
       Buffer.add_char buf '}'
   in
   go 0 t;

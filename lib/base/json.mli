@@ -16,9 +16,16 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string : ?indent:bool -> t -> string
+val float_repr : float -> string
+(** How {!to_string} prints a [Float]: the shortest of [%.12g] and
+    [%.17g] that parses back to the same float; [nan] prints as [0] and
+    the infinities as [±1e308]. *)
+
+val to_string : ?float_repr:(float -> string) -> ?indent:bool -> t -> string
 (** Compact by default; [~indent:true] pretty-prints with two-space
-    indentation. *)
+    indentation. [float_repr] (default {!float_repr}) prints each
+    [Float]; a caller passing its own must return what {!float_repr}
+    would, so a memoized printer changes no byte. *)
 
 val of_string : string -> (t, string) result
 (** Full JSON parser (strings with escapes and surrogate pairs, numbers,

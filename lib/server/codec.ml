@@ -472,9 +472,9 @@ let response_of_error (e : E.t) =
 
 (* ---- canonical renderings ------------------------------------------------ *)
 
-let float_list a = Json.List (List.map (fun f -> Json.Float f) (Array.to_list a))
+let float_list a = Json.List (Array.fold_right (fun f l -> Json.Float f :: l) a [])
 
-let int_list a = Json.List (List.map (fun i -> Json.Int i) (Array.to_list a))
+let int_list a = Json.List (Array.fold_right (fun i l -> Json.Int i :: l) a [])
 
 let risk_report_json ~threshold md (report : S.Risk.report) =
   let risky = S.Risk.risky report ~threshold in
@@ -492,8 +492,9 @@ let risk_report_json ~threshold md (report : S.Risk.report) =
       ("weight_sum", float_list report.S.Risk.weight_sum);
     ]
 
-let risk_report_string ~threshold md report =
-  Json.to_string ~indent:true (risk_report_json ~threshold md report) ^ "\n"
+let risk_report_string ?float_repr ~threshold md report =
+  Json.to_string ?float_repr ~indent:true (risk_report_json ~threshold md report)
+  ^ "\n"
 
 (* ---- degraded renderings -------------------------------------------------- *)
 

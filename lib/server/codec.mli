@@ -154,9 +154,15 @@ val risk_report_json :
   Vadasa_base.Json.t
 
 val risk_report_string :
-  threshold:float -> Vadasa_sdc.Microdata.t -> Vadasa_sdc.Risk.report -> string
+  ?float_repr:(float -> string) ->
+  threshold:float ->
+  Vadasa_sdc.Microdata.t ->
+  Vadasa_sdc.Risk.report ->
+  string
 (** Indented JSON plus trailing newline — the canonical rendering used
-    verbatim by both the CLI and the server. *)
+    verbatim by both the CLI and the server. [float_repr] is passed to
+    {!Vadasa_base.Json.to_string}: the registry's memoized printer
+    ({!Registry.risk_report_string}) renders the same bytes. *)
 
 val interrupt_json : Vadasa_vadalog.Engine.interrupt -> Vadasa_base.Json.t
 (** [{"reason", "stratum", "iteration", "facts_derived"}] — the partial

@@ -470,9 +470,7 @@ let dataset_risk t req =
   in
   match Http.query_param req "mode" with
   | None | Some "incremental" ->
-    let md = Registry.entry_md entry in
-    let report = Registry.entry_report entry in
-    Http.response ~status:200 (Codec.risk_report_string ~threshold md report)
+    Http.response ~status:200 (Registry.risk_report_string ~threshold entry)
   | Some "full" ->
     let md =
       Cache.find_or_build t.datasets (registry_cache_key id) (fun _ ->

@@ -371,10 +371,8 @@ let ok_or_raise = function Ok v -> v | Error e -> raise (E.Error e)
 (* The maintained incremental report — the same bytes
    [GET /v1/datasets/{id}/risk] serves (the jobs e2e test diffs them). *)
 let run_risk entry =
-  let options = Registry.entry_options entry in
-  let md = Registry.entry_md entry in
-  let report = Registry.entry_report entry in
-  Codec.risk_report_string ~threshold:options.Codec.threshold md report
+  Registry.risk_report_string
+    ~threshold:(Registry.entry_options entry).Codec.threshold entry
 
 (* Mirrors the synchronous /v1/anonymize handler, over a snapshot of
    the registered dataset, under the job's budget (which is how cancel

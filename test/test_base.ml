@@ -146,6 +146,49 @@ let prop_similarity_bounded =
       let s = Strsim.similarity a b in
       s >= 0.0 && s <= 1.0 && Strsim.similarity a a = 1.0)
 
+(* --- JSON float printing ----------------------------------------------- *)
+
+module Json = Vadasa_base.Json
+
+(* [Json.float_repr] as it was written with [Printf]: the reference the
+   direct [caml_format_float] calls and the integer fast path must
+   reproduce byte for byte. *)
+let printf_float_repr f =
+  if Float.is_nan f then "0"
+  else if f = Float.infinity then "1e308"
+  else if f = Float.neg_infinity then "-1e308"
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let float_cases =
+  let open QCheck2.Gen in
+  let signed g = map2 (fun x neg -> if neg then -.x else x) g bool in
+  let near base = map (fun k -> base +. (float_of_int k *. 0.5)) (int_range (-64) 64) in
+  frequency
+    [
+      (4, map Int64.float_of_bits int64);
+      ( 2,
+        signed
+          (map
+             (fun m -> Int64.float_of_bits (Int64.logand m 0xF_FFFF_FFFF_FFFFL))
+             int64) );
+      (1, oneofl [ 0.0; -0.0; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity ]);
+      (2, signed (near 1e12));
+      (2, signed (near 9007199254740992.0));
+      (2, signed (map float_of_int (int_range 1 1_000_000)));
+      (2, signed (float_range 0.0 1.0));
+    ]
+
+let prop_float_repr_matches_printf =
+  QCheck2.Test.make ~name:"float_repr = the Printf rendering" ~count:5000
+    ~print:(fun f -> Printf.sprintf "%h" f)
+    float_cases
+    (fun f ->
+      let expected = printf_float_repr f in
+      String.equal (Json.float_repr f) expected
+      && String.equal (Json.to_string (Json.Float f)) expected)
+
 let () =
   Alcotest.run "base"
     [
@@ -173,5 +216,6 @@ let () =
             prop_coll_union_commutes;
             prop_compare_transitive;
             prop_similarity_bounded;
+            prop_float_repr_matches_printf;
           ] );
     ]

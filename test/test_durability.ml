@@ -356,7 +356,7 @@ let put_base registry csv =
 
 let risk_string entry =
   Codec.risk_report_string ~threshold:Codec.default_options.Codec.threshold
-    (Registry.entry_md entry)
+    (Registry.entry_md_snapshot entry)
     (Registry.entry_report entry)
 
 (* Data dirs written before registration checked the semantics may

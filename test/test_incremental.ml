@@ -317,7 +317,7 @@ let test_registry_append_consistency () =
   let base, d1, _ = slice3 csv in
   let entry = (put_csv reg "fig" base).Srv.Registry.entry in
   let rows () =
-    R.Relation.cardinal (S.Microdata.relation (Srv.Registry.entry_md entry))
+    S.Microdata.cardinal (Srv.Registry.entry_md_snapshot entry)
   in
   let n_base = rows () in
   (* invalid deltas are rejected before any state changes *)
@@ -545,6 +545,127 @@ let test_e2e_registry_flow () =
       let status, _ = call ~meth:"GET" ~target:"/v1/datasets/fig" () in
       Alcotest.(check int) "deleted 404" 404 status)
 
+(* --- maintained-report rendering ------------------------------------------- *)
+
+let csv_headers = [ ("content-type", "text/csv") ]
+
+(* Each maintained GET, through the registry's memoized float printer,
+   equals both a cold render of a copy of the same state and the
+   ?mode=full body — after every append, under registered and
+   overridden thresholds — and the memo stays bounded by the rows. *)
+let test_e2e_memoized_render () =
+  let csv = Lazy.force figure6_csv in
+  let n = csv_rows csv in
+  let base_rows = n / 3 in
+  let deltas = 24 in
+  let step = (n - base_rows) / deltas in
+  let handlers = Srv.Handlers.create () in
+  with_server ~handlers (fun _server port ->
+      let call = http_call ~port in
+      let status, _ =
+        call ~meth:"PUT" ~target:"/v1/datasets/memo?measure=individual"
+          ~headers:csv_headers ~body:(csv_slice csv 0 base_rows) ()
+      in
+      Alcotest.(check int) "PUT 201" 201 status;
+      let entry = Srv.Registry.get (Srv.Handlers.registry handlers) "memo" in
+      let measure = Srv.Registry.entry_measure entry in
+      let semantics = Srv.Registry.entry_semantics entry in
+      for d = 0 to deltas - 1 do
+        let lo = base_rows + (d * step) in
+        let hi = if d = deltas - 1 then n else lo + step in
+        let status, _ =
+          call ~meth:"POST" ~target:"/v1/datasets/memo/facts"
+            ~headers:csv_headers ~body:(csv_slice csv lo hi) ()
+        in
+        Alcotest.(check int) "append 200" 200 status;
+        let threshold, query =
+          match d mod 3 with
+          | 0 -> (0.5, "")
+          | 1 -> (0.1, "?threshold=0.1")
+          | _ -> (0.75, "?threshold=0.75")
+        in
+        let label = Printf.sprintf "append %d%s" (d + 1) query in
+        let status, maintained =
+          call ~meth:"GET" ~target:("/v1/datasets/memo/risk" ^ query) ()
+        in
+        Alcotest.(check int) (label ^ ": GET 200") 200 status;
+        let copy = Srv.Registry.entry_md_snapshot entry in
+        Alcotest.(check string) (label ^ ": = cold render of a copy")
+          (Srv.Codec.risk_report_string ~threshold copy
+             (S.Risk.estimate ~semantics measure copy))
+          maintained;
+        let sep = if query = "" then "?" else "&" in
+        let status, full =
+          call ~meth:"GET"
+            ~target:("/v1/datasets/memo/risk" ^ query ^ sep ^ "mode=full")
+            ()
+        in
+        Alcotest.(check int) (label ^ ": full 200") 200 status;
+        Alcotest.(check string) (label ^ ": = ?mode=full") full maintained;
+        let rows = S.Microdata.cardinal copy in
+        let memo = Srv.Registry.rendered_floats entry in
+        if memo > 2 * rows then
+          Alcotest.failf "%s: memo holds %d floats for %d rows" label memo rows
+      done)
+
+(* An append committing while a GET renders must not tear the body: the
+   dataset's row count and its per-row arrays come from one state. *)
+let test_e2e_concurrent_read_not_torn () =
+  let csv = Lazy.force figure6_csv in
+  let n = csv_rows csv in
+  let base_rows = n / 2 in
+  with_server (fun _server port ->
+      let call = http_call ~port in
+      let status, _ =
+        call ~meth:"PUT" ~target:"/v1/datasets/race" ~headers:csv_headers
+          ~body:(csv_slice csv 0 base_rows) ()
+      in
+      Alcotest.(check int) "PUT 201" 201 status;
+      let finished = Atomic.make false in
+      let appender =
+        Domain.spawn (fun () ->
+            let failures = ref 0 in
+            for lo = base_rows to n - 1 do
+              let status, _ =
+                call ~meth:"POST" ~target:"/v1/datasets/race/facts"
+                  ~headers:csv_headers ~body:(csv_slice csv lo (lo + 1)) ()
+              in
+              if status <> 200 then incr failures
+            done;
+            Atomic.set finished true;
+            !failures)
+      in
+      let reads = ref 0 in
+      let torn = ref [] in
+      let length field json =
+        match Option.bind (Json.member field json) Json.to_list_opt with
+        | Some l -> List.length l
+        | None -> -1
+      in
+      let check_body body =
+        incr reads;
+        let json = json_of body in
+        let tuples =
+          Option.value ~default:(-1)
+            (Option.bind (Json.member "tuples" json) Json.to_int_opt)
+        in
+        let lengths = List.map (fun f -> length f json) [ "risk"; "freq"; "weight_sum" ] in
+        if List.exists (fun l -> l <> tuples) lengths then
+          torn := (tuples, lengths) :: !torn
+      in
+      while not (Atomic.get finished) do
+        let status, body = call ~meth:"GET" ~target:"/v1/datasets/race/risk" () in
+        Alcotest.(check int) "GET 200" 200 status;
+        check_body body
+      done;
+      Alcotest.(check int) "appends answered 200" 0 (Domain.join appender);
+      match !torn with
+      | [] -> ()
+      | (tuples, lengths) :: _ ->
+        Alcotest.failf "%d of %d bodies torn, e.g. tuples %d vs arrays %s"
+          (List.length !torn) !reads tuples
+          (String.concat "/" (List.map string_of_int lengths)))
+
 let () =
   Alcotest.run "incremental"
     [
@@ -580,5 +701,9 @@ let () =
         [
           Alcotest.test_case "upload/append/re-risk/delete" `Quick
             test_e2e_registry_flow;
+          Alcotest.test_case "memoized render = cold render" `Quick
+            test_e2e_memoized_render;
+          Alcotest.test_case "concurrent append and GET not torn" `Quick
+            test_e2e_concurrent_read_not_torn;
         ] );
     ]

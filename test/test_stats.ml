@@ -11,6 +11,23 @@ let test_rng_deterministic () =
     Alcotest.(check int64) "same stream" (S.Rng.next_int64 a) (S.Rng.next_int64 b)
   done
 
+(* SplitMix64's reference outputs for seed 0 (Steele, Lea & Flood 2014;
+   the same stream as Java's SplittableRandom seeded with 0). *)
+let test_rng_reference_vector () =
+  let r = S.Rng.create ~seed:0 in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "splitmix64" expected (S.Rng.next_int64 r))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL; 0xF88BB8A8724C81ECL ];
+  (* [copy] replays the stream; a [split] child is seeded with the
+     parent's next output, all 64 bits of it. *)
+  let a = S.Rng.create ~seed:0 in
+  let b = S.Rng.copy a in
+  Alcotest.(check int64) "copy replays" (S.Rng.next_int64 a) (S.Rng.next_int64 b);
+  let parent = S.Rng.create ~seed:0 in
+  let child = S.Rng.split parent in
+  Alcotest.(check int64) "split child" 0xA706DD2F4D197E6FL (S.Rng.next_int64 child);
+  Alcotest.(check int64) "parent advanced" 0x6E789E6AA1B965F4L (S.Rng.next_int64 parent)
+
 let test_rng_float_range () =
   let r = rng () in
   for _ = 1 to 1000 do
@@ -217,6 +234,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "reference vector" `Quick test_rng_reference_vector;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
