@@ -21,9 +21,6 @@ let cancelled t = Atomic.get t.cancelled
 let deadline t = t.deadline
 let max_facts t = t.max_facts
 
-let remaining_s t =
-  Option.map (fun d -> Float.max 0.0 (d -. Clock.now ())) t.deadline
-
 let check t ~facts =
   if Atomic.get t.cancelled then Some Cancelled
   else

@@ -30,10 +30,6 @@ val cancelled : t -> bool
 val deadline : t -> float option
 val max_facts : t -> int option
 
-val remaining_s : t -> float option
-(** Seconds until the deadline (clamped at 0), or [None] if the
-    budget has no deadline. *)
-
 val check : t -> facts:int -> reason option
 (** [check b ~facts] is [Some reason] when the budget is exhausted:
     cancel flag set, deadline reached (inclusive, see

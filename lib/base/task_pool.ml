@@ -1,36 +1,32 @@
-(* Fork-join domain pool.
+(* Domain pool: one FIFO of closures drained by [domains - 1] worker
+   domains.
 
-   Shape: a single FIFO of [batch] views shared by all worker domains.
-   A batch is represented only by its [claim] function — an existential
-   package over the submitting [run_all]'s typed state (tasks, results
-   slice, completion latch) so the pool itself stays monomorphic.
+   [submit] enqueues one closure unless [capacity] closures are already
+   waiting. [run_all] is fork-join over the same queue: it enqueues up
+   to [domains - 1] helper closures, each of which claims the batch's
+   tasks through the batch's atomic counter, and the caller claims
+   alongside them, so workers and caller race for tasks without
+   holding the pool mutex while running them. A helper dequeued after
+   its batch is exhausted claims nothing and returns.
 
-   Claiming is an atomic counter bump, so workers and the submitting
-   caller race for tasks without holding the pool mutex while running
-   them.  Each task writes its own result slot (single writer per
-   index), then decrements the batch's remaining-count under the
-   batch-local mutex; the final decrement broadcasts the batch's
-   condition variable, releasing the caller.  That mutex pairing is
-   also what makes the result slots visible to the caller under the
-   OCaml 5 memory model: every slot write is sequenced before the
-   worker's unlock, which synchronizes with the caller's final lock. *)
-
-type batch = {
-  claim : unit -> (unit -> unit) option;
-      (* Next ready task of this batch, or [None] once exhausted.
-         Tasks never raise: exceptions are captured into result slots. *)
-}
+   Each task writes its own result slot (single writer per index), then
+   decrements the batch's remaining-count under the batch-local mutex;
+   the final decrement broadcasts the batch's condition variable,
+   releasing the caller. That mutex pairing is also what makes the
+   result slots visible to the caller under the OCaml 5 memory model:
+   every slot write is sequenced before the worker's unlock, which
+   synchronizes with the caller's final lock. *)
 
 type t = {
   n_domains : int;
-  mutex : Mutex.t; (* guards [pending] and [workers] *)
-  cond : Condition.t; (* signalled on submit and on stop *)
-  pending : batch Queue.t;
+  capacity : int; (* bound on queued closures, checked by [submit] only *)
+  mutex : Mutex.t; (* guards [queue] and [workers] *)
+  cond : Condition.t; (* signalled on push and on stop *)
+  queue : (unit -> unit) Queue.t;
   stop_flag : bool Atomic.t;
   mutable workers : unit Domain.t list;
   on_wait : (float -> unit) option;
-      (* Queue-wait observer: seconds between a batch's submission and
-         each task's start, invoked on the domain that runs the task.
+      (* Queue-wait observer, invoked on the domain that runs the task.
          Injected as a callback so [lib/base] stays telemetry-free. *)
 }
 
@@ -44,48 +40,34 @@ let recommended () = max 1 (Domain.recommended_domain_count ())
 
 let effective ~requested = max 1 (min requested (recommended ()))
 
-(* Pull one runnable task off the shared queue, pruning exhausted
-   batches as they are discovered at the head.  Returns [None] only
-   when the pool is stopping and nothing is left to run. *)
-let next_task t =
-  Mutex.lock t.mutex;
-  let rec get () =
-    match Queue.peek_opt t.pending with
-    | Some b -> (
-        match b.claim () with
-        | Some _ as task -> task
-        | None ->
-            (* Exhausted; drop it if it is still the head (another
-               worker may have pruned it while we ran [claim]). *)
-            (match Queue.peek_opt t.pending with
-            | Some b' when b' == b -> ignore (Queue.pop t.pending)
-            | _ -> ());
-            get ())
-    | None ->
-        if Atomic.get t.stop_flag then None
-        else (
-          Condition.wait t.cond t.mutex;
-          get ())
-  in
-  let task = get () in
-  Mutex.unlock t.mutex;
-  task
-
+(* Workers exit only once the pool is stopping and the queue is empty,
+   so [stop] drains whatever was queued before it. *)
 let rec worker_loop t =
-  match next_task t with
+  Mutex.lock t.mutex;
+  while Queue.is_empty t.queue && not (stopped t) do
+    Condition.wait t.cond t.mutex
+  done;
+  let task = Queue.take_opt t.queue in
+  Mutex.unlock t.mutex;
+  match task with
   | None -> ()
   | Some task ->
-      task ();
+      (* [run_all] helpers never raise; a raising [submit]ted closure
+         must not take the domain down, and its submitter owns the
+         reporting. *)
+      (try task () with _ -> ());
       worker_loop t
 
-let create ?on_wait ~domains () =
+let create ?on_wait ?(capacity = max_int) ~domains () =
   if domains < 1 then invalid_arg "Task_pool.create: domains must be >= 1";
+  if capacity < 1 then invalid_arg "Task_pool.create: capacity must be >= 1";
   let t =
     {
       n_domains = domains;
+      capacity;
       mutex = Mutex.create ();
       cond = Condition.create ();
-      pending = Queue.create ();
+      queue = Queue.create ();
       stop_flag = Atomic.make false;
       workers = [];
       on_wait;
@@ -93,6 +75,33 @@ let create ?on_wait ~domains () =
   in
   t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
+
+let submit t f =
+  let f =
+    match t.on_wait with
+    | None -> f
+    | Some observe ->
+        let queued = Unix.gettimeofday () in
+        fun () ->
+          observe (Unix.gettimeofday () -. queued);
+          f ()
+  in
+  Mutex.lock t.mutex;
+  let accepted =
+    t.n_domains > 1 && (not (stopped t)) && Queue.length t.queue < t.capacity
+  in
+  if accepted then begin
+    Queue.push f t.queue;
+    Condition.signal t.cond
+  end;
+  Mutex.unlock t.mutex;
+  accepted
+
+let queue_length t =
+  Mutex.lock t.mutex;
+  let n = Queue.length t.queue in
+  Mutex.unlock t.mutex;
+  n
 
 let run_seq tasks =
   Array.map (fun f -> match f () with v -> Ok v | exception e -> Error e) tasks
@@ -121,23 +130,21 @@ let run_all t tasks =
       if !remaining = 0 then Condition.broadcast bc;
       Mutex.unlock bm
     in
-    let claim () =
+    let rec drain () =
       let i = Atomic.fetch_and_add next 1 in
-      if i < n then Some (fun () -> run_one i) else None
+      if i < n then begin
+        run_one i;
+        drain ()
+      end
     in
     Mutex.lock t.mutex;
-    Queue.push { claim } t.pending;
+    for _ = 1 to min (n - 1) (t.n_domains - 1) do
+      Queue.push drain t.queue
+    done;
     Condition.broadcast t.cond;
     Mutex.unlock t.mutex;
-    (* The caller is a full participant: race the workers for tasks,
-       then wait out whatever stragglers the workers claimed. *)
-    let rec drain () =
-      match claim () with
-      | Some task ->
-          task ();
-          drain ()
-      | None -> ()
-    in
+    (* The caller is a full participant: race the helpers for tasks,
+       then wait out whatever stragglers the helpers claimed. *)
     drain ();
     Mutex.lock bm;
     while !remaining > 0 do

@@ -1,18 +1,21 @@
-(** A reusable fork-join scheduler over a fixed set of OCaml 5 domains.
+(** A fixed set of OCaml 5 worker domains draining one FIFO of closures.
 
-    This is the compute-side sibling of the server's job pool
-    ([lib/server/pool.ml]): where that pool is a fire-and-forget queue
-    with backpressure and deadlines for independent requests, this one
-    is a {e fork-join} primitive — {!run_all} submits a batch of
-    closures, the calling domain {e participates} in draining it, and
-    the call returns only when every closure has finished, with the
-    results in submission order.
+    Two ways in share the queue:
+
+    - {!submit} is fire-and-forget with backpressure: it enqueues one
+      closure and returns [false] at once when [capacity] closures are
+      already waiting or the pool is stopping. The server's HTTP and
+      job pools use it.
+    - {!run_all} is {e fork-join}: it submits a batch of closures, the
+      calling domain {e participates} in draining it, and the call
+      returns only when every closure has finished, with the results in
+      submission order. The parallel chase uses it.
 
     Several domains may call {!run_all} on the same pool concurrently:
-    batches are queued and workers claim tasks from the oldest live
-    batch first, so a shared pool composes with the server's worker
-    pool without spawning domains per request (no oversubscription —
-    the process-wide domain count is fixed at creation time).
+    each batch enqueues its own helpers, so a shared pool composes with
+    the server's worker pool without spawning domains per request (no
+    oversubscription — the process-wide domain count is fixed at
+    creation time).
 
     Because the caller always participates, a pool created with
     [~domains:1] spawns {e no} worker domains and [run_all] degenerates
@@ -21,15 +24,23 @@
 
 type t
 
-val create : ?on_wait:(float -> unit) -> domains:int -> unit -> t
-(** Spawn [domains - 1] worker domains ([domains] must be >= 1; the
-    calling domain is the remaining unit of parallelism). [on_wait] observes per-task queue wait: it is
-    called once per task that runs through a parallel {!run_all}, with
-    the seconds elapsed between the batch's submission and that task's
-    start, on the domain that runs the task — inject a telemetry probe
-    here ([lib/base] itself stays dependency-free). It is not called on
-    the sequential path (one domain, one task, or a stopped pool).
-    Raises [Invalid_argument] when [domains < 1]. *)
+val create :
+  ?on_wait:(float -> unit) -> ?capacity:int -> domains:int -> unit -> t
+(** Spawn [domains - 1] worker domains ([domains] must be >= 1; for
+    {!run_all} the calling domain is the remaining unit of
+    parallelism, so a pool fed only through {!submit} runs on
+    [domains - 1] workers). [capacity] bounds the closures {!submit}
+    may leave queued (default: unbounded; must be >= 1); {!run_all}'s
+    helpers are not counted against it.
+
+    [on_wait] observes queue wait, on the domain that runs the task:
+    once per {!submit}ted closure, with the seconds between its
+    submission and its start, and once per task of a parallel
+    {!run_all}, with the seconds between the batch's submission and
+    that task's start. Inject a telemetry probe here ([lib/base] itself
+    stays dependency-free). It is not called on [run_all]'s sequential
+    path (one domain, one task, or a stopped pool).
+    Raises [Invalid_argument] when [domains < 1] or [capacity < 1]. *)
 
 val domains : t -> int
 (** The parallelism the pool was created with (workers + the
@@ -51,6 +62,17 @@ val effective : requested:int -> int
     deliberately (scheduler tests, fairness experiments) bypass it by
     building the pool themselves and passing [Engine.create ~pool]. *)
 
+val submit : t -> (unit -> unit) -> bool
+(** Enqueue one closure for a worker domain and return [true], or
+    return [false] without blocking when [capacity] closures are
+    already queued, the pool is stopping, or it has no worker domains
+    ([~domains:1]). A closure that raises never takes its domain down;
+    the exception is discarded, so a submitter that cares catches it
+    itself. *)
+
+val queue_length : t -> int
+(** Closures waiting for a worker domain. *)
+
 val run_all : t -> (unit -> 'a) array -> ('a, exn) result array
 (** Execute every closure, returning per-task results in input order.
     Tasks may run on any worker domain or on the calling domain; the
@@ -58,13 +80,11 @@ val run_all : t -> (unit -> 'a) array -> ('a, exn) result array
     [Error exn] in its slot and never takes a domain down; deciding
     which error wins is the caller's job (task order is stable, so
     "first [Error] in the array" is deterministic given deterministic
-    tasks). Safe to call from several domains concurrently; do {e not}
-    call it from inside one of the pool's own tasks (the nested batch
-    would wait on the domain executing it). *)
+    tasks). Safe to call from several domains concurrently. *)
 
 val stop : t -> unit
-(** Drain queued batches, join every worker domain, and mark the pool
-    stopped. Idempotent. After [stop], {!run_all} still works but runs
-    everything on the calling domain. *)
+(** Drain queued closures, join every worker domain, and mark the pool
+    stopped. Idempotent. After [stop], {!submit} returns [false] and
+    {!run_all} still works but runs everything on the calling domain. *)
 
 val stopped : t -> bool

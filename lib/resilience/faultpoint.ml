@@ -10,7 +10,8 @@ let registry =
     ("engine.iterate", "each semi-naive fixpoint iteration of the chase");
     ("engine.chunk", "each parallel delta-chunk task of the chase");
     ("cycle.round", "each round of the anonymization cycle");
-    ("pool.enqueue", "submitting a job to the server worker pool");
+    ( "pool.enqueue",
+      "submitting an accepted connection or an async job to its worker pool" );
     ("http.write", "writing an HTTP response to the client socket");
     ("handler.dispatch", "dispatching a matched route to its handler");
     ( "dataset.append",

@@ -1,10 +1,15 @@
 module Clock = Vadasa_base.Clock
 module Json = Vadasa_base.Json
 
-type circuit =
-  | Closed of int  (* consecutive failures so far *)
-  | Open of float  (* re-evaluate at this Clock time *)
-  | Half_open  (* one probe in flight *)
+type state = Closed | Half_open | Open
+
+type circuit = {
+  state : state;
+  failures : int;  (* consecutive failures while closed *)
+  until : float;  (* while open: re-evaluate at this Clock time *)
+}
+
+let closed = { state = Closed; failures = 0; until = 0.0 }
 
 type t = {
   threshold : int;
@@ -27,57 +32,64 @@ let locked t f =
 let get t key =
   match Hashtbl.find_opt t.circuits key with
   | Some c -> c
-  | None -> Closed 0
+  | None -> closed
 
 let check t key =
   locked t (fun () ->
-      match get t key with
-      | Closed _ -> Allow
+      let c = get t key in
+      match c.state with
+      | Closed -> Allow
       | Half_open ->
         (* a probe is already in flight; keep rejecting until it lands *)
         Rejected t.cooldown
-      | Open until ->
+      | Open ->
         let now = Clock.now () in
-        if now >= until then begin
+        if now >= c.until then begin
           (* cooldown over: this caller becomes the half-open probe *)
-          Hashtbl.replace t.circuits key Half_open;
+          Hashtbl.replace t.circuits key { c with state = Half_open };
           Allow
         end
-        else Rejected (until -. now))
+        else Rejected (c.until -. now))
 
-let success t key =
-  locked t (fun () -> Hashtbl.replace t.circuits key (Closed 0))
+let success t key = locked t (fun () -> Hashtbl.replace t.circuits key closed)
 
 let failure t key =
   locked t (fun () ->
-      match get t key with
-      | Half_open | Open _ ->
-        Hashtbl.replace t.circuits key (Open (Clock.deadline_in t.cooldown))
-      | Closed n ->
-        let n = n + 1 in
-        if n >= t.threshold then
-          Hashtbl.replace t.circuits key (Open (Clock.deadline_in t.cooldown))
-        else Hashtbl.replace t.circuits key (Closed n))
+      let trip () =
+        Hashtbl.replace t.circuits key
+          { state = Open; failures = 0; until = Clock.deadline_in t.cooldown }
+      in
+      let c = get t key in
+      match c.state with
+      | Half_open | Open -> trip ()
+      | Closed ->
+        let failures = c.failures + 1 in
+        if failures >= t.threshold then trip ()
+        else Hashtbl.replace t.circuits key { c with failures })
 
 let render = function
-  | Closed _ -> "closed"
-  | Open _ -> "open"
+  | Closed -> "closed"
+  | Open -> "open"
   | Half_open -> "half_open"
 
-let state t key = locked t (fun () -> render (get t key))
+let state t key = locked t (fun () -> render (get t key).state)
+
+let sorted_circuits t =
+  locked t (fun () -> Hashtbl.fold (fun key c acc -> (key, c) :: acc) t.circuits [])
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let states t = List.map (fun (key, c) -> (key, c.state)) (sorted_circuits t)
 
 let stats t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun key c acc ->
-          ( key,
-            Json.Obj
-              [
-                ("state", Json.Str (render c));
-                ( "consecutive_failures",
-                  Json.Int (match c with Closed n -> n | _ -> t.threshold) );
-              ] )
-          :: acc)
-        t.circuits []
-      |> List.sort compare
-      |> fun fields -> Json.Obj fields)
+  Json.Obj
+    (List.map
+       (fun (key, c) ->
+         ( key,
+           Json.Obj
+             [
+               ("state", Json.Str (render c.state));
+               ( "consecutive_failures",
+                 Json.Int (if c.state = Closed then c.failures else t.threshold)
+               );
+             ] ))
+       (sorted_circuits t))

@@ -30,8 +30,13 @@ val failure : t -> string -> unit
 (** A failure (5xx or an escaped exception). In half-open state it
     re-opens the circuit immediately. *)
 
+type state = Closed | Half_open | Open
+
+val states : t -> (string * state) list
+(** Every key's circuit state, sorted by key. *)
+
 val state : t -> string -> string
-(** ["closed" | "open" | "half_open"] — for metrics/tests. *)
+(** ["closed" | "open" | "half_open"] — for tests. *)
 
 val stats : t -> Vadasa_base.Json.t
 (** Per-key state and consecutive-failure counts. *)

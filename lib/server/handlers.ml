@@ -47,8 +47,8 @@ type t = {
          M request domains compose with K engine workers without
          spawning per request (no oversubscription) *)
   started_at : float;
-  counters : (string, int) Hashtbl.t;
-      (* "METHOD route-pattern status" -> count; keyed on the route
+  counters : (string * string * int, int) Hashtbl.t;
+      (* (method, route pattern, status) -> count; keyed on the route
          pattern, never the raw path, so dataset ids don't mint keys *)
   counters_mutex : Mutex.t;
 }
@@ -97,8 +97,8 @@ let shutdown t =
   Jobs.stop t.jobs;
   match t.persist with None -> () | Some p -> Persist.close p
 
-let count t ~route (resp : Http.response) =
-  let key = Printf.sprintf "%s %d" route resp.Http.status in
+let count t ~meth ~pattern (resp : Http.response) =
+  let key = (meth, pattern, resp.Http.status) in
   Mutex.lock t.counters_mutex;
   let n = Option.value ~default:0 (Hashtbl.find_opt t.counters key) in
   Hashtbl.replace t.counters key (n + 1);
@@ -584,13 +584,11 @@ let prometheus_body ?(extra_prom = fun () -> "") t =
   Prom.family buf ~name:"vadasa_http_requests_total"
     ~help:"Guarded requests by method, path and status" ~typ:"counter";
   List.iter
-    (fun (key, n) ->
-      match String.split_on_char ' ' key with
-      | [ meth; path; status ] ->
-        Prom.sample_int buf ~name:"vadasa_http_requests_total"
-          ~labels:[ ("method", meth); ("path", path); ("status", status) ]
-          n
-      | _ -> ())
+    (fun ((meth, path, status), n) ->
+      Prom.sample_int buf ~name:"vadasa_http_requests_total"
+        ~labels:
+          [ ("method", meth); ("path", path); ("status", string_of_int status) ]
+        n)
     (request_counts t);
   let cache_series name help value_programs value_datasets =
     Prom.family buf ~name ~help ~typ:"counter";
@@ -618,26 +616,15 @@ let prometheus_body ?(extra_prom = fun () -> "") t =
   Prom.family buf ~name:"vadasa_breaker_state"
     ~help:"Circuit state per endpoint: 0 closed, 1 half-open, 2 open"
     ~typ:"gauge";
-  (match Breaker.stats t.breaker with
-  | Json.Obj circuits ->
-    List.iter
-      (fun (endpoint, circuit) ->
-        let state =
-          match circuit with
-          | Json.Obj fields -> (
-            match List.assoc_opt "state" fields with
-            | Some (Json.Str s) -> s
-            | _ -> "closed")
-          | _ -> "closed"
-        in
-        let v =
-          match state with "open" -> 2 | "half_open" -> 1 | _ -> 0
-        in
-        Prom.sample_int buf ~name:"vadasa_breaker_state"
-          ~labels:[ ("endpoint", endpoint) ]
-          v)
-      circuits
-  | _ -> ());
+  List.iter
+    (fun (endpoint, state) ->
+      Prom.sample_int buf ~name:"vadasa_breaker_state"
+        ~labels:[ ("endpoint", endpoint) ]
+        (match state with
+        | Breaker.Closed -> 0
+        | Breaker.Half_open -> 1
+        | Breaker.Open -> 2))
+    (Breaker.states t.breaker);
   (* Registry series are aggregates only — never labeled per dataset id
      (ids are client-chosen; series cardinality must stay bounded). *)
   let totals = Registry.totals t.registry in
@@ -746,7 +733,11 @@ let metrics ?(extra = fun () -> []) ?extra_prom t req =
       (prometheus_body ?extra_prom t)
   else
     let requests =
-      Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (request_counts t))
+      Json.Obj
+        (List.map
+           (fun ((meth, pattern, status), n) ->
+             (Printf.sprintf "%s %s %d" meth pattern status, Json.Int n))
+           (request_counts t))
     in
     let body =
       Json.Obj
@@ -783,12 +774,12 @@ let metrics ?(extra = fun () -> []) ?extra_prom t req =
    the total exception→typed-error mapping. A 5xx response counts as a
    breaker failure; anything else closes the circuit.
 
-   [route] is the "METHOD pattern" string from the route table — the
-   breaker circuit and the request counters key on it, so the
-   parameterized dataset routes stay one circuit and one counter family
-   regardless of how many ids clients mint. *)
-let guard t ~route handler req =
-  let key = route in
+   [meth] and [pattern] come from the route table — the breaker
+   circuit ("METHOD pattern") and the request counters key on them, so
+   the parameterized dataset routes stay one circuit and one counter
+   family regardless of how many ids clients mint. *)
+let guard t ~meth ~pattern handler req =
+  let key = meth ^ " " ^ pattern in
   let resp =
     match Breaker.check t.breaker key with
     | Breaker.Rejected retry_after ->
@@ -819,14 +810,14 @@ let guard t ~route handler req =
       else Breaker.success t.breaker key;
       resp
   in
-  count t ~route resp;
+  count t ~meth ~pattern resp;
   resp
 
 let router ?extra_metrics ?extra_prom t =
   let route meth pattern handler =
     ( meth,
       pattern,
-      guard t ~route:(Http.meth_to_string meth ^ " " ^ pattern) handler )
+      guard t ~meth:(Http.meth_to_string meth) ~pattern handler )
   in
   Router.create
     [

@@ -138,11 +138,6 @@ val persist : t -> Persist.t option
 
 val breaker : t -> Breaker.t
 
-val request_counts : t -> (string * int) list
-(** Sorted ["METHOD route-pattern status" → count] pairs — keyed on the
-    route pattern (["PUT /v1/datasets/{id} 201"]), never the raw path,
-    so client-chosen dataset ids don't grow the table. *)
-
 val budget_of : Http.request -> Codec.options -> Vadasa_base.Budget.t option
 (** The per-request work budget: the earlier of the deadline the server
     stamped on the request and the request's own [budget_ms], capped by

@@ -1,4 +1,9 @@
 module Telemetry = Vadasa_telemetry.Telemetry
+module Task_pool = Vadasa_base.Task_pool
+
+let log_src = Logs.Src.create "vadasa.pool" ~doc:"server worker pools"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let sample_gc () =
   if Telemetry.enabled () then begin
@@ -19,16 +24,15 @@ let sample_gc () =
     Telemetry.gauge "gc.compactions" (float_of_int s.Gc.compactions)
   end
 
-let pool_prom pool buf =
-  let domains = Pool.size pool in
-  let busy = Pool.busy pool in
-  Prom.family buf ~name:"vadasa_pool_domains"
-    ~help:"Worker domains in the HTTP pool" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_pool_domains" domains;
-  Prom.family buf ~name:"vadasa_pool_busy_domains"
-    ~help:"Worker domains currently executing a job" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_pool_busy_domains" busy;
-  Prom.family buf ~name:"vadasa_pool_utilization"
-    ~help:"Busy fraction of the HTTP worker pool (0..1)" ~typ:"gauge";
-  Prom.sample_float buf ~name:"vadasa_pool_utilization"
-    (if domains = 0 then 0.0 else float_of_int busy /. float_of_int domains)
+let submit pool f =
+  match Vadasa_resilience.Faultpoint.hit "pool.enqueue" with
+  | () -> Task_pool.submit pool f
+  | exception Vadasa_base.Error.Error _ -> false
+
+let supervise f =
+  match f () with
+  | () -> None
+  | exception e ->
+    let msg = Printexc.to_string e in
+    Log.warn (fun m -> m "job raised: %s" msg);
+    Some msg

@@ -1,5 +1,6 @@
-(** Runtime-health gauges: per-domain GC statistics and worker-pool
-    utilization.
+(** Runtime health: per-domain GC statistics, and the submit and
+    supervision steps shared by the server's two worker pools (HTTP
+    connections and async jobs, both {!Vadasa_base.Task_pool}s).
 
     GC statistics in OCaml 5 are largely per-domain ([Gc.quick_stat]
     reports the calling domain's minor-heap counters), so sampling
@@ -8,10 +9,7 @@
     [/metrics] capture samples the scraping domain — the exposition
     always carries at least the capturing domain's current picture.
     Gauge names embed the domain id ([gc.domain<i>.minor_words]);
-    cardinality is bounded by the pool size fixed at startup.
-
-    Pool gauges ([vadasa_pool_domains] / [_busy_domains] /
-    [_utilization]) render at scrape time via {!pool_prom} — see
+    cardinality is bounded by the pool size fixed at startup. See
     [docs/OBSERVABILITY.md] for the full metric tables. *)
 
 val sample_gc : unit -> unit
@@ -22,6 +20,13 @@ val sample_gc : unit -> unit
     [gc.major_collections] and [gc.compactions]. No-op while telemetry
     is disabled. *)
 
-val pool_prom : Pool.t -> Buffer.t -> unit
-(** Append the pool-utilization exposition: total domains, busy
-    domains, queue depth and the busy fraction, sampled at call time. *)
+val submit : Vadasa_base.Task_pool.t -> (unit -> unit) -> bool
+(** {!Vadasa_base.Task_pool.submit} behind the ["pool.enqueue"] fault
+    point: armed to fail, the submission is rejected exactly like a
+    full queue ([false], nothing enqueued). *)
+
+val supervise : (unit -> unit) -> string option
+(** Run one pool task. A raise is logged at warning level on the
+    [vadasa.pool] source ("job raised: ...") and returned as its
+    rendering instead of propagating, so a raising task never takes its
+    worker domain down. [None] when the task returned normally. *)

@@ -28,6 +28,7 @@
 
 module E = Vadasa_base.Error
 module Json = Vadasa_base.Json
+module Task_pool = Vadasa_base.Task_pool
 module Budget = Vadasa_base.Budget
 module Faultpoint = Vadasa_resilience.Faultpoint
 module Retry = Vadasa_resilience.Retry
@@ -89,7 +90,7 @@ type t = {
   cond : Condition.t;  (* linkage + state transitions *)
   table : (string, job) Hashtbl.t;
   buckets : (string, bucket) Hashtbl.t;
-  mutable pool : Pool.t option;  (* lazily created on first submit *)
+  mutable pool : Task_pool.t option;  (* lazily created on first submit *)
   mutable next_id : int;
   (* counters, guarded by [mu] *)
   mutable submitted : int;
@@ -442,7 +443,11 @@ let pool t =
   match t.pool with
   | Some p -> p
   | None ->
-    let p = Pool.create ~domains:t.domains ~queue_capacity:t.queue () in
+    (* Only ever submitted to, so [domains + 1] gives exactly [domains]
+       worker domains. *)
+    let p =
+      Task_pool.create ~capacity:t.queue ~domains:(t.domains + 1) ()
+    in
     t.pool <- Some p;
     p
 
@@ -453,12 +458,7 @@ let enqueue t job =
     Mutex.unlock t.mu;
     p
   in
-  Pool.submit p
-    ~expired:(fun () ->
-      finish t job Failed
-        ~error:("job.expired", "job expired before a worker picked it up")
-        ())
-    (execute t job)
+  Health.submit p (fun () -> ignore (Health.supervise (execute t job)))
 
 (* ---- submission ---------------------------------------------------------- *)
 
@@ -806,16 +806,6 @@ let register t =
 
 let job_id job = job.id
 
-let job_state job = job.state
-
-let job_attempts job = job.attempts
-
-let job_result job = job.result
-
-let job_error job = job.error
-
-let job_replayed (job : job) = job.replayed
-
 (* ---- lifecycle / accounting ---------------------------------------------- *)
 
 let stop t =
@@ -826,7 +816,7 @@ let stop t =
     Mutex.unlock t.mu;
     p
   in
-  match p with None -> () | Some p -> Pool.stop p
+  match p with None -> () | Some p -> Task_pool.stop p
 
 type counters = {
   submitted : int;

@@ -103,18 +103,6 @@ val job_json : job -> Vadasa_base.Json.t
 
 val job_id : job -> string
 
-val job_state : job -> state
-
-val job_attempts : job -> int
-
-val job_result : job -> string option
-(** The response body the op produced, once [Done]. *)
-
-val job_error : job -> (string * string) option
-(** [(code, message)] for [Failed] / [Cancelled] / [Orphaned] jobs. *)
-
-val job_replayed : job -> bool
-
 (** {2 Lifecycle and accounting} *)
 
 val stop : t -> unit

@@ -41,8 +41,6 @@ let endpoint_path t path =
     (fun (_, pattern, _) -> if matches pattern path then Some pattern else None)
     t.routes
 
-let known_path t path = Option.is_some (endpoint_path t path)
-
 let path_param ~pattern path name =
   let target = "{" ^ name ^ "}" in
   let rec go = function

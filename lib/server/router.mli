@@ -16,9 +16,6 @@ val add : t -> meth:Http.meth -> path:string -> handler -> t
 
 val routes : t -> (Http.meth * string) list
 
-val known_path : t -> string -> bool
-(** [true] when some route serves [path] (any method). *)
-
 val endpoint_path : t -> string -> string option
 (** The route pattern serving [path] (any method) — ["/v1/datasets/{id}"]
     for ["/v1/datasets/band42"]. The server keys telemetry on this so

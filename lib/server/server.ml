@@ -4,14 +4,19 @@
    multiplexes the listener against a self-pipe with [Unix.select] so a
    signal handler can interrupt a blocked accept portably (the handler
    just writes one byte — the only async-signal-safe thing it does).
-   Accepted connections are handed to the pool with an absolute
+   Accepted connections go to a bounded [Task_pool] with an absolute
    deadline; when the queue is full the loop answers 503 itself, so
    overload never blocks accepting (and never makes a client wait for a
-   rejection). Workers own the whole request lifecycle: read (bounded by
-   SO_RCVTIMEO), dispatch, write, close. *)
+   rejection). A connection still queued at or past its deadline
+   (inclusive comparison, on the non-decreasing [Clock]) is answered
+   408 instead of served, so a burst cannot make the tail of the queue
+   do work for clients that already gave up. Workers own the whole
+   request lifecycle: read (bounded by SO_RCVTIMEO), dispatch, write,
+   close. *)
 
 module Json = Vadasa_base.Json
 module Clock = Vadasa_base.Clock
+module Task_pool = Vadasa_base.Task_pool
 module Telemetry = Vadasa_telemetry.Telemetry
 
 type config = {
@@ -42,11 +47,24 @@ let default_config =
     slow_ms = None;
   }
 
+(* What became of the connections handed to the pool. Atomics: the
+   accept loop and every worker bump them without a lock. *)
+type tally = {
+  submitted : int Atomic.t;
+  rejected : int Atomic.t;
+  completed : int Atomic.t;
+  expired : int Atomic.t;
+  raised : int Atomic.t;
+  busy : int Atomic.t;  (* workers currently running a connection *)
+  last_error : string option Atomic.t;  (* most recent raise *)
+}
+
 type t = {
   config : config;
   handlers : Handlers.t;
   router : Router.t;
-  pool : Pool.t;
+  pool : Task_pool.t;
+  tally : tally;
   listener : Unix.file_descr;
   bound_port : int;
   stop_r : Unix.file_descr;  (* self-pipe: handlers write, accept loop reads *)
@@ -66,7 +84,59 @@ let handlers t = t.handlers
 
 let pool t = t.pool
 
+let outcomes tally =
+  [
+    ("submitted", Atomic.get tally.submitted);
+    ("rejected", Atomic.get tally.rejected);
+    ("completed", Atomic.get tally.completed);
+    ("expired", Atomic.get tally.expired);
+    ("raised", Atomic.get tally.raised);
+  ]
+
+let pool_json config pool tally =
+  Json.Obj
+    ([
+       ("queue_length", Json.Int (Task_pool.queue_length pool));
+       ("queue_capacity", Json.Int config.queue_capacity);
+       ("domains", Json.Int config.domains);
+       ("busy", Json.Int (Atomic.get tally.busy));
+     ]
+    @ List.map (fun (k, v) -> (k, Json.Int v)) (outcomes tally)
+    @
+    match Atomic.get tally.last_error with
+    | None -> []
+    | Some msg -> [ ("last_error", Json.Str msg) ])
+
+let pool_prom config pool tally =
+  let buf = Buffer.create 512 in
+  Prom.family buf ~name:"vadasa_pool_queue_depth"
+    ~help:"Jobs waiting in the HTTP worker pool queue" ~typ:"gauge";
+  Prom.sample_int buf ~name:"vadasa_pool_queue_depth"
+    (Task_pool.queue_length pool);
+  Prom.family buf ~name:"vadasa_pool_jobs_total"
+    ~help:"HTTP worker pool jobs by outcome" ~typ:"counter";
+  List.iter
+    (fun (outcome, v) ->
+      Prom.sample_int buf ~name:"vadasa_pool_jobs_total"
+        ~labels:[ ("outcome", outcome) ]
+        v)
+    (outcomes tally);
+  let domains = config.domains in
+  let busy = Atomic.get tally.busy in
+  Prom.family buf ~name:"vadasa_pool_domains"
+    ~help:"Worker domains in the HTTP pool" ~typ:"gauge";
+  Prom.sample_int buf ~name:"vadasa_pool_domains" domains;
+  Prom.family buf ~name:"vadasa_pool_busy_domains"
+    ~help:"Worker domains currently executing a job" ~typ:"gauge";
+  Prom.sample_int buf ~name:"vadasa_pool_busy_domains" busy;
+  Prom.family buf ~name:"vadasa_pool_utilization"
+    ~help:"Busy fraction of the HTTP worker pool (0..1)" ~typ:"gauge";
+  Prom.sample_float buf ~name:"vadasa_pool_utilization"
+    (float_of_int busy /. float_of_int domains);
+  Buffer.contents buf
+
 let create ?(config = default_config) ?router handlers =
+  if config.domains < 1 then invalid_arg "Server.create: domains must be >= 1";
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   let t =
     try
@@ -81,50 +151,40 @@ let create ?(config = default_config) ?router handlers =
         | Unix.ADDR_INET (_, p) -> p
         | _ -> config.port
       in
+      (* The accept loop only submits, so [domains + 1] gives exactly
+         [config.domains] worker domains. *)
       let pool =
-        Pool.create ~domains:config.domains
-          ~queue_capacity:config.queue_capacity ()
+        Task_pool.create
+          ~on_wait:(fun dt -> Telemetry.observe "server.pool.wait" dt)
+          ~capacity:config.queue_capacity ~domains:(config.domains + 1) ()
+      in
+      let tally =
+        {
+          submitted = Atomic.make 0;
+          rejected = Atomic.make 0;
+          completed = Atomic.make 0;
+          expired = Atomic.make 0;
+          raised = Atomic.make 0;
+          busy = Atomic.make 0;
+          last_error = Atomic.make None;
+        }
       in
       let stop_r, stop_w = Unix.pipe () in
-      let pool_prom () =
-        let buf = Buffer.create 512 in
-        Prom.family buf ~name:"vadasa_pool_queue_depth"
-          ~help:"Jobs waiting in the HTTP worker pool queue" ~typ:"gauge";
-        Prom.sample_int buf ~name:"vadasa_pool_queue_depth"
-          (Pool.queue_length pool);
-        let submitted, rejected, completed, expired, raised =
-          Pool.counters pool
-        in
-        Prom.family buf ~name:"vadasa_pool_jobs_total"
-          ~help:"HTTP worker pool jobs by outcome" ~typ:"counter";
-        List.iter
-          (fun (outcome, v) ->
-            Prom.sample_int buf ~name:"vadasa_pool_jobs_total"
-              ~labels:[ ("outcome", outcome) ]
-              v)
-          [
-            ("submitted", submitted);
-            ("rejected", rejected);
-            ("completed", completed);
-            ("expired", expired);
-            ("raised", raised);
-          ];
-        Health.pool_prom pool buf;
-        Buffer.contents buf
-      in
       let router =
         match router with
         | Some r -> r
         | None ->
           Handlers.router
-            ~extra_metrics:(fun () -> [ ("pool", Pool.stats pool) ])
-            ~extra_prom:pool_prom handlers
+            ~extra_metrics:(fun () -> [ ("pool", pool_json config pool tally) ])
+            ~extra_prom:(fun () -> pool_prom config pool tally)
+            handlers
       in
       {
         config;
         handlers;
         router;
         pool;
+        tally;
         listener;
         bound_port;
         stop_r;
@@ -313,8 +373,9 @@ let serve_connection t ~deadline fd =
       }
     in
     let status, bytes = write_guarded fd resp in
-    close_quietly fd;
     let elapsed = Unix.gettimeofday () -. started in
+    (* Record before the close: a client that reads to EOF and then
+       scrapes /metrics must find this request counted. *)
     Telemetry.observe ("http.latency." ^ endpoint) elapsed;
     let slow =
       match t.config.slow_ms with
@@ -322,6 +383,7 @@ let serve_connection t ~deadline fd =
       | None -> false
     in
     if slow then Telemetry.count "http.slow_requests" 1;
+    close_quietly fd;
     (match (trace, t.config.access_log) with
     | Some events, Some sink when events <> [] && (sampled || slow) ->
       sink
@@ -340,6 +402,25 @@ let reject t fd status ?code message =
   let status, bytes = write_guarded fd resp in
   close_quietly fd;
   log_request t ~req:None ~request_id:None ~status ~bytes ~elapsed:0.0
+
+(* A pool task: serve the connection, or answer 408 when it waited in
+   the queue up to its deadline. *)
+let run_queued t ~deadline fd =
+  let tally = t.tally in
+  Atomic.incr tally.busy;
+  (if Clock.expired deadline then begin
+     ignore
+       (Health.supervise (fun () ->
+            reject t fd 408 ~code:"queue.expired" "request expired while queued"));
+     Atomic.incr tally.expired
+   end
+   else
+     match Health.supervise (fun () -> serve_connection t ~deadline fd) with
+     | None -> Atomic.incr tally.completed
+     | Some msg ->
+       Atomic.incr tally.raised;
+       Atomic.set tally.last_error (Some msg));
+  Atomic.decr tally.busy
 
 let run t =
   (* A worker writing to a peer that hung up must get EPIPE, not die. *)
@@ -365,22 +446,22 @@ let run t =
                Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.config.request_timeout
              with Unix.Unix_error _ -> ());
             let deadline = Clock.deadline_in t.config.request_timeout in
-            let accepted =
-              Pool.submit t.pool ~deadline
-                ~expired:(fun () ->
-                  reject t fd 408 ~code:"queue.expired"
-                    "request expired while queued")
-                (fun () -> serve_connection t ~deadline fd)
-            in
-            if not accepted then
+            (* Counted before the push, so a worker never finishes a
+               connection that [submitted] does not include yet. *)
+            Atomic.incr t.tally.submitted;
+            if not (Health.submit t.pool (fun () -> run_queued t ~deadline fd))
+            then begin
               (* Backpressure: answer 503 from the accept loop itself. *)
-              reject t fd 503 ~code:"queue.full" "server saturated (queue full)");
+              Atomic.decr t.tally.submitted;
+              Atomic.incr t.tally.rejected;
+              reject t fd 503 ~code:"queue.full" "server saturated (queue full)"
+            end);
           loop ()
         end
   in
   loop ();
   close_quietly t.listener;
-  Pool.stop t.pool
+  Task_pool.stop t.pool
 
 let start t =
   match t.accept_domain with

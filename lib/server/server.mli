@@ -26,7 +26,7 @@
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port *)
-  domains : int;  (** worker pool size *)
+  domains : int;  (** worker domains serving connections, >= 1 *)
   queue_capacity : int;
   request_timeout : float;
       (** seconds — socket read deadline and maximum queue wait *)
@@ -55,15 +55,21 @@ type t
 
 val create : ?config:config -> ?router:Router.t -> Handlers.t -> t
 (** Binds and listens; raises [Unix.Unix_error] when the address is
-    taken. The default router is {!Handlers.router} with pool statistics
-    grafted onto [GET /metrics]; tests can pass their own. *)
+    taken, [Invalid_argument] when [domains] or [queue_capacity] is
+    below 1. The default router is {!Handlers.router} with pool
+    statistics grafted onto [GET /metrics]; tests can pass their own. *)
 
 val port : t -> int
 (** The actually bound port. *)
 
 val handlers : t -> Handlers.t
 
-val pool : t -> Pool.t
+val pool : t -> Vadasa_base.Task_pool.t
+(** The HTTP worker pool: [domains] worker domains behind a queue of
+    [queue_capacity] accepted connections. Its queue wait feeds the
+    [server.pool.wait] histogram; connection outcomes (submitted,
+    rejected, completed, expired, raised) and busy workers are counted
+    by the server and exposed on [/metrics]. *)
 
 val run : t -> unit
 (** Block in the accept loop until {!stop}; then drain and join the

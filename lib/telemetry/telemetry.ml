@@ -438,14 +438,6 @@ let observe name x =
 
 let span name f = if Atomic.get enabled_flag then Span.with_ name f else f ()
 
-let span_timed name f =
-  if Atomic.get enabled_flag then Span.timed name f
-  else begin
-    let t0 = now () in
-    let result = f () in
-    (result, now () -. t0)
-  end
-
 (* Spans completed on the *calling domain* while [f] ran, oldest first —
    the per-request trace of a server worker. The collector rides on the
    shard instead of reading [sh_span_events], so the trace stays
@@ -980,11 +972,6 @@ let trace_format_of_string = function
       (Printf.sprintf "unknown trace format %s (use json, chrome or folded)"
          other)
 
-let trace_format_to_string = function
-  | Events -> "json"
-  | Chrome -> "chrome"
-  | Folded -> "folded"
-
 (* Chrome/Perfetto trace-event JSON: one complete ("ph":"X") event per
    finished span, timestamps and durations in microseconds. Each
    registry shard is one thread of control, so the shard id becomes the
@@ -1070,5 +1057,3 @@ let write_trace_as format registry path =
     output_char oc '\n'
   | Folded -> output_string oc (trace_folded registry));
   close_out oc
-
-let write_trace registry path = write_trace_as Events registry path

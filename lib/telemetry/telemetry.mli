@@ -158,10 +158,6 @@ val observe : string -> float -> unit
 val span : string -> (unit -> 'a) -> 'a
 (** Gated {!Span.with_} on {!global}: runs [f] untimed when disabled. *)
 
-val span_timed : string -> (unit -> 'a) -> 'a * float
-(** Always returns a wall-clock duration; only records a span event when
-    telemetry is enabled. *)
-
 val with_local_trace : ?registry:t -> (unit -> 'a) -> 'a * Span.info list
 (** [with_local_trace f] runs [f] and also returns the spans that
     completed on the {e calling domain} while it ran, oldest first —
@@ -272,8 +268,6 @@ type trace_format =
 val trace_format_of_string : string -> (trace_format, string) result
 (** Accepts [json]/[events], [chrome]/[perfetto], [folded]/[flamegraph]. *)
 
-val trace_format_to_string : trace_format -> string
-
 val trace_chrome : t -> Json.t
 (** [{displayTimeUnit; traceEvents}] with one complete ([ph = "X"])
     event per finished span; [ts]/[dur] in microseconds, span path and
@@ -285,8 +279,6 @@ val trace_folded : t -> string
     the slash path re-joined with [;] and the value is the path's self
     time in integer microseconds. *)
 
-val write_trace : t -> string -> unit
-(** [write_trace registry path] dumps {!trace_json} to [path]. *)
-
 val write_trace_as : trace_format -> t -> string -> unit
-(** Like {!write_trace} with an explicit format. *)
+(** [write_trace_as format registry path] dumps the registry's finished
+    spans to [path] in [format]. *)

@@ -17,8 +17,11 @@ module V = Vadasa_vadalog
 (* --- task pool ------------------------------------------------------------ *)
 
 let test_pool_create_invalid () =
-  match Task_pool.create ~domains:0 () with
+  (match Task_pool.create ~domains:0 () with
   | _ -> Alcotest.fail "domains < 1 accepted"
+  | exception Invalid_argument _ -> ());
+  match Task_pool.create ~capacity:0 ~domains:2 () with
+  | _ -> Alcotest.fail "capacity < 1 accepted"
   | exception Invalid_argument _ -> ()
 
 let test_pool_ordered_results () =

@@ -313,37 +313,57 @@ let test_cycle_budget_interrupted () =
     "unbudgeted runs clean" true
     (outcome.S.Cycle.interrupted = None)
 
-(* --- pool deadline (inclusive) -------------------------------------------- *)
-
-let test_pool_exact_deadline_expires () =
-  (* A job whose deadline is the submission instant: the worker dequeues
-     at now >= deadline, and the inclusive comparison must expire it
-     rather than run it with zero budget. *)
-  let pool = Srv.Pool.create ~domains:1 ~queue_capacity:4 () in
-  let ran = Atomic.make false in
-  let expired = Atomic.make false in
-  let ok =
-    Srv.Pool.submit pool ~deadline:(Clock.now ())
-      ~expired:(fun () -> Atomic.set expired true)
-      (fun () -> Atomic.set ran true)
-  in
-  Alcotest.(check bool) "accepted" true ok;
-  Srv.Pool.stop pool;
-  Alcotest.(check bool) "not run" false (Atomic.get ran);
-  Alcotest.(check bool) "expired" true (Atomic.get expired)
-
-let test_pool_enqueue_fault_rejects () =
-  with_faults "pool.enqueue:fail" (fun () ->
-      let pool = Srv.Pool.create ~domains:1 ~queue_capacity:4 () in
-      let ok = Srv.Pool.submit pool ~expired:ignore ignore in
-      Alcotest.(check bool) "rejected like a full queue" false ok;
-      let _, rejected, _, _, _ = Srv.Pool.counters pool in
-      Alcotest.(check int) "counted" 1 rejected;
-      Srv.Pool.stop pool)
-
 (* --- end-to-end degraded risk --------------------------------------------- *)
 
 open E2e
+
+(* --- pool deadline (inclusive) and enqueue fault ----------------------------- *)
+
+let test_pool_exact_deadline_expires () =
+  (* [request_timeout = 0.0] stamps the deadline at the accept instant:
+     the worker starts the connection at now >= deadline, and the
+     inclusive comparison must answer 408 rather than serve it with
+     zero budget. *)
+  let config = { config with Srv.Server.request_timeout = 0.0 } in
+  with_server ~config (fun _server port ->
+      let status, body = http_call ~port ~meth:"GET" ~target:"/healthz" () in
+      Alcotest.(check int) "408" 408 status;
+      Alcotest.(check (option string))
+        "expired while queued" (Some "queue.expired") (error_code body))
+
+let test_pool_enqueue_fault_rejects () =
+  (* An armed [pool.enqueue] rejects exactly like a full queue: the
+     server answers 503 and counts the rejection... *)
+  with_faults "pool.enqueue:fail@1" (fun () ->
+      with_server (fun _server port ->
+          let status, body =
+            http_call ~port ~meth:"GET" ~target:"/healthz" ()
+          in
+          Alcotest.(check int) "503" 503 status;
+          Alcotest.(check (option string))
+            "like a full queue" (Some "queue.full") (error_code body);
+          let _, metrics = http_call ~port ~meth:"GET" ~target:"/metrics" () in
+          let pool = Option.get (Json.member "pool" (json_of metrics)) in
+          Alcotest.(check (option int))
+            "counted" (Some 1)
+            (Option.bind (Json.member "rejected" pool) Json.to_int_opt)));
+  (* ...and a job submission is refused as [jobs.queue_full]. Hits 1
+     and 2 are the server's own submits of the PUT and the POST; hit 3
+     is the job's. *)
+  with_faults "pool.enqueue:fail@3" (fun () ->
+      with_server (fun _server port ->
+          let status, _ =
+            http_call ~port ~meth:"PUT" ~target:"/v1/datasets/d"
+              ~body:(Lazy.force figure6_csv) ()
+          in
+          Alcotest.(check int) "PUT" 201 status;
+          let status, body =
+            http_call ~port ~meth:"POST" ~target:"/v1/jobs"
+              ~body:"{\"dataset\": \"d\", \"op\": \"risk\"}" ()
+          in
+          Alcotest.(check int) "503" 503 status;
+          Alcotest.(check (option string))
+            "job refused" (Some "jobs.queue_full") (error_code body)))
 
 let test_e2e_degraded_risk () =
   let csv, name = Lazy.force figure6 in
@@ -471,7 +491,36 @@ let test_e2e_fault_500_and_breaker () =
           (* other endpoints are unaffected *)
           Faultpoint.reset ();
           let status, _ = http_call ~port ~meth:"GET" ~target:"/metrics" () in
-          Alcotest.(check int) "metrics unaffected" 200 status))
+          Alcotest.(check int) "metrics unaffected" 200 status;
+          (* the request counters and circuit states, in both exposition
+             formats *)
+          let _, prom =
+            http_call ~port ~meth:"GET" ~target:"/metrics"
+              ~headers:[ ("accept", "text/plain; version=0.0.4") ]
+              ()
+          in
+          let series =
+            String.split_on_char '\n' prom
+            |> List.filter (fun l ->
+                   String.starts_with ~prefix:"vadasa_http_requests_total" l
+                   || String.starts_with ~prefix:"vadasa_breaker_state" l)
+          in
+          Alcotest.(check (list string))
+            "labelled series"
+            [
+              {|vadasa_http_requests_total{method="GET",path="/healthz",status="500"} 2|};
+              {|vadasa_http_requests_total{method="GET",path="/healthz",status="503"} 1|};
+              {|vadasa_http_requests_total{method="GET",path="/metrics",status="200"} 1|};
+              {|vadasa_breaker_state{endpoint="GET /healthz"} 2|};
+              {|vadasa_breaker_state{endpoint="GET /metrics"} 0|};
+            ]
+            series;
+          let _, body = http_call ~port ~meth:"GET" ~target:"/metrics" () in
+          Alcotest.(check string)
+            "JSON request keys"
+            {|{"GET /healthz 500":2,"GET /healthz 503":1,"GET /metrics 200":2}|}
+            (Json.to_string
+               (Option.get (Json.member "requests" (json_of body))))))
 
 let test_e2e_server_max_facts_degrades () =
   (* The server-wide fact ceiling (serve --max-facts) degrades reasoned

@@ -11,6 +11,7 @@ module Http = Srv.Http
 module Json = Vadasa_base.Json
 module S = Vadasa_sdc
 module V = Vadasa_vadalog
+module Task_pool = Vadasa_base.Task_pool
 
 (* --- HTTP parser -------------------------------------------------------- *)
 
@@ -287,58 +288,42 @@ let test_cache_concurrent_builders () =
 (* --- pool ---------------------------------------------------------------- *)
 
 let test_pool_runs_jobs () =
-  let pool = Srv.Pool.create ~domains:2 ~queue_capacity:16 () in
+  (* a submit-only pool of [domains] runs on [domains - 1] workers *)
+  let pool = Task_pool.create ~capacity:16 ~domains:3 () in
   let hits = Atomic.make 0 in
   for _ = 1 to 10 do
-    let ok =
-      Srv.Pool.submit pool ~expired:ignore (fun () -> Atomic.incr hits)
-    in
+    let ok = Task_pool.submit pool (fun () -> Atomic.incr hits) in
     Alcotest.(check bool) "accepted" true ok
   done;
-  Srv.Pool.stop pool;
-  Alcotest.(check int) "all ran before stop returned" 10 (Atomic.get hits)
+  Task_pool.stop pool;
+  Alcotest.(check int) "all ran before stop returned" 10 (Atomic.get hits);
+  Alcotest.(check bool)
+    "stopped pool rejects" false
+    (Task_pool.submit pool ignore);
+  Alcotest.(check bool)
+    "no worker domains rejects" false
+    (Task_pool.submit (Task_pool.create ~domains:1 ()) ignore)
 
 let test_pool_saturation_rejects () =
-  let pool = Srv.Pool.create ~domains:1 ~queue_capacity:2 () in
+  let pool = Task_pool.create ~capacity:2 ~domains:2 () in
   let release = Atomic.make false in
   let block () = while not (Atomic.get release) do Domain.cpu_relax () done in
   (* one job occupies the worker; two fill the queue; the next must bounce *)
-  Alcotest.(check bool)
-    "worker busy" true
-    (Srv.Pool.submit pool ~expired:ignore block);
+  Alcotest.(check bool) "worker busy" true (Task_pool.submit pool block);
   (* wait until the worker has actually dequeued the blocking job *)
   let deadline = Unix.gettimeofday () +. 5.0 in
-  while Srv.Pool.queue_length pool > 0 && Unix.gettimeofday () < deadline do
+  while Task_pool.queue_length pool > 0 && Unix.gettimeofday () < deadline do
     Domain.cpu_relax ()
   done;
-  Alcotest.(check bool)
-    "queued 1" true
-    (Srv.Pool.submit pool ~expired:ignore ignore);
-  Alcotest.(check bool)
-    "queued 2" true
-    (Srv.Pool.submit pool ~expired:ignore ignore);
+  Alcotest.(check bool) "queued 1" true (Task_pool.submit pool ignore);
+  Alcotest.(check bool) "queued 2" true (Task_pool.submit pool ignore);
   Alcotest.(check bool)
     "queue full rejects" false
-    (Srv.Pool.submit pool ~expired:ignore ignore);
-  let _, rejected, _, _, _ = Srv.Pool.counters pool in
-  Alcotest.(check int) "rejection counted" 1 rejected;
+    (Task_pool.submit pool ignore);
+  Alcotest.(check int) "rejection enqueued nothing" 2
+    (Task_pool.queue_length pool);
   Atomic.set release true;
-  Srv.Pool.stop pool
-
-let test_pool_expired_jobs () =
-  let pool = Srv.Pool.create ~domains:1 ~queue_capacity:8 () in
-  let ran = Atomic.make false in
-  let expired = Atomic.make false in
-  let ok =
-    Srv.Pool.submit pool
-      ~deadline:(Unix.gettimeofday () -. 1.0)
-      ~expired:(fun () -> Atomic.set expired true)
-      (fun () -> Atomic.set ran true)
-  in
-  Alcotest.(check bool) "accepted" true ok;
-  Srv.Pool.stop pool;
-  Alcotest.(check bool) "body skipped" false (Atomic.get ran);
-  Alcotest.(check bool) "expired callback ran" true (Atomic.get expired)
+  Task_pool.stop pool
 
 (* --- concurrent reads of a quiescent fact store -------------------------- *)
 
@@ -564,7 +549,7 @@ let test_e2e_pool_saturation_503 () =
       (* give the accept loop a moment to queue the second connection *)
       let deadline = Unix.gettimeofday () +. 5.0 in
       while
-        Srv.Pool.queue_length (Srv.Server.pool server) < 1
+        Task_pool.queue_length (Srv.Server.pool server) < 1
         && Unix.gettimeofday () < deadline
       do
         Domain.cpu_relax ()
@@ -579,6 +564,132 @@ let test_e2e_pool_saturation_503 () =
       let status2, _ = Domain.join c2 in
       Alcotest.(check int) "first unblocked" 200 status1;
       Alcotest.(check int) "queued one served" 200 status2)
+
+(* A connection still queued at its deadline is answered 408 without
+   reaching a handler. With [request_timeout = 0.0] the deadline is the
+   accept instant, so every connection expires — at the latest through
+   the inclusive comparison. *)
+let test_pool_expired_jobs () =
+  let ran = Atomic.make 0 in
+  let handlers = Srv.Handlers.create () in
+  let router =
+    Srv.Router.add
+      (Srv.Handlers.router handlers)
+      ~meth:Http.GET ~path:"/probe"
+      (fun _req ->
+        Atomic.incr ran;
+        Http.response ~status:200 "ran")
+  in
+  let config = { config with Srv.Server.request_timeout = 0.0 } in
+  let server = Srv.Server.create ~config ~router handlers in
+  Srv.Server.start server;
+  Fun.protect
+    ~finally:(fun () ->
+      Srv.Server.shutdown server;
+      Srv.Handlers.shutdown handlers)
+    (fun () ->
+      for _ = 1 to 3 do
+        let status, body =
+          http_call ~port:(Srv.Server.port server) ~meth:"GET" ~target:"/probe"
+            ()
+        in
+        Alcotest.(check int) "408" 408 status;
+        Alcotest.(check (option string))
+          "typed code" (Some "queue.expired") (error_code body)
+      done;
+      Alcotest.(check int) "handler never ran" 0 (Atomic.get ran))
+
+(* The value of the unlabelled sample [name] in a Prometheus body. *)
+let prom_sample body name =
+  let prefix = name ^ " " in
+  String.split_on_char '\n' body
+  |> List.find_map (fun line ->
+         if String.starts_with ~prefix line then
+           Some
+             (String.sub line (String.length prefix)
+                (String.length line - String.length prefix))
+         else None)
+
+let scrape port =
+  let { Http.status; resp_body; _ } =
+    http_call_full ~port ~meth:"GET" ~target:"/metrics"
+      ~headers:[ ("accept", "text/plain; version=0.0.4") ]
+      ()
+  in
+  Alcotest.(check int) "scrape 200" 200 status;
+  resp_body
+
+let with_telemetry k =
+  let module T = Vadasa_telemetry.Telemetry in
+  let was_enabled = T.enabled () in
+  T.set_enabled true;
+  T.reset T.global;
+  Fun.protect ~finally:(fun () -> T.set_enabled was_enabled) k
+
+(* GET [target] and read until the server closes the connection, as a
+   client that frames responses by the close does. *)
+let get_to_eof ~port target =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let req =
+        Printf.sprintf "GET %s HTTP/1.1\r\nhost: 127.0.0.1\r\n\r\n" target
+      in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      let buf = Buffer.create 256 in
+      let chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+      in
+      drain ();
+      match Http.read_response (Http.reader_of_string (Buffer.contents buf)) with
+      | Ok r -> r.Http.status
+      | Error _ -> Alcotest.fail "unparsable response")
+
+(* A request is counted before its connection closes: a client that
+   reads the response to EOF and scrapes at once must find it in the
+   latency histogram. *)
+let test_e2e_latency_counted_before_close () =
+  with_telemetry (fun () ->
+      with_server (fun _server port ->
+          for i = 1 to 200 do
+            Alcotest.(check int) "200" 200 (get_to_eof ~port "/healthz");
+            Alcotest.(check (option string))
+              (Printf.sprintf "counted after request %d" i)
+              (Some (string_of_int i))
+              (prom_sample (scrape port)
+                 "vadasa_http_latency_GET_healthz_count")
+          done))
+
+(* Every accepted connection records its queue wait once, before it is
+   served: after n requests the scrape (itself connection n + 1) sees
+   n + 1 waits and as many submissions. *)
+let test_e2e_pool_wait_histogram () =
+  with_telemetry (fun () ->
+      with_server (fun _server port ->
+          let n = 5 in
+          for _ = 1 to n do
+            let status, _ = http_call ~port ~meth:"GET" ~target:"/healthz" () in
+            Alcotest.(check int) "200" 200 status
+          done;
+          let body = scrape port in
+          let accepted = Some (string_of_int (n + 1)) in
+          Alcotest.(check bool)
+            "histogram family" true
+            (Astring_contains.contains body
+               "# TYPE vadasa_server_pool_wait histogram");
+          Alcotest.(check (option string))
+            "one wait per accepted connection" accepted
+            (prom_sample body "vadasa_server_pool_wait_count");
+          Alcotest.(check (option string))
+            "submissions" accepted
+            (prom_sample body "vadasa_pool_jobs_total{outcome=\"submitted\"}")))
 
 let test_e2e_request_id_round_trip () =
   let module T = Vadasa_telemetry.Telemetry in
@@ -1014,6 +1125,8 @@ let () =
             test_pool_saturation_rejects;
           Alcotest.test_case "queued past deadline expires" `Quick
             test_pool_expired_jobs;
+          Alcotest.test_case "queue wait per accepted connection" `Quick
+            test_e2e_pool_wait_histogram;
         ] );
       ( "database",
         [
@@ -1031,6 +1144,8 @@ let () =
             test_e2e_oversized_413;
           Alcotest.test_case "pool saturation answers 503" `Slow
             test_e2e_pool_saturation_503;
+          Alcotest.test_case "latency counted before close" `Quick
+            test_e2e_latency_counted_before_close;
           Alcotest.test_case "request id round trip" `Quick
             test_e2e_request_id_round_trip;
           Alcotest.test_case "metrics content negotiation" `Quick
