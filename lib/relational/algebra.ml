@@ -1,4 +1,5 @@
 module Value = Vadasa_base.Value
+module Telemetry = Vadasa_telemetry.Telemetry
 
 let select pred rel = Relation.filter pred rel
 
@@ -220,56 +221,103 @@ module Group_stats = struct
             end)
           members)
       masks;
-    (* 3. Null vs null. Suppressed tuples cluster into few patterns (same
-       null positions, same remaining constants — null labels are
-       irrelevant to =⊥), so we compare pattern classes, not tuples:
-       O(c²) class tests plus O(m) bookkeeping instead of O(m²). Classes
-       are numbered in order of first appearance. *)
+    (* 3. Null vs null, by null-pattern class (same null positions, same
+       constants; null labels are irrelevant to =⊥). Pattern ids follow
+       first appearance, and a class holding a null-bearing tuple holds
+       only such tuples, so the classes in ascending id are the classes
+       in order of first appearance among those tuples. Each class's key
+       is its codes, -1 at its null positions. *)
     let patterns = Column_codes.group_ids ~normalize_nulls:true codes (all_columns codes) in
     let members = Array.make patterns.count [] in
     let ws = Array.make patterns.count 0.0 in
-    let order = ref [] in
     List.iter
       (fun i ->
         let p = patterns.id.(i) in
-        if members.(p) = [] then begin
-          order := (p, i) :: !order;
-          ws.(p) <- w.(i)
-        end
-        else ws.(p) <- ws.(p) +. w.(i);
+        ws.(p) <- (if members.(p) = [] then w.(i) else ws.(p) +. w.(i));
         members.(p) <- i :: members.(p))
       null_idx;
-    let class_arr =
-      Array.of_list
-        (List.rev_map
-           (fun (p, first) -> (Tuple.project (Relation.get rel first) qi, members.(p), ws.(p)))
-           !order)
+    let classes = ref [] in
+    for p = patterns.count - 1 downto 0 do
+      if members.(p) <> [] then classes := p :: !classes
+    done;
+    let classes = Array.of_list !classes in
+    let c = Array.length classes in
+    let keys = Array.make (c * width) 0 in
+    Array.iteri
+      (fun a p ->
+        let row = List.hd members.(p) in
+        for j = 0 to width - 1 do
+          keys.((a * width) + j) <- Column_codes.pattern_code codes row j
+        done)
+      classes;
+    (* Two classes match iff they agree wherever both are constant. Only
+       pairs that agree on the pivot, the position with the fewest nulls,
+       can match: a class is tested against the later classes sharing its
+       pivot code and against every class null at the pivot. *)
+    let partners = Array.make c [] in
+    let tests = ref 0 in
+    let rec compatible a b p =
+      p >= width
+      ||
+      let ka = keys.(a + p) and kb = keys.(b + p) in
+      (ka < 0 || kb < 0 || ka = kb) && compatible a b (p + 1)
     in
-    let c = Array.length class_arr in
-    let credit members ~count ~weight =
+    let test a b =
+      incr tests;
+      if compatible (a * width) (b * width) 0 then begin
+        partners.(a) <- b :: partners.(a);
+        partners.(b) <- a :: partners.(b)
+      end
+    in
+    let rec test_pairs = function
+      | [] -> ()
+      | a :: rest ->
+        List.iter (test a) rest;
+        test_pairs rest
+    in
+    if c > 1 then begin
+      let nulls_at = Array.make width 0 in
+      for a = 0 to c - 1 do
+        for p = 0 to width - 1 do
+          if keys.((a * width) + p) < 0 then nulls_at.(p) <- nulls_at.(p) + 1
+        done
+      done;
+      let pivot = ref 0 in
+      Array.iteri (fun p k -> if k < nulls_at.(!pivot) then pivot := p) nulls_at;
+      let pivot = !pivot in
+      let buckets = Array.make (Column_codes.cardinality codes pivot) [] in
+      let null_bucket = ref [] in
+      for a = c - 1 downto 0 do
+        let code = keys.((a * width) + pivot) in
+        if code < 0 then null_bucket := a :: !null_bucket
+        else buckets.(code) <- a :: buckets.(code)
+      done;
+      let null_bucket = !null_bucket in
+      Array.iter
+        (fun bucket ->
+          test_pairs bucket;
+          List.iter (fun a -> List.iter (test a) null_bucket) bucket)
+        buckets;
+      test_pairs null_bucket
+    end;
+    if Telemetry.enabled () then Telemetry.count "relational.group_stats.class_tests" !tests;
+    (* Each member collects its partners' sizes and weight sums in
+       ascending partner order, the within-class credit at its own class's
+       index: the float additions run in the order of a pairwise loop over
+       the classes in index order, so the sums do not depend on the
+       bucketing. *)
+    let size = Array.map (fun p -> List.length members.(p)) classes in
+    let ws = Array.map (fun p -> ws.(p)) classes in
+    for a = 0 to c - 1 do
+      let below, above = List.partition (fun b -> b < a) (List.sort Int.compare partners.(a)) in
+      let count = List.fold_left (fun acc b -> acc + size.(b)) (size.(a) - 1) partners.(a) in
       List.iter
         (fun i ->
+          let acc = List.fold_left (fun acc b -> acc +. ws.(b)) weight_sum.(i) below in
+          let acc = if size.(a) > 1 then acc +. ws.(a) -. w.(i) else acc in
           freq.(i) <- freq.(i) + count;
-          weight_sum.(i) <- weight_sum.(i) +. weight)
-        members
-    in
-    for a = 0 to c - 1 do
-      let repr_a, members_a, ws_a = class_arr.(a) in
-      let size_a = List.length members_a in
-      (* Within a class every member matches every other member. *)
-      if size_a > 1 then
-        List.iter
-          (fun i ->
-            freq.(i) <- freq.(i) + size_a - 1;
-            weight_sum.(i) <- weight_sum.(i) +. ws_a -. w.(i))
-          members_a;
-      for b = a + 1 to c - 1 do
-        let repr_b, members_b, ws_b = class_arr.(b) in
-        if Null_semantics.equal_tuple Maybe_match repr_a repr_b then begin
-          credit members_a ~count:(List.length members_b) ~weight:ws_b;
-          credit members_b ~count:size_a ~weight:ws_a
-        end
-      done
+          weight_sum.(i) <- List.fold_left (fun acc b -> acc +. ws.(b)) acc above)
+        members.(classes.(a))
     done;
     { freq; weight_sum }
 

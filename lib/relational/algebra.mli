@@ -79,14 +79,19 @@ module Group_stats : sig
       constant tuples agreeing with it on its non-null positions (one
       grouping per distinct null mask), then its null-pattern class
       collects every compatible class. Classes (same null positions, same
-      constants) are visited in order of first appearance in the relation;
-      that order fixes the order of the floating-point additions into
-      [weight_sum] of null-bearing tuples.
+      constants) are numbered in order of first appearance in the
+      relation, and each tuple collects its compatible classes in that
+      order, its own class at its own index; that order fixes the
+      floating-point additions into [weight_sum] of null-bearing tuples.
 
       Cost: O(n·q) for all-constant data over q quasi-identifiers; plus
-      O(n·q) per distinct null mask, O(m·n̄) cohort crediting and O(c²)
-      class tests, where m is the number of null-bearing tuples, n̄ the size
-      of their matched constant cohorts and c the number of null-pattern
-      classes — m and c stay small because suppression only touches risky
-      tuples. *)
+      O(n·q) per distinct null mask, O(m·n̄) cohort crediting and the
+      class tests, where m is the number of null-bearing tuples, n̄ the
+      size of their matched constant cohorts and c the number of
+      null-pattern classes. Classes are compared on their codes, bucketed
+      by the code at the position where the fewest classes are null: a
+      pair is tested only when it shares that code or one of the two is
+      null there. That is O(c²·q) at worst (every class null at every
+      position), and on the cycle's suppressed data about a third of the
+      c(c−1)/2 pairs. *)
 end

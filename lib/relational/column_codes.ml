@@ -62,6 +62,10 @@ let has_null t row =
     let rec go j = j < width t && (t.nulls.(j).(t.codes.(j).(row)) || go (j + 1)) in
     go 0
 
+let pattern_code t row j =
+  let c = t.codes.(j).(row) in
+  if t.nulls.(j).(c) then -1 else c
+
 type groups = {
   id : int array;
   count : int;

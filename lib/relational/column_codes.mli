@@ -47,6 +47,11 @@ val null_mask : t -> int -> int
 val has_null : t -> int -> bool
 (** Some encoded column holds a labelled null at the row. *)
 
+val pattern_code : t -> int -> int -> int
+(** [pattern_code t row j] — the row's code in column [j], or [-1] when the
+    cell holds a labelled null. Rows of one null-pattern class (same null
+    positions, same constants) agree at every column. *)
+
 type groups = {
   id : int array;
       (** [id.(row)] — the row's group, in [\[0, count)]. Groups are

@@ -35,36 +35,61 @@ let group_stats ?(semantics = Relational.Null_semantics.Maybe_match) md =
 
 let clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
 
+(* The per-tuple risk as a function of the tuple's (f, ŵ), for the
+   measures that are one; [None] for SUDA (minimal sample uniques are a
+   global property) and custom measures (caller-supplied closures may
+   carry state). *)
+let scorer = function
+  | Re_identification ->
+    Some
+      (fun ~freq:_ ~weight_sum:w ->
+        if w <= 1.0 then 1.0 else clamp01 (1.0 /. w))
+  | K_anonymity { k } ->
+    Some (fun ~freq:f ~weight_sum:_ -> if f < k then 1.0 else 0.0)
+  | Individual Naive ->
+    Some (fun ~freq ~weight_sum -> Stats.Estimator.naive ~freq ~weight_sum)
+  | Individual Benedetti_franconi ->
+    Some
+      (fun ~freq ~weight_sum ->
+        Stats.Estimator.benedetti_franconi ~freq ~weight_sum)
+  | Individual (Monte_carlo { samples; seed }) ->
+    Some
+      (fun ~freq ~weight_sum ->
+        Stats.Estimator.monte_carlo ~seed ~samples ~freq ~weight_sum)
+  | Suda _ | Custom _ -> None
+
 let estimate_body ?semantics measure md =
   let stats = group_stats ?semantics md in
   let freq = stats.Algebra.Group_stats.freq in
   let weight_sum = stats.Algebra.Group_stats.weight_sum in
+  let per_tuple score =
+    Array.mapi (fun i f -> score ~freq:f ~weight_sum:weight_sum.(i)) freq
+  in
   let risk =
     match measure with
-    | Re_identification ->
-      Array.map
-        (fun w -> if w <= 1.0 then 1.0 else clamp01 (1.0 /. w))
-        weight_sum
-    | K_anonymity { k } ->
-      Array.map (fun f -> if f < k then 1.0 else 0.0) freq
-    | Individual estimator ->
-      let estimate_one =
-        match estimator with
-        | Naive -> fun f w -> Stats.Estimator.naive ~freq:f ~weight_sum:w
-        | Benedetti_franconi ->
-          fun f w -> Stats.Estimator.benedetti_franconi ~freq:f ~weight_sum:w
-        | Monte_carlo { samples; seed } ->
-          let rng = Stats.Rng.create ~seed in
-          fun f w ->
-            Stats.Estimator.monte_carlo rng ~samples ~freq:f ~weight_sum:w
-      in
-      Array.init (Array.length freq) (fun i ->
-          estimate_one freq.(i) weight_sum.(i))
     | Suda { max_msu_size; threshold_size } ->
       Risk_suda.estimate ~max_msu_size ~threshold_size md
     | Custom { score; _ } ->
-      Array.init (Array.length freq) (fun i ->
-          clamp01 (score ~freq:freq.(i) ~weight_sum:weight_sum.(i)))
+      per_tuple (fun ~freq ~weight_sum -> clamp01 (score ~freq ~weight_sum))
+    | Individual (Monte_carlo _) ->
+      (* Sampling dominates, and its result is a function of (f, ŵ): each
+         distinct pair is sampled once and its tuples share the result. *)
+      let score = Option.get (scorer measure) in
+      let memo = Hashtbl.create 64 in
+      let risk =
+        per_tuple (fun ~freq ~weight_sum ->
+            let key = (freq, Int64.bits_of_float weight_sum) in
+            match Hashtbl.find_opt memo key with
+            | Some r -> r
+            | None ->
+              let r = score ~freq ~weight_sum in
+              Hashtbl.add memo key r;
+              r)
+      in
+      if Telemetry.enabled () then Telemetry.count "sdc.risk.mc_keys" (Hashtbl.length memo);
+      risk
+    | Re_identification | K_anonymity _ | Individual (Naive | Benedetti_franconi) ->
+      per_tuple (Option.get (scorer measure))
   in
   { measure; risk; freq; weight_sum }
 
@@ -121,16 +146,16 @@ let measure_to_string = function
      can touch every compatible combination (without nulls, maybe-match
      grouping degenerates to the exact grouping, so maintenance stays
      valid under the default semantics);
-   - SUDA (minimal sample uniques are a global property), Monte-Carlo
-     estimation (one RNG sequenced across tuples in index order) and
-     custom measures (caller-supplied closures may carry state). *)
+   - SUDA (minimal sample uniques are a global property) and custom
+     measures (caller-supplied closures may carry state). Monte Carlo
+     patches group-locally: its draws are keyed by (seed, f, ŵ). *)
 module Incremental = struct
   module Value = Vadasa_base.Value
   module Relation = Relational.Relation
   module Tuple = Relational.Tuple
 
   type fallback =
-    | Measure_order  (* measure scores depend on whole-dataset order *)
+    | Measure_order  (* SUDA / custom: scores need more than group stats *)
     | Null_semantics  (* maybe-match with labelled nulls present *)
 
   let fallback_to_string = function
@@ -158,21 +183,6 @@ module Incremental = struct
     mutable appends : int;
     mutable full_rescores : int;
   }
-
-  let scorer = function
-    | Re_identification ->
-      Some
-        (fun ~freq:_ ~weight_sum:w ->
-          if w <= 1.0 then 1.0 else clamp01 (1.0 /. w))
-    | K_anonymity { k } ->
-      Some (fun ~freq:f ~weight_sum:_ -> if f < k then 1.0 else 0.0)
-    | Individual Naive ->
-      Some (fun ~freq ~weight_sum -> Stats.Estimator.naive ~freq ~weight_sum)
-    | Individual Benedetti_franconi ->
-      Some
-        (fun ~freq ~weight_sum ->
-          Stats.Estimator.benedetti_franconi ~freq ~weight_sum)
-    | Individual (Monte_carlo _) | Suda _ | Custom _ -> None
 
   (* Fold rows [lo, hi) into the buckets, returning the touched keys. *)
   let absorb t lo hi =
@@ -249,11 +259,12 @@ module Incremental = struct
         (fun key () ->
           let members, ws = Value.Array_tbl.find t.groups key in
           let size = List.length members in
+          let r = score ~freq:size ~weight_sum:ws in
           List.iter
             (fun i ->
               freq.(i) <- size;
               weight_sum.(i) <- ws;
-              risk.(i) <- score ~freq:size ~weight_sum:ws;
+              risk.(i) <- r;
               incr rescored)
             members)
         touched;

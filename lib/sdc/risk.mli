@@ -21,7 +21,10 @@ type estimator =
   | Benedetti_franconi  (** closed-form posterior mean *)
   | Monte_carlo of { samples : int; seed : int }
       (** sampling from the negative-binomial posterior — the "off-the-shelf
-          statistical library" plug-in whose cost dominates Figure 7e *)
+          statistical library" plug-in whose cost dominates Figure 7e.
+          Draws are keyed by [(seed, f, ŵ)] ({!Vadasa_stats.Estimator.monte_carlo}),
+          so tuples sharing a combination's statistics share its risk and
+          each distinct pair is sampled once per {!estimate}. *)
 
 type measure =
   | Re_identification
@@ -77,16 +80,17 @@ val measure_to_string : measure -> string
     When that equivalence cannot hold, {!Incremental.append} silently
     performs a full re-estimate instead and reports which fallback
     fired: maybe-match semantics with labelled nulls present (groups
-    overlap), or an order-dependent measure (SUDA, Monte-Carlo,
-    custom closures). Either way the resulting report is exactly what
-    {!estimate} returns on the current data. *)
+    overlap), or a measure that is not a function of the group
+    statistics (SUDA, custom closures). Monte Carlo is such a function:
+    its draws are keyed by [(seed, f, ŵ)]. Either way the resulting
+    report is exactly what {!estimate} returns on the current data. *)
 module Incremental : sig
   type t
 
   type fallback =
     | Measure_order
-        (** SUDA / Monte-Carlo / custom: scores depend on whole-dataset
-            evaluation order, not just per-group statistics *)
+        (** SUDA / custom: scores depend on more than the per-group
+            statistics *)
     | Null_semantics
         (** maybe-match with labelled nulls in a quasi-identifier
             projection: groups overlap, delta maintenance is invalid *)

@@ -21,13 +21,16 @@ let benedetti_franconi ~freq ~weight_sum =
       in
       clamp01 risk
 
-let monte_carlo rng ~samples ~freq ~weight_sum =
+let monte_carlo ~seed ~samples ~freq ~weight_sum =
   if freq <= 0 then 0.0
   else if samples <= 0 then invalid_arg "Estimator.monte_carlo: samples <= 0"
   else
     let f = float_of_int freq in
     if weight_sum <= f then 1.0 /. f
     else begin
+      let rng =
+        Rng.keyed ~seed [| Int64.of_int freq; Int64.bits_of_float weight_sum |]
+      in
       let p = f /. weight_sum in
       let acc = ref 0.0 in
       for _ = 1 to samples do

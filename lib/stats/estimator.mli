@@ -19,12 +19,16 @@ val benedetti_franconi : freq:int -> weight_sum:float -> float
     f = 2; for f ≥ 3 the standard approximation
     [p̂ / (f - (1 - p̂))] (Franconi & Polettini 2004). *)
 
-val monte_carlo :
-  Rng.t -> samples:int -> freq:int -> weight_sum:float -> float
+val monte_carlo : seed:int -> samples:int -> freq:int -> weight_sum:float -> float
 (** Simulation estimator of E[1/F | f]: draws F = f + NegBin(f, p̂) and
     averages 1/F. This is the reproduction of the paper's "off-the-shelf
     statistical library" plug-in used in Figure 7e, whose per-cell sampling
-    cost dominates the individual-risk running time. *)
+    cost dominates the individual-risk running time.
+
+    The draws come from [Rng.keyed ~seed [|f; bits of ŵ|]], so the
+    estimate is a function of [(seed, samples, freq, weight_sum)]: every
+    combination with the same statistics gets the same risk, whatever was
+    estimated before it. *)
 
 val global_risk : float array -> float
 (** Expected number of re-identifications: the sum of per-tuple risks.

@@ -15,14 +15,26 @@ let of_state s =
 
 let create ~seed = of_state (Int64.of_int seed)
 
-(* SplitMix64 output function: mix the advanced state through two
-   xor-shift-multiply rounds (Steele, Lea & Flood 2014). *)
-let[@inline] next_int64 t =
-  let z = Int64.add (get64 t 0) golden_gamma in
-  set64 t 0 z;
+(* SplitMix64's mixer: two xor-shift-multiply rounds, a bijection on 64
+   bits (Steele, Lea & Flood 2014). *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+(* SplitMix64 output function: mix the advanced state. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 z;
+  mix z
+
+(* Each key word is folded in by one SplitMix64 step: xor, advance,
+   mix. *)
+let keyed ~seed key =
+  of_state
+    (Array.fold_left
+       (fun s k -> mix (Int64.add (Int64.logxor s k) golden_gamma))
+       (Int64.of_int seed) key)
 
 let split t = of_state (next_int64 t)
 

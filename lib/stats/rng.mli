@@ -1,8 +1,9 @@
 (** Deterministic pseudo-random number generator (SplitMix64).
 
-    Every data generator and Monte-Carlo estimator in this repository takes
-    an explicit [Rng.t] so that datasets and experiments are reproducible
-    from a seed. SplitMix64 passes BigCrush, is trivially seedable and
+    Every data generator in this repository takes an explicit [Rng.t], and
+    the Monte-Carlo estimator derives its streams from a seed with
+    {!keyed}, so that datasets and experiments are reproducible from a
+    seed. SplitMix64 passes BigCrush, is trivially seedable and
     splittable, and needs no external dependency. *)
 
 type t
@@ -13,6 +14,13 @@ val split : t -> t
 (** An independent stream derived from the current state; the parent
     advances. Used to give each column of a synthetic dataset its own
     stream, so adding a column does not perturb the others. *)
+
+val keyed : seed:int -> int64 array -> t
+(** [keyed ~seed key] — a stream determined by [seed] and the words of
+    [key] alone: each word is folded into the state through SplitMix64's
+    mixer. Sampling that draws from [keyed ~seed (arguments of the
+    draw)] gives every draw its own stream, so its outcome does not
+    depend on which draws ran before it. *)
 
 val copy : t -> t
 

@@ -214,10 +214,15 @@ let test_risk_incremental_equals_full () =
       ( "individual benedetti-franconi",
         S.Risk.Individual S.Risk.Benedetti_franconi,
         None );
-      (* order-dependent estimator: delta maintenance is invalid, the
-         scorer must fall back to a full re-estimate — and still match *)
+      (* draws keyed by (seed, f, ŵ): patched group-locally like the
+         closed forms *)
       ( "individual monte-carlo",
         S.Risk.Individual (S.Risk.Monte_carlo { samples = 40; seed = 7 }),
+        None );
+      (* minimal sample uniques are a whole-dataset property: the scorer
+         must fall back to a full re-estimate, and still match *)
+      ( "suda",
+        S.Risk.Suda { max_msu_size = 3; threshold_size = 3 },
         Some S.Risk.Incremental.Measure_order );
     ]
   in

@@ -1323,6 +1323,101 @@ let prop_encoded_matches_reference_wide =
       if product < max_int then QCheck2.Test.fail_reportf "product %d fits in 62 bits" product;
       encoded_matches_reference c)
 
+(* --- null-vs-null step: bucketed classes vs the pairwise loop ------------- *)
+
+(* Dense nulls over tiny domains: many null masks, classes with several
+   members, labels both shared and fresh, fractional weights. The bucketed
+   step must reproduce the pairwise loop's float additions exactly. *)
+let gen_step3_case =
+  QCheck2.Gen.(
+    let* m = int_range 1 9 in
+    let* n = int_range 1 120 in
+    let* domain = int_range 1 4 in
+    let* null_rate = oneofl [ 0.1; 0.3; 0.5; 0.8 ] in
+    let* fractional = frequency [ (4, return true); (1, return false) ] in
+    let* seed = int_range 0 1_000_000 in
+    return { m; n; domain; null_rate; fractional; seed })
+
+let prop_step3_matches_pairwise =
+  QCheck2.Test.make ~name:"maybe-match classes match the pairwise loop bit for bit"
+    ~count:400 ~print:print_encoded_case gen_step3_case (fun c ->
+      let md = encoded_case_md c in
+      let rel = S.Microdata.relation md and qi = S.Microdata.qi_positions md in
+      let weight = Option.get (S.Microdata.weight_position md) in
+      let bucketed =
+        R.Algebra.Group_stats.compute ~semantics:R.Null_semantics.Maybe_match ~rel ~qi ~weight ()
+      in
+      let pairwise = Pairwise_maybe.compute ~rel ~qi ~weight () in
+      if bucketed.freq <> pairwise.freq then QCheck2.Test.fail_report "freq differs";
+      if not (float_bits_equal bucketed.weight_sum pairwise.weight_sum) then
+        QCheck2.Test.fail_report "weight_sum bits differ";
+      true)
+
+(* --- Monte-Carlo risk: a function of each tuple's (f, ŵ) ------------------ *)
+
+let monte_carlo = S.Risk.Individual (S.Risk.Monte_carlo { samples = 20; seed = 5 })
+
+(* Integer weights keep every weight sum exact, so permuting the rows
+   permutes (f, ŵ) and nothing else; the risks must follow. *)
+let prop_monte_carlo_keyed =
+  QCheck2.Test.make ~name:"Monte-Carlo risk is keyed by (f, w) and permutes with the rows"
+    ~count:200
+    ~print:(fun (c, _) -> print_encoded_case c)
+    QCheck2.Gen.(
+      pair
+        (map (fun c -> { c with fractional = false }) (gen_encoded_case ~wide:false))
+        (int_range 0 1_000_000))
+    (fun (c, perm_seed) ->
+      let md = encoded_case_md c in
+      let report = S.Risk.estimate monte_carlo md in
+      let seen = Hashtbl.create 16 in
+      Array.iteri
+        (fun i r ->
+          let key = (report.freq.(i), Int64.bits_of_float report.weight_sum.(i)) in
+          match Hashtbl.find_opt seen key with
+          | Some r' when not (Int64.equal (Int64.bits_of_float r) (Int64.bits_of_float r')) ->
+            QCheck2.Test.fail_reportf "tuple %d: risk differs from an earlier tuple's" i
+          | Some _ -> ()
+          | None -> Hashtbl.add seen key r)
+        report.risk;
+      let rel = S.Microdata.relation md in
+      let perm = Array.init c.n Fun.id in
+      let st = Random.State.make [| perm_seed |] in
+      for i = c.n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let permuted =
+        S.Microdata.with_relation md
+          (R.Relation.of_tuples (R.Relation.schema rel)
+             (Array.to_list (Array.map (R.Relation.get rel) perm)))
+      in
+      let report' = S.Risk.estimate monte_carlo permuted in
+      let moved a = Array.map (fun k -> a.(k)) perm in
+      if report'.freq <> moved report.freq then QCheck2.Test.fail_report "freq not permuted";
+      if not (float_bits_equal report'.weight_sum (moved report.weight_sum)) then
+        QCheck2.Test.fail_report "weight_sum not permuted";
+      if not (float_bits_equal report'.risk (moved report.risk)) then
+        QCheck2.Test.fail_report "risk not permuted";
+      true)
+
+(* Keyed sampling against the closed form it simulates, over the whole
+   Figure 6 suite at the Figure 7e settings. *)
+let test_monte_carlo_agrees_with_bf () =
+  List.iter
+    (fun entry ->
+      let md = D.Suite.load_entry ~scale:0.05 entry in
+      let global estimator = S.Risk.global_risk (S.Risk.estimate (S.Risk.Individual estimator) md) in
+      let mc = global (S.Risk.Monte_carlo { samples = 200; seed = 3 }) in
+      let bf = global S.Risk.Benedetti_franconi in
+      let rel_diff = Float.abs (mc -. bf) /. bf in
+      if rel_diff > 0.03 then
+        Alcotest.failf "%s: Monte Carlo %.3f vs Benedetti-Franconi %.3f (%.2f%%)"
+          entry.D.Suite.dataset mc bf (100.0 *. rel_diff))
+    D.Suite.figure6
+
 (* Values that render alike but differ under Value.equal: Int 1 vs Str "1"
    and 0.3 vs 0.30000000000000004. Each tuple is unique on the pair of
    attributes and on nothing smaller; the string-keyed reference saw one
@@ -1507,7 +1602,16 @@ let () =
         ] );
       ( "encoded keys",
         Alcotest.test_case "SUDA look-alike values" `Quick test_suda_lookalike_values
-        :: qcheck [ prop_encoded_matches_reference; prop_encoded_matches_reference_wide ] );
+        :: qcheck
+             [
+               prop_encoded_matches_reference;
+               prop_encoded_matches_reference_wide;
+               prop_step3_matches_pairwise;
+             ] );
+      ( "monte carlo",
+        Alcotest.test_case "agrees with Benedetti-Franconi on Figure 6" `Slow
+          test_monte_carlo_agrees_with_bf
+        :: qcheck [ prop_monte_carlo_keyed ] );
       ( "properties",
         qcheck
           [

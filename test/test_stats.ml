@@ -28,6 +28,22 @@ let test_rng_reference_vector () =
   Alcotest.(check int64) "split child" 0xA706DD2F4D197E6FL (S.Rng.next_int64 child);
   Alcotest.(check int64) "parent advanced" 0x6E789E6AA1B965F4L (S.Rng.next_int64 parent)
 
+(* [keyed] folds each key word in with one SplitMix64 step (xor, add the
+   golden gamma, mix), then runs the stream from there. These are the
+   first outputs for the key the Monte-Carlo estimator uses for f = 1,
+   ŵ = 20 under seed 3, computed from that definition independently. *)
+let test_rng_keyed_reference_vector () =
+  let key = [| 1L; Int64.bits_of_float 20.0 |] in
+  Alcotest.(check int64) "weight bits" 0x4034000000000000L key.(1);
+  let r = S.Rng.keyed ~seed:3 key in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "keyed splitmix64" expected (S.Rng.next_int64 r))
+    [ 0xA597EDC2D07AC4F3L; 0xC7608AD13F374180L; 0x61987D4E865DA738L; 0x4143509978445575L ];
+  (* A stream depends on the seed and on every key word. *)
+  let first seed key = S.Rng.next_int64 (S.Rng.keyed ~seed key) in
+  Alcotest.(check bool) "seed matters" false (first 3 key = first 4 key);
+  Alcotest.(check bool) "key matters" false (first 3 key = first 3 [| 2L; key.(1) |])
+
 let test_rng_float_range () =
   let r = rng () in
   for _ = 1 to 1000 do
@@ -171,9 +187,8 @@ let test_benedetti_franconi_unique_riskier () =
   Alcotest.(check bool) "f=1 riskier than f=2" true (unique > doubleton)
 
 let test_monte_carlo_close_to_bf () =
-  let r = rng () in
   let mc =
-    S.Estimator.monte_carlo r ~samples:20_000 ~freq:1 ~weight_sum:20.0
+    S.Estimator.monte_carlo ~seed:42 ~samples:20_000 ~freq:1 ~weight_sum:20.0
   in
   let bf = S.Estimator.benedetti_franconi ~freq:1 ~weight_sum:20.0 in
   Alcotest.(check bool) "within tolerance" true (abs_float (mc -. bf) < 0.02)
@@ -238,6 +253,8 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
+          Alcotest.test_case "keyed reference vector" `Quick
+            test_rng_keyed_reference_vector;
           Alcotest.test_case "uniformity" `Slow test_rng_uniformity;
           Alcotest.test_case "weighted index" `Slow test_weighted_index;
         ] );
