@@ -65,12 +65,11 @@ let rec hash = function
   | Pair (x, y) -> mix (mix (hash x) (hash y)) 5
   | Coll xs -> List.fold_left (fun acc v -> mix acc (hash v)) 7 xs
 
+let rec equal_from a b i n = i >= n || (equal a.(i) b.(i) && equal_from a b (i + 1) n)
+
 let equal_array a b =
   let n = Array.length a in
-  n = Array.length b
-  &&
-  let rec go i = i >= n || (equal a.(i) b.(i) && go (i + 1)) in
-  go 0
+  n = Array.length b && equal_from a b 0 n
 
 let hash_array a =
   let h = ref (Array.length a) in

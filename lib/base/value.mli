@@ -45,8 +45,9 @@ module Tbl : Hashtbl.S with type key = t
 (** Hash tables keyed by values under {!equal}. *)
 
 module Array_tbl : Hashtbl.S with type key = t array
-(** Hash tables keyed by value tuples under {!equal_array}: the fact
-    store's dedup table, Skolem memos, aggregation groups. *)
+(** Hash tables keyed by value tuples under {!equal_array}: the
+    relational layer's groupings and joins, and aggregate contributor
+    tables. The chase's insertion-ordered tables use {!Keyed}. *)
 
 val is_null : t -> bool
 

@@ -372,10 +372,11 @@ let serve_connection t ~deadline fd =
           resp.Http.resp_headers @ [ ("X-Vadasa-Request-Id", request_id) ];
       }
     in
-    let status, bytes = write_guarded fd resp in
+    (* Record before the write: a client that frames the response by
+       its Content-Length and then scrapes /metrics must find this
+       request counted. The latency so covers parse, handler and
+       encode, not the write. *)
     let elapsed = Unix.gettimeofday () -. started in
-    (* Record before the close: a client that reads to EOF and then
-       scrapes /metrics must find this request counted. *)
     Telemetry.observe ("http.latency." ^ endpoint) elapsed;
     let slow =
       match t.config.slow_ms with
@@ -383,6 +384,7 @@ let serve_connection t ~deadline fd =
       | None -> false
     in
     if slow then Telemetry.count "http.slow_requests" 1;
+    let status, bytes = write_guarded fd resp in
     close_quietly fd;
     (match (trace, t.config.access_log) with
     | Some events, Some sink when events <> [] && (sampled || slow) ->

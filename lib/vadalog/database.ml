@@ -1,4 +1,5 @@
 module Value = Vadasa_base.Value
+module Keyed = Vadasa_base.Keyed
 
 type provenance =
   | Edb
@@ -30,10 +31,8 @@ module Index_map = Map.Make (Int)
 type index = bucket Value.Tbl.t
 
 type relation = {
-  mutable data : Value.t array array;
-  mutable size : int;
-  keys : int Value.Array_tbl.t;  (* fact -> insertion index *)
-  mutable prov : provenance array;
+  facts : Keyed.t;
+  mutable prov : provenance array;  (* parallel to [facts]' indexes *)
   indexes : index Index_map.t Atomic.t;
 }
 
@@ -47,27 +46,13 @@ let relation t pred =
   | None ->
     let r =
       {
-        data = [||];
-        size = 0;
-        keys = Value.Array_tbl.create 256;
+        facts = Keyed.create ();
         prov = [||];
         indexes = Atomic.make Index_map.empty;
       }
     in
     Hashtbl.add t.preds pred r;
     r
-
-let grow r =
-  let cap = Array.length r.data in
-  if r.size >= cap then begin
-    let cap' = max 16 (2 * cap) in
-    let data' = Array.make cap' [||] in
-    Array.blit r.data 0 data' 0 r.size;
-    r.data <- data';
-    let prov' = Array.make cap' Edb in
-    Array.blit r.prov 0 prov' 0 r.size;
-    r.prov <- prov'
-  end
 
 let bucket_push table v idx =
   match Value.Tbl.find_opt table v with
@@ -84,14 +69,10 @@ let bucket_push table v idx =
 (* Maintaining existing indexes on insert is writer-side work: [add] is
    only legal from the single mutating domain (see the contract). *)
 let rel_add t r ?(prov = Edb) args =
-  if Value.Array_tbl.mem r.keys args then false
+  let idx = Keyed.length r.facts in
+  if Keyed.find_or_add r.facts args < idx then false
   else begin
-    grow r;
-    let idx = r.size in
-    r.data.(idx) <- args;
-    r.prov.(idx) <- prov;
-    Value.Array_tbl.add r.keys args idx;
-    r.size <- idx + 1;
+    r.prov <- Keyed.store r.prov idx prov;
     t.total <- t.total + 1;
     let indexes = Atomic.get r.indexes in
     if not (Index_map.is_empty indexes) then
@@ -104,42 +85,42 @@ let rel_add t r ?(prov = Edb) args =
 
 let add t ?prov pred args = rel_add t (relation t pred) ?prov args
 
-let rel_mem r args = Value.Array_tbl.mem r.keys args
+let rel_mem r args = Keyed.find r.facts args >= 0
 
 let mem t pred args =
   match Hashtbl.find_opt t.preds pred with
   | None -> false
   | Some r -> rel_mem r args
 
-let rel_size r = r.size
+let rel_size r = Keyed.length r.facts
 
-let rel_nth r i = r.data.(i)
+let rel_nth r i = Keyed.key r.facts i
 
 let pred_size t pred =
-  match Hashtbl.find_opt t.preds pred with None -> 0 | Some r -> r.size
+  match Hashtbl.find_opt t.preds pred with None -> 0 | Some r -> rel_size r
 
 let nth t pred i =
   match Hashtbl.find_opt t.preds pred with
-  | Some r when i >= 0 && i < r.size -> r.data.(i)
+  | Some r when i >= 0 && i < rel_size r -> rel_nth r i
   | _ -> invalid_arg "Database.nth: out of bounds"
 
 let facts t pred =
   match Hashtbl.find_opt t.preds pred with
   | None -> []
-  | Some r -> List.init r.size (fun i -> r.data.(i))
+  | Some r -> List.init (rel_size r) (rel_nth r)
 
 let iter_pred t pred f =
   match Hashtbl.find_opt t.preds pred with
   | None -> ()
   | Some r ->
-    for i = 0 to r.size - 1 do
-      f r.data.(i)
+    for i = 0 to rel_size r - 1 do
+      f (rel_nth r i)
     done
 
 let build_index r pos =
-  let table = Value.Tbl.create (max 16 r.size) in
-  for i = 0 to r.size - 1 do
-    let args = r.data.(i) in
+  let table = Value.Tbl.create (max 16 (rel_size r)) in
+  for i = 0 to rel_size r - 1 do
+    let args = rel_nth r i in
     if pos < Array.length args then bucket_push table args.(pos) i
   done;
   table
@@ -181,13 +162,12 @@ let lookup t pred ~pos v =
 let total t = t.total
 
 let predicates t =
-  Hashtbl.fold (fun k r acc -> if r.size > 0 then k :: acc else acc) t.preds []
+  Hashtbl.fold (fun k r acc -> if rel_size r > 0 then k :: acc else acc) t.preds []
   |> List.sort String.compare
 
 let provenance_of t pred args =
   match Hashtbl.find_opt t.preds pred with
   | None -> None
   | Some r ->
-    (match Value.Array_tbl.find_opt r.keys args with
-    | None -> None
-    | Some idx -> Some r.prov.(idx))
+    let idx = Keyed.find r.facts args in
+    if idx < 0 then None else Some r.prov.(idx)

@@ -1,5 +1,10 @@
 (** The fact store: facts per predicate, in insertion order, with duplicate
-    elimination, lazily-built positional indexes and optional provenance.
+    elimination, lazily-built positional indexes and the provenance of
+    every fact.
+
+    Each predicate's facts live in one {!Vadasa_base.Keyed} table, which
+    both dedups a fact (one hash per insert) and numbers it by insertion;
+    provenance sits in an array parallel to those numbers.
 
     Insertion order is what the semi-naive evaluator's deltas are defined
     over: facts with index ≥ a watermark are "new". Facts are identified

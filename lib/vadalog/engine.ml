@@ -1,5 +1,6 @@
 module Value = Vadasa_base.Value
 module Ids = Vadasa_base.Ids
+module Keyed = Vadasa_base.Keyed
 module Budget = Vadasa_base.Budget
 module Task_pool = Vadasa_base.Task_pool
 module Telemetry = Vadasa_telemetry.Telemetry
@@ -124,8 +125,6 @@ type head = {
 
 type group = {
   state : Aggregate.state;
-  key : Value.t array;  (* values of the group variables *)
-  seq : int;  (* creation rank within the rule: Bind groups emit in it *)
   mutable emitted : bool;
       (* Test rules: the group has passed and emitted its heads. They
          depend on the group's values alone, so every later emission
@@ -146,7 +145,8 @@ type agg_code = {
   g_post : step array;
       (* assignments/guards that depend on the aggregate's bound result,
          evaluated per group after aggregation *)
-  g_groups : group Value.Array_tbl.t;
+  g_keys : Keyed.t;  (* values of the group variables, one key per group *)
+  mutable g_groups : group array;  (* parallel to [g_keys]' indexes *)
 }
 
 type compiled_rule = {
@@ -162,9 +162,10 @@ type compiled_rule = {
   frontier : int array;  (* slots of the frontier variables, in order *)
   frontier_names : string array;
   existentials : (string * int) array;  (* existential variable, slot *)
-  skolem : Value.t array Value.Array_tbl.t;
-      (* frontier values -> the nulls invented for them, in
-         [existentials] order *)
+  skolem : Keyed.t;  (* frontier values, one key per binding *)
+  mutable skolem_nulls : Value.t array array;
+      (* parallel to [skolem]'s indexes: the nulls invented for the
+         binding, in [existentials] order *)
   c_prof : Profile.rule;  (* hot-path cost accumulator (see Profile) *)
   c_span : string;  (* "engine.rule.<label>" *)
   c_preds : string list;  (* distinct positive body predicates *)
@@ -629,7 +630,8 @@ let compile_rule prof db rule =
           g_result = result;
           g_test = test;
           g_post = post_steps;
-          g_groups = Value.Array_tbl.create 64;
+          g_keys = Keyed.create ();
+          g_groups = [||];
         })
       agg
   in
@@ -648,7 +650,8 @@ let compile_rule prof db rule =
     frontier;
     frontier_names;
     existentials;
-    skolem = Value.Array_tbl.create 64;
+    skolem = Keyed.create ();
+    skolem_nulls = [||];
     c_prof = Profile.register prof ~label:rule.Rule.label;
     c_span = "engine.rule." ^ rule.Rule.label;
     c_preds =
@@ -911,12 +914,13 @@ let emit_plain t cr ctx =
   (* Existential variables: one null per (rule, frontier binding). *)
   if Array.length cr.existentials > 0 then begin
     let key = Array.map (fun s -> regs.(s)) cr.frontier in
+    let known = Keyed.length cr.skolem in
+    let i = Keyed.find_or_add cr.skolem key in
     let nulls =
-      match Value.Array_tbl.find_opt cr.skolem key with
-      | Some nulls -> nulls
-      | None ->
+      if i < known then cr.skolem_nulls.(i)
+      else begin
         let nulls = Array.map (fun _ -> Ids.fresh_null t.ids) cr.existentials in
-        Value.Array_tbl.add cr.skolem key nulls;
+        cr.skolem_nulls <- Keyed.store cr.skolem_nulls i nulls;
         (* Remembering the frontier binding per invented null gives every
            null a label-independent Skolem identity. *)
         let frontier_binding =
@@ -937,6 +941,7 @@ let emit_plain t cr ctx =
         cr.c_prof.Profile.r_nulls <-
           cr.c_prof.Profile.r_nulls + Array.length nulls;
         nulls
+      end
     in
     Array.iteri (fun i (_, s) -> regs.(s) <- nulls.(i)) cr.existentials
   end;
@@ -953,10 +958,10 @@ let emit_plain t cr ctx =
 (* Evaluate the post-aggregation phase (assignments and guards over the
    bound aggregate result) and, if every guard holds, emit the heads.
    [regs] is the emission register file, separate from the join's; the
-   group's values, and [result] for Bind rules, seed it. *)
-let emit_agg_head t cr g regs group result =
+   group's values [key], and [result] for Bind rules, seed it. *)
+let emit_agg_head t cr g regs key result =
   let rule = cr.rule in
-  Array.iteri (fun i s -> regs.(s) <- group.key.(i)) g.g_slots;
+  Array.iteri (fun i s -> regs.(s) <- key.(i)) g.g_slots;
   Option.iter (fun v -> regs.(g.g_result) <- v) result;
   let passes =
     Array.for_all
@@ -1005,22 +1010,17 @@ let eval_agg_rule t j =
   let on_binding () =
     let regs = ctx.regs in
     let gkey = Array.map (fun s -> regs.(s)) g.g_slots in
+    let known = Keyed.length g.g_keys in
+    let i = Keyed.find_or_add g.g_keys gkey in
     let group =
-      match Value.Array_tbl.find_opt g.g_groups gkey with
-      | Some group -> group
-      | None ->
-        let group =
-          {
-            state = Aggregate.create g.g_op;
-            key = gkey;
-            seq = Value.Array_tbl.length g.g_groups;
-            emitted = false;
-          }
-        in
-        Value.Array_tbl.add g.g_groups gkey group;
+      if i < known then g.g_groups.(i)
+      else begin
+        let group = { state = Aggregate.create g.g_op; emitted = false } in
+        g.g_groups <- Keyed.store g.g_groups i group;
         t.s_agg_groups <- t.s_agg_groups + 1;
         cr.c_prof.Profile.r_groups <- cr.c_prof.Profile.r_groups + 1;
         group
+      end
     in
     let contributor = Array.map (Expr.run regs) g.g_contributors in
     let contribution = Expr.run regs g.g_arg in
@@ -1030,17 +1030,17 @@ let eval_agg_rule t j =
       regs.(g.g_result) <- Aggregate.current group.state;
       if Expr.run_bool regs test && not group.emitted then begin
         group.emitted <- true;
-        emit_agg_head t cr g out group None
+        emit_agg_head t cr g out (Keyed.key g.g_keys i) None
       end
     | None -> ()
   in
   run_plan cr.plans.(j.j_plan) ~delta:j.j_delta ~bounds:j.j_bounds
     ~prof:cr.c_prof ctx ~on_binding;
   if g.g_test = None then
-    Value.Array_tbl.fold (fun _ group acc -> group :: acc) g.g_groups []
-    |> List.sort (fun a b -> Int.compare a.seq b.seq)
-    |> List.iter (fun group ->
-           emit_agg_head t cr g out group (Some (Aggregate.current group.state)))
+    for i = 0 to Keyed.length g.g_keys - 1 do
+      emit_agg_head t cr g out (Keyed.key g.g_keys i)
+        (Some (Aggregate.current g.g_groups.(i).state))
+    done
 
 let eval_job t j =
   match j.j_cr.agg with

@@ -189,6 +189,69 @@ let prop_float_repr_matches_printf =
       String.equal (Json.float_repr f) expected
       && String.equal (Json.to_string (Json.Float f)) expected)
 
+(* --- Keyed: the chase's insertion-ordered key table ---------------------- *)
+
+module Keyed = Vadasa_base.Keyed
+
+(* Keys from a small domain, so sequences revisit keys often, with the
+   values whose identity is delicate: [0.], [-0.] and [nan]; [Int 1],
+   [Float 1.] and [Str "1"]; nulls, pairs and collections. *)
+let keyed_key =
+  let open QCheck2.Gen in
+  let scalar =
+    frequency
+      [
+        (3, map Value.int (int_range (-40) 40));
+        (2, map (fun i -> Value.Str (string_of_int i)) (int_range (-40) 40));
+        (2, map (fun i -> Value.Float (float_of_int i)) (int_range (-40) 40));
+        (1, oneofl [ Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan ]);
+        (1, map Value.null (int_range 0 20));
+      ]
+  in
+  let value =
+    frequency
+      [
+        (6, scalar);
+        (1, map2 Value.pair scalar scalar);
+        (1, map Value.coll (list_size (int_range 0 3) scalar));
+      ]
+  in
+  array_size (int_range 0 3) value
+
+(* Random [find_or_add]/[find] sequences against a [Value.Array_tbl]
+   plus the insertion list: same index, same [length], and [key i] is
+   the very array first added as key [i]. Up to 10k operations, so the
+   table grows from 8 slots through many rehashes. *)
+let prop_keyed_model =
+  QCheck2.Test.make ~name:"keyed table agrees with Array_tbl + insertion list"
+    ~count:40
+    ~print:
+      QCheck2.Print.(
+        list (pair bool (fun k -> Value.to_string (Value.Coll (Array.to_list k)))))
+    QCheck2.Gen.(list_size (int_range 0 10_000) (pair (frequencyl [ (3, true); (1, false) ]) keyed_key))
+    (fun ops ->
+      let t = Keyed.create () in
+      let model = Value.Array_tbl.create 16 in
+      let order = ref [] in
+      let step (add, k) =
+        let expected =
+          match Value.Array_tbl.find_opt model k with
+          | Some i -> i
+          | None when add ->
+            let i = Value.Array_tbl.length model in
+            Value.Array_tbl.add model k i;
+            order := k :: !order;
+            i
+          | None -> -1
+        in
+        let got = if add then Keyed.find_or_add t k else Keyed.find t k in
+        got = expected && Keyed.length t = Value.Array_tbl.length model
+      in
+      List.for_all step ops
+      && List.for_all2 ( == )
+           (List.init (Keyed.length t) (Keyed.key t))
+           (List.rev !order))
+
 let () =
   Alcotest.run "base"
     [
@@ -217,5 +280,6 @@ let () =
             prop_compare_transitive;
             prop_similarity_bounded;
             prop_float_repr_matches_printf;
+            prop_keyed_model;
           ] );
     ]

@@ -652,20 +652,27 @@ let get_to_eof ~port target =
       | Ok r -> r.Http.status
       | Error _ -> Alcotest.fail "unparsable response")
 
-(* A request is counted before its connection closes: a client that
-   reads the response to EOF and scrapes at once must find it in the
-   latency histogram. *)
-let test_e2e_latency_counted_before_close () =
+(* A request is counted before its response is written: a client that
+   scrapes as soon as it has the response, whether it framed it by the
+   close ([get_to_eof]) or by its Content-Length ([Http.call]), must
+   find it in the latency histogram. *)
+let latency_counted_by get () =
   with_telemetry (fun () ->
       with_server (fun _server port ->
           for i = 1 to 200 do
-            Alcotest.(check int) "200" 200 (get_to_eof ~port "/healthz");
+            Alcotest.(check int) "200" 200 (get ~port "/healthz");
             Alcotest.(check (option string))
               (Printf.sprintf "counted after request %d" i)
               (Some (string_of_int i))
               (prom_sample (scrape port)
                  "vadasa_http_latency_GET_healthz_count")
           done))
+
+let test_e2e_latency_counted_before_close = latency_counted_by get_to_eof
+
+let test_e2e_latency_counted_before_write =
+  latency_counted_by (fun ~port target ->
+      fst (http_call ~port ~meth:"GET" ~target ()))
 
 (* Every accepted connection records its queue wait once, before it is
    served: after n requests the scrape (itself connection n + 1) sees
@@ -828,20 +835,10 @@ let test_e2e_unmatched_path_cardinality () =
             [ "/no-such-path-1"; "/no-such-path-2"; "/probe/random" ];
           let status, _ = http_call ~port ~meth:"GET" ~target:"/healthz" () in
           Alcotest.(check int) "200" 200 status;
-          (* the latency observation lands just after the response is
-             written; poll until both series show up *)
-          let deadline = Unix.gettimeofday () +. 5.0 in
-          let capture () =
+          (* latency is observed before the response is written *)
+          let names =
             List.map fst (T.Report.capture T.global).T.Report.histograms
           in
-          let complete names =
-            List.mem "http.latency.unmatched" names
-            && List.mem "http.latency.GET healthz" names
-          in
-          while not (complete (capture ())) && Unix.gettimeofday () < deadline do
-            Unix.sleepf 0.01
-          done;
-          let names = capture () in
           Alcotest.(check bool)
             "unmatched paths collapse into one bucket" true
             (List.mem "http.latency.unmatched" names);
@@ -1146,6 +1143,8 @@ let () =
             test_e2e_pool_saturation_503;
           Alcotest.test_case "latency counted before close" `Quick
             test_e2e_latency_counted_before_close;
+          Alcotest.test_case "latency counted before the write" `Quick
+            test_e2e_latency_counted_before_write;
           Alcotest.test_case "request id round trip" `Quick
             test_e2e_request_id_round_trip;
           Alcotest.test_case "metrics content negotiation" `Quick

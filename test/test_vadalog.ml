@@ -787,7 +787,41 @@ let test_keys_signed_zero () =
   Alcotest.(check bool) "nan is one key" true
     (Value.equal_array [| Value.Float nan |] [| Value.Float (-.nan) |]
     && Value.hash_array [| Value.Float nan |]
-       = Value.hash_array [| Value.Float (-.nan) |])
+       = Value.hash_array [| Value.Float (-.nan) |]);
+  (* The same identities after the store has grown many times, with
+     the position-0 index built above and maintained on every insert:
+     each fact's number, membership, bucket and provenance agree. *)
+  let prov i =
+    V.Database.Derived { rule_id = i; rule_label = "r"; parents = [] }
+  in
+  let expected = ref [ (Value.Float 0.0, V.Database.Edb) ] in
+  let insert v p =
+    Alcotest.(check bool) "new fact" true (V.Database.add db "z" ~prov:p [| v |]);
+    expected := (v, p) :: !expected
+  in
+  List.iter
+    (fun v -> insert v (prov 1))
+    [ Value.Int 1; Value.Float 1.0; Value.Str "1" ];
+  for i = 2 to 3000 do
+    insert (Value.Int i) (prov i);
+    insert (Value.Float (float_of_int i)) (prov i);
+    insert (Value.Str (string_of_int i)) V.Database.Edb
+  done;
+  Alcotest.(check bool) "-0. is still 0." false
+    (V.Database.add db "z" [| Value.Float (-0.0) |]);
+  Alcotest.(check int) "Int 1, Float 1. and Str \"1\" are three facts"
+    (List.length !expected) (V.Database.pred_size db "z");
+  List.iteri
+    (fun i (v, p) ->
+      let fact = V.Database.nth db "z" i in
+      Alcotest.check value "nth" v fact.(0);
+      Alcotest.(check bool) "mem" true (V.Database.mem db "z" [| v |]);
+      Alcotest.(check (list int)) "lookup" [ i ] (V.Database.lookup db "z" ~pos:0 v);
+      Alcotest.(check bool) "provenance" true
+        (V.Database.provenance_of db "z" fact = Some p))
+    (List.rev !expected);
+  Alcotest.(check (list int)) "-0. still probes the 0. bucket" [ 0 ]
+    (V.Database.lookup db "z" ~pos:0 (Value.Float (-0.0)))
 
 let test_expr_evaluation () =
   let env : V.Expr.env = Hashtbl.create 4 in
