@@ -740,22 +740,21 @@ let shutdown t = if t.pool_owned then Option.iter Task_pool.stop t.pool
 (* ---- evaluation ------------------------------------------------------- *)
 
 (* Unify [fact] with an atom's compiled arguments, writing its unbound
-   variables' slots on the way. *)
+   variables' slots on the way. [match_from] is top level so that no
+   closure is allocated per scanned fact. *)
+let rec match_from regs args fact i n =
+  i >= n
+  || (match args.(i) with
+     | A_const c -> Value.equal c fact.(i)
+     | A_check s -> Value.equal regs.(s) fact.(i)
+     | A_bind s ->
+       regs.(s) <- fact.(i);
+       true)
+     && match_from regs args fact (i + 1) n
+
 let match_args regs args fact =
   let n = Array.length args in
-  Array.length fact = n
-  &&
-  let rec go i =
-    i >= n
-    || (match args.(i) with
-       | A_const c -> Value.equal c fact.(i)
-       | A_check s -> Value.equal regs.(s) fact.(i)
-       | A_bind s ->
-         regs.(s) <- fact.(i);
-         true)
-       && go (i + 1)
-  in
-  go 0
+  Array.length fact = n && match_from regs args fact 0 n
 
 let arg_value regs = function
   | A_const c -> c
