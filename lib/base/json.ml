@@ -1,5 +1,5 @@
 (* Minimal JSON values shared across the stack: the telemetry reports,
-   the bench regression-guard reader and the server codec all speak this
+   the counter gate's run reader and the server codec all speak this
    one encoder/decoder, so their renderings can never drift apart.
    Dependency-free beyond the stdlib. *)
 

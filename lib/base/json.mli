@@ -1,7 +1,7 @@
 (** Minimal JSON values shared across the stack.
 
     One encoder and one parser for everything that speaks JSON — the
-    telemetry reports ({!Vadasa_telemetry}), the bench regression-guard
+    telemetry reports ({!Vadasa_telemetry}), the counter gate's run
     reader and the server codec — so renderings cannot drift between
     subsystems. Encoding is deterministic: object fields print in the
     order given, floats use the shortest representation that

@@ -628,128 +628,6 @@ module Report = struct
         ("dropped_spans", Json.Int t.dropped_spans);
       ]
 
-  let json_error msg = Error ("Report.of_json: " ^ msg)
-
-  let of_json json =
-    let open Json in
-    let obj_field name =
-      match member name json with
-      | Some (Obj fields) -> Ok fields
-      | Some _ -> json_error (name ^ " is not an object")
-      | None -> json_error ("missing " ^ name)
-    in
-    let float_field fields name =
-      match List.assoc_opt name fields with
-      | Some v ->
-        (match to_float_opt v with
-        | Some f -> Ok f
-        | None -> json_error (name ^ " is not a number"))
-      | None -> json_error ("missing " ^ name)
-    in
-    let int_field fields name =
-      match List.assoc_opt name fields with
-      | Some (Int i) -> Ok i
-      | _ -> json_error ("missing int " ^ name)
-    in
-    let ( let* ) = Result.bind in
-    let* counters = obj_field "counters" in
-    let* counters =
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
-          match to_int_opt v with
-          | Some i -> Ok ((k, i) :: acc)
-          | None -> json_error ("counter " ^ k ^ " is not an int"))
-        (Ok []) counters
-    in
-    let* gauges = obj_field "gauges" in
-    let* gauges =
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
-          match to_float_opt v with
-          | Some f -> Ok ((k, f) :: acc)
-          | None -> json_error ("gauge " ^ k ^ " is not a number"))
-        (Ok []) gauges
-    in
-    let* histograms = obj_field "histograms" in
-    let* histograms =
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
-          match v with
-          | Obj fields ->
-            let* count = int_field fields "count" in
-            let* sum = float_field fields "sum" in
-            let* min = float_field fields "min" in
-            let* max = float_field fields "max" in
-            let* mean = float_field fields "mean" in
-            let* p50 = float_field fields "p50" in
-            let* p95 = float_field fields "p95" in
-            let* p99 = float_field fields "p99" in
-            (* Reports written before the bucketed-histogram schema have
-               no "buckets"; parse them with an empty ladder. *)
-            let* buckets =
-              match List.assoc_opt "buckets" fields with
-              | None -> Ok []
-              | Some (List items) ->
-                List.fold_left
-                  (fun acc item ->
-                    let* acc = acc in
-                    match item with
-                    | Obj bf ->
-                      let* le = float_field bf "le" in
-                      let* n = int_field bf "n" in
-                      Ok ((le, n) :: acc)
-                    | _ -> json_error ("bucket of " ^ k ^ " is not an object"))
-                  (Ok []) items
-                |> Result.map List.rev
-              | Some _ -> json_error ("buckets of " ^ k ^ " is not a list")
-            in
-            Ok
-              (( k,
-                 { Histogram.count; sum; min; max; mean; p50; p95; p99; buckets }
-               )
-              :: acc)
-          | _ -> json_error ("histogram " ^ k ^ " is not an object"))
-        (Ok []) histograms
-    in
-    let* spans =
-      match member "spans" json with
-      | Some (List items) ->
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            match item with
-            | Obj fields ->
-              let* path =
-                match List.assoc_opt "path" fields with
-                | Some (Str s) -> Ok s
-                | _ -> json_error "span without path"
-              in
-              let* count = int_field fields "count" in
-              let* total = float_field fields "total_s" in
-              let* max = float_field fields "max_s" in
-              Ok
-                ({ agg_path = path; agg_count = count; agg_total = total; agg_max = max }
-                :: acc)
-            | _ -> json_error "span is not an object")
-          (Ok []) items
-      | Some _ -> json_error "spans is not a list"
-      | None -> json_error "missing spans"
-    in
-    let dropped =
-      match member "dropped_spans" json with Some (Int i) -> i | _ -> 0
-    in
-    Ok
-      {
-        counters = List.rev counters;
-        gauges = List.rev gauges;
-        histograms = List.rev histograms;
-        spans = List.rev spans;
-        dropped_spans = dropped;
-      }
-
   (* Parent of a slash-joined span path, if any. *)
   let parent_path path =
     match String.rindex_opt path '/' with
@@ -776,35 +654,6 @@ module Report = struct
         in
         (a.agg_path, Float.max 0.0 (a.agg_total -. kids)))
       t.spans
-
-  type span_delta = {
-    d_path : string;
-    d_baseline : float;
-    d_current : float;
-  }
-
-  let diff_spans ~baseline ~current =
-    let totals = Hashtbl.create 32 in
-    List.iter
-      (fun a -> Hashtbl.replace totals a.agg_path a.agg_total)
-      current.spans;
-    List.filter_map
-      (fun a ->
-        match Hashtbl.find_opt totals a.agg_path with
-        | Some c ->
-          Some { d_path = a.agg_path; d_baseline = a.agg_total; d_current = c }
-        | None -> None)
-      baseline.spans
-
-  let default_threshold = 0.25
-
-  let regressions ?threshold ~baseline ~current () =
-    let threshold = Option.value threshold ~default:default_threshold in
-    List.filter
-      (fun d ->
-        d.d_baseline > 0.0
-        && d.d_current > d.d_baseline *. (1.0 +. threshold))
-      (diff_spans ~baseline ~current)
 
   let pp_text ppf t =
     let nonempty = ref false in
@@ -856,8 +705,6 @@ module Report = struct
     if not !nonempty then Format.fprintf ppf "telemetry: no measurements recorded@."
 
   let to_text t = Format.asprintf "%a" pp_text t
-
-  let equal a b = a = b
 end
 
 (* ---- Prometheus text exposition (format 0.0.4) ------------------------- *)

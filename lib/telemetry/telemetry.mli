@@ -190,9 +190,6 @@ module Report : sig
 
   val to_json : t -> Json.t
 
-  val of_json : Json.t -> (t, string) result
-  (** Inverse of {!to_json}; [of_json (to_json r)] is [Ok r]. *)
-
   val to_text : t -> string
   (** Span aggregates are printed ranked by total time (descending) with
       a self-time column (total minus direct children), so the text
@@ -200,33 +197,10 @@ module Report : sig
 
   val pp_text : Format.formatter -> t -> unit
 
-  val equal : t -> t -> bool
-
   val self_times : t -> (string * float) list
   (** Self time per span path — the aggregate total minus the totals of
       its direct children in the slash-joined path hierarchy — in report
       order, clamped at 0. *)
-
-  (** {2 Baseline comparison (the bench regression guard)} *)
-
-  type span_delta = {
-    d_path : string;
-    d_baseline : float;  (** total seconds in the baseline report *)
-    d_current : float;  (** total seconds in the current report *)
-  }
-
-  val diff_spans : baseline:t -> current:t -> span_delta list
-  (** Per-path total-duration pairs for the span paths present in both
-      reports, baseline order. Paths unique to either side are ignored. *)
-
-  val default_threshold : float
-  (** [0.25]: the 25% slowdown bound shared by the CLI and the bench. *)
-
-  val regressions :
-    ?threshold:float -> baseline:t -> current:t -> unit -> span_delta list
-  (** The deltas of {!diff_spans} where the current total exceeds the
-      baseline by more than [threshold] (a fraction, default
-      {!default_threshold}). Baselines of 0 never regress. *)
 end
 
 (** {2 Prometheus text exposition} *)
