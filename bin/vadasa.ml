@@ -448,7 +448,7 @@ let risk_cmd =
       match
         S.Vadalog_bridge.risk_via_engine
           ?budget:(budget_of_limits limits)
-          ~domains ~threshold measure md
+          ~domains measure md
       with
       | engine_risks ->
         let max_diff = ref 0.0 in

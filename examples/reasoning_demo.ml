@@ -59,22 +59,16 @@ let () =
     | None -> ())
   | [] -> ());
 
-  (* The reasoned anonymization path: k-anonymity risk (Algorithm 4) and
-     local suppression (Algorithm 7) both run on the engine, alternating
-     until the Figure 5 microdata is 2-anonymous. *)
+  (* The reasoned anonymization path: the cycle's k-anonymity risk
+     (Algorithm 4) and local suppression (Algorithm 7) both run on the
+     engine, alternating until the Figure 5 microdata is 2-anonymous. *)
   let md = D.Ig_survey.figure5 () in
   Format.printf "reasoned anonymization of the Figure 5 microdata:@.";
-  Format.printf "%s@." (S.Vadalog_bridge.k_anonymity_program ~k:2);
-  let outcome = S.Vadalog_bridge.reasoned_cycle md in
-  Format.printf
-    "engine-driven cycle: %d rounds, %d suppressions: %s@."
-    outcome.S.Vadalog_bridge.rounds outcome.S.Vadalog_bridge.nulls_injected
-    (String.concat ", "
-       (List.map
-          (fun (i, a) -> Printf.sprintf "tuple %d.%s" i a)
-          outcome.S.Vadalog_bridge.suppressed));
-  Format.printf "@.anonymized relation:@.%a@." Vadasa_relational.Relation.pp
-    (S.Microdata.relation outcome.S.Vadalog_bridge.anonymized);
+  Format.printf "%s@." (S.Vadalog_bridge.k_anonymity_maybe_program ~k:2);
+  let outcome = S.Cycle.run ~executor:S.Vadalog_bridge.executor md in
+  Format.printf "engine-driven %a@." S.Cycle.pp_outcome outcome;
+  Format.printf "anonymized relation:@.%a@." Vadasa_relational.Relation.pp
+    (S.Microdata.relation outcome.S.Cycle.anonymized);
 
   (* Risk provenance straight from the engine. *)
   match

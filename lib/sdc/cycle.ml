@@ -82,29 +82,55 @@ let candidates config md ~tuple =
         Hierarchy.parent hierarchy v <> None)
       non_null
 
-let apply_action config ids md ~tuple ~attr =
+(* The configured method's move on [tuple]'s [attr]. A recoding lands at
+   once; a suppression is only decided here, and the executor applies the
+   round's suppressions when the round ends. Deferring them changes no
+   decision: a round's decisions read only the deciding tuple's own row,
+   and a recoding rewrites only cells whose value has a parent, which a
+   cell left for suppression (its recoding failed) never holds. *)
+let act config md ~tuple ~attr =
+  let suppression () =
+    let pos = Relational.Schema.index_of (Microdata.schema md) attr in
+    let old =
+      Relational.Tuple.get (Relational.Relation.get (Microdata.relation md) tuple) pos
+    in
+    if Value.is_null old then None else Some (Suppressed old)
+  in
+  let recoding hierarchy =
+    Option.map
+      (fun step -> Recoded (step.Recoding.from_value, step.Recoding.to_value))
+      (Recoding.recode_tuple hierarchy md ~tuple ~attr)
+  in
   match config.method_ with
-  | Local_suppression ->
-    (match Suppression.suppress ids md ~tuple ~attr with
-    | Some old -> Some (Suppressed old)
-    | None -> None)
-  | Global_recoding hierarchy ->
-    (match Recoding.recode_tuple hierarchy md ~tuple ~attr with
-    | Some step -> Some (Recoded (step.Recoding.from_value, step.Recoding.to_value))
-    | None -> None)
+  | Local_suppression -> suppression ()
+  | Global_recoding hierarchy -> recoding hierarchy
   | Recode_then_suppress hierarchy ->
-    (match Recoding.recode_tuple hierarchy md ~tuple ~attr with
-    | Some step -> Some (Recoded (step.Recoding.from_value, step.Recoding.to_value))
-    | None ->
-      (match Suppression.suppress ids md ~tuple ~attr with
-      | Some old -> Some (Suppressed old)
-      | None -> None))
+    (match recoding hierarchy with
+    | Some kind -> Some kind
+    | None -> suppression ())
+
+type executor = {
+  risk : config -> Microdata.t -> Risk.report;
+  suppress : Ids.t -> Microdata.t -> (int * string) list -> unit;
+}
+
+let native =
+  {
+    risk =
+      (fun config md -> Risk.estimate ~semantics:config.semantics config.measure md);
+    suppress =
+      (fun ids md directives ->
+        List.iter
+          (fun (tuple, attr) -> ignore (Suppression.suppress ids md ~tuple ~attr))
+          directives);
+  }
 
 (* Within-round bookkeeping of this round's suppressions, so one labelled
    null can rescue several pending tuples (the paper's "wider risk
    reduction effect", Figure 7b). Each suppression event is recorded as the
-   suppressed tuple's new projection: null-position mask plus the values at
-   its constant positions. A pending tuple gains one maybe-match per
+   suppressed tuple's projection once its attribute is nulled (the label is
+   irrelevant): null-position mask plus the values at its constant
+   positions. A pending tuple gains one maybe-match per
    recorded event agreeing with it on the event's constant positions. The
    gain is an over-approximation (it may recount tuples that already
    matched), which is safe: a skipped tuple is re-examined by the next
@@ -129,8 +155,12 @@ module Round_gains = struct
     done;
     Array.of_list !acc
 
-  let record t md ~tuple =
+  let suppressed = Value.null 0
+
+  let record t md ~tuple ~attr =
+    let pos = Relational.Schema.index_of (Microdata.schema md) attr in
     let proj = projection md tuple t.qi in
+    Array.iteri (fun j p -> if p = pos then proj.(j) <- suppressed) t.qi;
     let mask = Relational.Tuple.null_mask proj in
     let positions = constant_positions proj in
     let key = Relational.Tuple.project proj positions in
@@ -165,7 +195,7 @@ module Round_gains = struct
       t.tables 0
 end
 
-let run_body ?(config = default_config) ?audit ?budget input =
+let run_body ?(config = default_config) ?(executor = native) ?audit ?budget input =
   let md = Microdata.copy input in
   let ids = Ids.create () in
   let trace = ref [] in
@@ -177,6 +207,7 @@ let run_body ?(config = default_config) ?audit ?budget input =
   let round = ref 0 in
   let continue = ref true in
   let qi_count = Array.length (Microdata.qi_positions md) in
+  let estimate = executor.risk config in
   (* Figure 7b's loss metric as of now — pure arithmetic on the running
      counters, cheap enough to evaluate per audit event. *)
   let info_loss_now () =
@@ -215,8 +246,7 @@ let run_body ?(config = default_config) ?audit ?budget input =
     Faultpoint.hit "cycle.round";
     Telemetry.count "sdc.cycle.rounds" 1;
     let report =
-      Telemetry.span "sdc.cycle.risk" (fun () ->
-          Risk.estimate ~semantics:config.semantics config.measure md)
+      Telemetry.span "sdc.cycle.risk" (fun () -> estimate md)
     in
     let risk =
       match config.risk_transform with
@@ -299,6 +329,7 @@ let run_body ?(config = default_config) ?audit ?budget input =
         | None, _ ->
           false
       in
+      let pending = ref [] in  (* this round's suppressions, newest first *)
       Telemetry.span "sdc.cycle.actions" (fun () ->
           List.iter
             (fun tuple ->
@@ -308,21 +339,19 @@ let run_body ?(config = default_config) ?audit ?budget input =
                 match Heuristics.choose_qi config.qi_choice cache md ~tuple ~candidates:cands with
                 | None -> blocked := tuple :: !blocked
                 | Some attr ->
-                  (match apply_action config ids md ~tuple ~attr with
+                  (match act config md ~tuple ~attr with
                   | None -> blocked := tuple :: !blocked
                   | Some kind ->
-                    (match kind, gains with
-                    | Recoded _, _ ->
+                    (match kind with
+                    | Recoded _ ->
                       incr recoded_cells;
                       incr round_recoded;
                       Telemetry.count "sdc.cycle.recodings" 1
-                    | Suppressed _, Some g ->
+                    | Suppressed _ ->
+                      pending := (tuple, attr) :: !pending;
                       incr round_suppressed;
                       Telemetry.count "sdc.cycle.suppressions" 1;
-                      Round_gains.record g md ~tuple
-                    | Suppressed _, None ->
-                      incr round_suppressed;
-                      Telemetry.count "sdc.cycle.suppressions" 1);
+                      Option.iter (fun g -> Round_gains.record g md ~tuple ~attr) gains);
                     progressed := true;
                     trace :=
                       {
@@ -334,7 +363,8 @@ let run_body ?(config = default_config) ?audit ?budget input =
                         freq_before = report.Risk.freq.(tuple);
                       }
                       :: !trace))
-            ordered);
+            ordered;
+          executor.suppress ids md (List.rev !pending));
       Telemetry.count "sdc.cycle.blocked" (List.length !blocked);
       (match audit with
       | Some recorder ->
@@ -388,8 +418,9 @@ let run_body ?(config = default_config) ?audit ?budget input =
   end;
   outcome
 
-let run ?config ?audit ?budget input =
-  Telemetry.span "sdc.cycle.run" (fun () -> run_body ?config ?audit ?budget input)
+let run ?config ?executor ?audit ?budget input =
+  Telemetry.span "sdc.cycle.run" (fun () ->
+      run_body ?config ?executor ?audit ?budget input)
 
 let pp_outcome ppf o =
   Format.fprintf ppf

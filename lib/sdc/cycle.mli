@@ -71,13 +71,41 @@ type outcome = {
           applied so far but tuples may remain over threshold *)
 }
 
+(** The two steps of a round, as an executor runs them. The loop — tuple
+    order, attribute choice, within-round null sharing, per-round limit,
+    audit and budget — is {!run}'s alone. *)
+type executor = {
+  risk : config -> Microdata.t -> Risk.report;
+      (** Estimate the configured measure under the configured semantics.
+          Applied to the config once, before round 1: an executor rejects
+          a configuration it cannot run there, and may prepare its work
+          for the rounds. [freq] and [weight_sum] must be those of
+          {!Risk.group_stats} under [config.semantics]: the loop's null
+          sharing and trace read them. *)
+  suppress : Vadasa_base.Ids.t -> Microdata.t -> (int * string) list -> unit;
+      (** Apply one round's [(tuple, attribute)] suppressions in place, in
+          action order, drawing every null label from the run's generator
+          (its count is the outcome's [nulls_injected]). Each attribute
+          holds a constant. *)
+}
+
+val native : executor
+(** {!Risk.estimate} and {!Suppression.suppress}: the compiled path. The
+    engine executor is {!Vadalog_bridge.executor}. *)
+
 val run :
   ?config:config ->
+  ?executor:executor ->
   ?audit:Audit.recorder ->
   ?budget:Vadasa_base.Budget.t ->
   Microdata.t ->
   outcome
-(** [budget] is polled between rounds (the derived-fact ceiling counts
+(** [executor] (default {!native}) estimates each round's risk and
+    applies its suppressions; recodings always run natively. Executors
+    whose risks agree give the same trace, and anonymized relations
+    equal up to a renaming of null labels.
+
+    [budget] is polled between rounds (the derived-fact ceiling counts
     injected nulls); on exhaustion the cycle stops cleanly and reports
     [interrupted = Some reason] instead of raising.
 

@@ -1,4 +1,5 @@
 module Value = Vadasa_base.Value
+module Ids = Vadasa_base.Ids
 module Relational = Vadasa_relational
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
@@ -7,49 +8,16 @@ module V = Vadasa_vadalog
 
 exception Unsupported of string
 
-let category_constant = function
-  | Microdata.Identifier -> "identifier"
-  | Microdata.Quasi_identifier -> "quasi_identifier"
-  | Microdata.Non_identifying -> "non_identifying"
-  | Microdata.Weight -> "weight"
-
-let microdata_facts md =
-  let name = Microdata.name md in
-  let rel = Microdata.relation md in
-  let schema = Microdata.schema md in
-  let cat_facts =
-    List.filter_map
-      (fun (attr, cat) ->
-        match cat with
-        | Microdata.Quasi_identifier | Microdata.Weight ->
-          Some
-            ( "cat",
-              [| Value.Str name; Value.Str attr; Value.Str (category_constant cat) |]
-            )
-        | Microdata.Identifier | Microdata.Non_identifying -> None)
-      (Microdata.categories md)
-  in
-  let val_facts = ref [] in
-  let interesting =
-    List.filter_map
-      (fun (attr, cat) ->
-        match cat with
-        | Microdata.Quasi_identifier | Microdata.Weight ->
-          Some (attr, Schema.index_of schema attr)
-        | Microdata.Identifier | Microdata.Non_identifying -> None)
-      (Microdata.categories md)
-  in
-  Relation.iteri
-    (fun i t ->
-      List.iter
-        (fun (attr, pos) ->
-          val_facts :=
-            ( "val",
-              [| Value.Str name; Value.Int i; Value.Str attr; Tuple.get t pos |] )
-            :: !val_facts)
-        interesting)
-    rel;
-  cat_facts @ List.rev !val_facts
+(* The attributes the encoding carries — quasi-identifiers and the
+   weight — with their [cat] constants. *)
+let encoded_attributes md =
+  List.filter_map
+    (fun (attr, cat) ->
+      match cat with
+      | Microdata.Quasi_identifier -> Some (attr, "quasi_identifier")
+      | Microdata.Weight -> Some (attr, "weight")
+      | Microdata.Identifier | Microdata.Non_identifying -> None)
+    (Microdata.categories md)
 
 (* The delta slice of the encoding: [val] facts for rows [lo, hi) only.
    The [cat] facts are schema-level and already loaded by the base
@@ -60,14 +28,10 @@ let microdata_facts_range md ~lo ~hi =
   let name = Microdata.name md in
   let rel = Microdata.relation md in
   let schema = Microdata.schema md in
-  let interesting =
-    List.filter_map
-      (fun (attr, cat) ->
-        match cat with
-        | Microdata.Quasi_identifier | Microdata.Weight ->
-          Some (attr, Schema.index_of schema attr)
-        | Microdata.Identifier | Microdata.Non_identifying -> None)
-      (Microdata.categories md)
+  let positions =
+    List.map
+      (fun (attr, _) -> (attr, Schema.index_of schema attr))
+      (encoded_attributes md)
   in
   let facts = ref [] in
   for i = lo to hi - 1 do
@@ -78,9 +42,16 @@ let microdata_facts_range md ~lo ~hi =
           ( "val",
             [| Value.Str name; Value.Int i; Value.Str attr; Tuple.get t pos |] )
           :: !facts)
-      interesting
+      positions
   done;
   List.rev !facts
+
+let microdata_facts md =
+  let name = Value.Str (Microdata.name md) in
+  List.map
+    (fun (attr, cat) -> ("cat", [| name; Value.Str attr; Value.Str cat |]))
+    (encoded_attributes md)
+  @ microdata_facts_range md ~lo:0 ~hi:(Microdata.cardinal md)
 
 let base_program =
   {|
@@ -208,10 +179,35 @@ enhancedrisk(I, RC) :- risk_prop(I, RC).
 @output("enhancedrisk").
 |}
 
+(* Chase a parsed program over [md]'s encoding followed by [facts]. *)
+let saturate ?budget ?(domains = 1) ?pool ?first_null_label ?(facts = [])
+    program md =
+  let facts = microdata_facts md @ facts in
+  let engine =
+    V.Engine.create ?first_null_label ~domains ?pool
+      (V.Program.union program (V.Program.make ~facts []))
+  in
+  Fun.protect
+    ~finally:(fun () -> V.Engine.shutdown engine)
+    (fun () -> V.Engine.run ?budget engine);
+  engine
+
+let decode_risks ?(pred = "riskoutput") engine n =
+  let risks = Array.make n 0.0 in
+  List.iter
+    (fun fact ->
+      match fact with
+      | [| Value.Int i; r |] when i >= 0 && i < n ->
+        (match Value.as_float r with
+        | Some x -> risks.(i) <- Float.max risks.(i) x
+        | None -> ())
+      | _ -> ())
+    (V.Engine.facts engine pred);
+  risks
+
 (* Algorithm 9 end-to-end on the engine: k-anonymity risk, the control
    closure, and the cluster propagation all run declaratively. *)
 let enhanced_risk_via_engine ?(k = 2) md ~id_attr ~ownerships =
-  let source = enhanced_k_anonymity_program ~k in
   let rel = Microdata.relation md in
   let pos = Schema.index_of (Microdata.schema md) id_attr in
   let ident_facts =
@@ -229,24 +225,12 @@ let enhanced_risk_via_engine ?(k = 2) md ~id_attr ~ownerships =
           |] ))
       ownerships
   in
-  let program =
-    V.Program.union (V.Parser.parse source)
-      (V.Program.make ~facts:(microdata_facts md @ ident_facts @ own_facts) [])
+  let engine =
+    saturate ~facts:(ident_facts @ own_facts)
+      (V.Parser.parse (enhanced_k_anonymity_program ~k))
+      md
   in
-  let engine = V.Engine.create program in
-  V.Engine.run engine;
-  let n = Microdata.cardinal md in
-  let risks = Array.make n 0.0 in
-  List.iter
-    (fun fact ->
-      match fact with
-      | [| Value.Int i; r |] when i >= 0 && i < n ->
-        (match Value.as_float r with
-        | Some x -> risks.(i) <- Float.max risks.(i) x
-        | None -> ())
-      | _ -> ())
-    (V.Engine.facts engine "enhancedrisk");
-  risks
+  decode_risks ~pred:"enhancedrisk" engine (Microdata.cardinal md)
 
 let program_of_measure measure =
   match (measure : Risk.measure) with
@@ -269,40 +253,14 @@ let program_of_measure measure =
         ^ " is an OCaml function; express it as Vadalog rules to run it on \
            the engine"))
 
-let engine_for ?budget ?(domains = 1) ?pool measure md ~first_null_label =
-  let source = program_of_measure measure in
-  let parsed = V.Parser.parse source in
-  let program =
-    V.Program.union parsed (V.Program.make ~facts:(microdata_facts md) [])
-  in
-  let engine = V.Engine.create ~first_null_label ~domains ?pool program in
-  Fun.protect
-    ~finally:(fun () -> V.Engine.shutdown engine)
-    (fun () -> V.Engine.run ?budget engine);
-  engine
-
-let decode_risks engine n =
-  let risks = Array.make n 0.0 in
-  List.iter
-    (fun fact ->
-      match fact with
-      | [| Value.Int i; r |] when i >= 0 && i < n ->
-        (match Value.as_float r with
-        | Some x -> risks.(i) <- Float.max risks.(i) x
-        | None -> ())
-      | _ -> ())
-    (V.Engine.facts engine "riskoutput");
-  risks
-
-let risk_via_engine ?budget ?domains ?pool ?threshold:_ measure md =
-  let engine = engine_for ?budget ?domains ?pool measure md ~first_null_label:1 in
-  decode_risks engine (Microdata.cardinal md)
+let risk_via_engine ?budget ?domains ?pool measure md =
+  let program = V.Parser.parse (program_of_measure measure) in
+  decode_risks (saturate ?budget ?domains ?pool program md) (Microdata.cardinal md)
 
 let explain_risk measure md ~tuple =
-  let engine = engine_for measure md ~first_null_label:1 in
-  let risks = decode_risks engine (Microdata.cardinal md) in
-  if tuple < 0 || tuple >= Array.length risks then None
+  if tuple < 0 || tuple >= Microdata.cardinal md then None
   else
+    let engine = saturate (V.Parser.parse (program_of_measure measure)) md in
     V.Engine.facts engine "riskoutput"
     |> List.find_opt (fun fact ->
            match fact with
@@ -313,102 +271,77 @@ let explain_risk measure md ~tuple =
            | Some tree -> V.Provenance.to_string tree
            | None -> "(no provenance recorded)")
 
-type reasoned_outcome = {
-  anonymized : Microdata.t;
-  rounds : int;
-  nulls_injected : int;
-  suppressed : (int * string) list;
-}
+(* The cycle's risk program under [config], or [Unsupported] when the
+   logic has none: the engine suppresses but never recodes, and under
+   maybe-match semantics only k-anonymity has a program. *)
+let cycle_program (config : Cycle.config) =
+  (match config.method_ with
+  | Cycle.Local_suppression -> ()
+  | Cycle.Global_recoding _ | Cycle.Recode_then_suppress _ ->
+    raise (Unsupported "recoding has no engine program; use local suppression"));
+  match config.semantics, config.measure with
+  | Relational.Null_semantics.Maybe_match, Risk.K_anonymity { k } ->
+    k_anonymity_maybe_program ~k
+  | Relational.Null_semantics.Maybe_match, measure ->
+    raise
+      (Unsupported
+         (Risk.measure_to_string measure
+        ^ " has no maybe-match program; only k-anonymity does"))
+  | Relational.Null_semantics.Standard, measure -> program_of_measure measure
 
-(* Run Algorithm 7 on the engine for the selected (tuple, attribute)
-   directives and fold the suppressed tuples back into the relation. *)
-let suppress_via_engine md directives ~first_null_label =
-  let parsed = V.Parser.parse (base_program ^ Suppression.program) in
-  let facts =
-    microdata_facts md
-    @ List.map
-        (fun (i, attr) ->
-          ("anonymize", [| Value.Int i; Value.Str attr |]))
-        directives
-  in
-  (* [tuple] in the suppression program is our [qset]. *)
-  let rename_rule =
-    V.Parser.parse "tuple(I, VS) :- qset(I, VS)."
-  in
-  let program =
-    V.Program.union
-      (V.Program.union parsed rename_rule)
-      (V.Program.make ~facts [])
-  in
-  let engine = V.Engine.create ~first_null_label program in
-  V.Engine.run engine;
-  let rel = Microdata.relation md in
-  let schema = Microdata.schema md in
-  List.iter
-    (fun fact ->
-      match fact with
-      | [| Value.Int i; Value.Coll pairs |] ->
-        List.iter
-          (function
-            | Value.Pair (Value.Str attr, v) ->
-              (match Schema.index_of_opt schema attr with
-              | Some pos when Value.is_null v ->
-                Relation.set rel i (Tuple.set (Relation.get rel i) pos v)
-              | Some _ | None -> ())
-            | _ -> ())
-          pairs
-      | _ -> ())
-    (V.Engine.facts engine "tuple_s");
-  V.Engine.nulls_created engine
+(* Algorithm 7, with the suppression program's [tuple] read from the
+   encoding's [qset]. Parsed once. *)
+let suppression_program =
+  V.Parser.parse (base_program ^ Suppression.program ^ "tuple(I, VS) :- qset(I, VS).\n")
 
-let reasoned_cycle ?(k = 2) ?(threshold = 0.5) ?(max_rounds = 20) input =
-  let md = Microdata.copy input in
-  let n = Microdata.cardinal md in
-  let suppressed = ref [] in
-  let nulls = ref 0 in
-  let rounds = ref 0 in
-  let next_label = ref 1 in
-  let continue = ref true in
-  while !continue && !rounds < max_rounds do
-    incr rounds;
-    (* Null-tolerant k-anonymity: suppressed tuples must be credited with
-       their maybe-matches, or the cycle would over-suppress. *)
-    let source = k_anonymity_maybe_program ~k in
-    let program =
-      V.Program.union (V.Parser.parse source)
-        (V.Program.make ~facts:(microdata_facts md) [])
+(* One round's suppressions in one chase. The chase's nulls are labelled
+   from the run's generator: the first label seeds the chase and one more
+   is drawn for every further null it invents. The suppressed tuples are
+   folded back into the relation. *)
+let suppress_via_engine ids md directives =
+  if directives <> [] then begin
+    let engine =
+      saturate ~first_null_label:(Ids.fresh_label ids)
+        ~facts:
+          (List.map
+             (fun (i, attr) -> ("anonymize", [| Value.Int i; Value.Str attr |]))
+             directives)
+        suppression_program md
     in
-    let engine = V.Engine.create ~first_null_label:!next_label program in
-    V.Engine.run engine;
-    let risks = decode_risks engine n in
-    (* The "most risky first" routing strategy (Section 4.4): suppress the
-       quasi-identifier whose removal gains the most anonymity. *)
-    let cache = Heuristics.build_cache md in
-    let directives = ref [] in
-    Array.iteri
-      (fun i r ->
-        if r > threshold then
-          let candidates = Suppression.suppressible md ~tuple:i in
-          match
-            Heuristics.choose_qi Heuristics.Most_risky_qi cache md ~tuple:i
-              ~candidates
-          with
-          | Some attr -> directives := (i, attr) :: !directives
-          | None -> ())
-      risks;
-    match !directives with
-    | [] -> continue := false
-    | directives ->
-      let used =
-        suppress_via_engine md (List.rev directives) ~first_null_label:!next_label
-      in
-      next_label := !next_label + used + 1;
-      nulls := !nulls + List.length directives;
-      suppressed := List.rev_append directives !suppressed
-  done;
-  {
-    anonymized = md;
-    rounds = !rounds;
-    nulls_injected = !nulls;
-    suppressed = List.rev !suppressed;
-  }
+    let nulls = V.Engine.nulls_created engine in
+    for _ = 2 to nulls do
+      ignore (Ids.fresh_label ids)
+    done;
+    Vadasa_telemetry.Telemetry.count "sdc.suppression.cells" nulls;
+    let rel = Microdata.relation md in
+    let schema = Microdata.schema md in
+    List.iter
+      (fun fact ->
+        match fact with
+        | [| Value.Int i; Value.Coll pairs |] ->
+          List.iter
+            (function
+              | Value.Pair (Value.Str attr, v) ->
+                (match Schema.index_of_opt schema attr with
+                | Some pos when Value.is_null v ->
+                  Relation.set rel i (Tuple.set (Relation.get rel i) pos v)
+                | Some _ | None -> ())
+              | _ -> ())
+            pairs
+        | _ -> ())
+      (V.Engine.facts engine "tuple_s")
+  end
+
+let executor =
+  let risk (config : Cycle.config) =
+    let program = V.Parser.parse (cycle_program config) in
+    fun md ->
+      let stats = Risk.group_stats ~semantics:config.semantics md in
+      {
+        Risk.measure = config.measure;
+        risk = decode_risks (saturate program md) (Microdata.cardinal md);
+        freq = stats.Relational.Algebra.Group_stats.freq;
+        weight_sum = stats.Relational.Algebra.Group_stats.weight_sum;
+      }
+  in
+  { Cycle.risk; suppress = suppress_via_engine }

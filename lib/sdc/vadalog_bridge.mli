@@ -2,9 +2,10 @@
     risk measures and anonymization as Vadalog programs run by the engine.
 
     This is the paper's actual architecture — the native implementations in
-    {!Risk} and {!Cycle} are the "compiled" fast path, and the property
-    tests assert both paths agree. The reasoned path additionally yields
-    {!Vadasa_vadalog.Provenance} explanations for every derived risk fact.
+    {!Risk} and {!Cycle.native} are the "compiled" fast path, and the
+    property tests assert both paths agree. The reasoned path additionally
+    yields {!Vadasa_vadalog.Provenance} explanations for every derived risk
+    fact.
 
     Encoding: each tuple at position [i] contributes
     [val(M, i, attr, value)] facts for its quasi-identifiers and weight,
@@ -36,7 +37,7 @@ val k_anonymity_maybe_program : k:int -> string
 (** Algorithm 4 under the maybe-match semantics of Section 4.3: frequencies
     are counted over the pairwise =⊥ relation ([maybe_eq] builtin), so
     labelled nulls from earlier suppression rounds are credited. Quadratic
-    in the tuple count — the faithful semantics for the reasoned cycle. *)
+    in the tuple count — the risk step of {!executor} under maybe-match. *)
 
 val reidentification_program : string
 (** Algorithm 3: R = 1 / msum of weights per combination. *)
@@ -76,15 +77,14 @@ val program_of_measure : Risk.measure -> string
     Carlo sampling, custom OCaml functions. Callers that cache compiled
     programs (the server) key their cache on this text. *)
 
-val decode_risks : Vadasa_vadalog.Engine.t -> int -> float array
-(** Per-tuple risks from a saturated engine's [riskoutput] facts (0 where
-    no fact was derived), for [n] tuples. *)
+val decode_risks : ?pred:string -> Vadasa_vadalog.Engine.t -> int -> float array
+(** Per-tuple risks from a saturated engine's [pred] facts (default
+    [riskoutput]; 0 where no fact was derived), for [n] tuples. *)
 
 val risk_via_engine :
   ?budget:Vadasa_base.Budget.t ->
   ?domains:int ->
   ?pool:Vadasa_base.Task_pool.t ->
-  ?threshold:float ->
   Risk.measure ->
   Microdata.t ->
   float array
@@ -101,18 +101,20 @@ val explain_risk :
   Risk.measure -> Microdata.t -> tuple:int -> string option
 (** Provenance tree of the tuple's [riskoutput] fact, rendered. *)
 
-type reasoned_outcome = {
-  anonymized : Microdata.t;
-  rounds : int;
-  nulls_injected : int;
-  suppressed : (int * string) list;  (** (tuple, attribute) chronological *)
-}
+val executor : Cycle.executor
+(** The engine executor of {!Cycle.run}: Algorithm 2 with both steps on
+    the engine.
 
-val reasoned_cycle :
-  ?k:int -> ?threshold:float -> ?max_rounds:int -> Microdata.t ->
-  reasoned_outcome
-(** The full anonymization cycle with {e both} phases on the engine:
-    null-tolerant k-anonymity risk ({!k_anonymity_maybe_program}) and local
-    suppression (Algorithm 7) alternate until convergence. Suppressed
-    values come back as the chase's labelled nulls, with labels kept
-    distinct across rounds. *)
+    - {e Risk}: the measure's program, {!k_anonymity_maybe_program} under
+      [Maybe_match], decoded like {!risk_via_engine}; [freq] and
+      [weight_sum] come from {!Risk.group_stats} under the config's
+      semantics. The program is parsed once per run.
+    - {e Suppression}: a round's suppressions run as Algorithm 7
+      ({!Suppression.program}) in one chase; the invented nulls are
+      labelled from the run's generator and folded back into the
+      relation.
+
+    Before round 1 it raises {!Unsupported} for any configuration with no
+    program: a measure other than k-anonymity under [Maybe_match],
+    Benedetti–Franconi, Monte Carlo or [Custom] risk, and either recoding
+    method. The audit trail, budget and heuristics are {!Cycle.run}'s. *)

@@ -209,7 +209,7 @@ let risk t req =
        still a 200, never a timeout error. *)
     match
       S.Vadalog_bridge.risk_via_engine ?budget:(budget_for t req options)
-        ?pool:t.engine_pool ~threshold measure md
+        ?pool:t.engine_pool measure md
     with
     | _engine_risks ->
       Http.response ~status:200 (Codec.risk_report_string ~threshold md report)

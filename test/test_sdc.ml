@@ -471,33 +471,36 @@ let test_cycle_per_round_limit () =
 (* --- audit trail -------------------------------------------------------------- *)
 
 let test_audit_one_event_per_round () =
-  let md = figure5 () in
-  let recorder = S.Audit.recorder () in
-  let outcome = S.Cycle.run ~audit:recorder md in
-  let events = S.Audit.events recorder in
-  Alcotest.(check int) "one event per cycle round" outcome.S.Cycle.rounds
-    (List.length events);
-  List.iteri
-    (fun i e ->
-      Alcotest.(check int) "rounds consecutive from 1" (i + 1) e.S.Audit.round)
-    events;
-  (* The converged final round applied nothing and its post-state is its
-     own estimate: zero violations left. *)
-  Alcotest.(check bool) "converged" true outcome.S.Cycle.converged;
-  let last = List.nth events (List.length events - 1) in
-  Alcotest.(check string) "final round applies nothing" "none"
-    (S.Audit.method_of_event last);
-  Alcotest.(check (option int)) "no violations remain" (Some 0)
-    last.S.Audit.violations_after;
-  (* Suppression counts in the trail reconcile with the outcome. *)
-  let total_suppressed =
-    List.fold_left (fun acc e -> acc + e.S.Audit.suppressed) 0 events
-  in
-  Alcotest.(check int) "trail accounts for every null"
-    outcome.S.Cycle.nulls_injected total_suppressed;
-  (* The trail's final loss is the outcome's. *)
-  Alcotest.(check (float 1e-9)) "final info loss" outcome.S.Cycle.info_loss
-    last.S.Audit.info_loss_after
+  List.iter
+    (fun executor ->
+      let md = figure5 () in
+      let recorder = S.Audit.recorder () in
+      let outcome = S.Cycle.run ~executor ~audit:recorder md in
+      let events = S.Audit.events recorder in
+      Alcotest.(check int) "one event per cycle round" outcome.S.Cycle.rounds
+        (List.length events);
+      List.iteri
+        (fun i e ->
+          Alcotest.(check int) "rounds consecutive from 1" (i + 1) e.S.Audit.round)
+        events;
+      (* The converged final round applied nothing and its post-state is
+         its own estimate: zero violations left. *)
+      Alcotest.(check bool) "converged" true outcome.S.Cycle.converged;
+      let last = List.nth events (List.length events - 1) in
+      Alcotest.(check string) "final round applies nothing" "none"
+        (S.Audit.method_of_event last);
+      Alcotest.(check (option int)) "no violations remain" (Some 0)
+        last.S.Audit.violations_after;
+      (* Suppression counts in the trail reconcile with the outcome. *)
+      let total_suppressed =
+        List.fold_left (fun acc e -> acc + e.S.Audit.suppressed) 0 events
+      in
+      Alcotest.(check int) "trail accounts for every null"
+        outcome.S.Cycle.nulls_injected total_suppressed;
+      (* The trail's final loss is the outcome's. *)
+      Alcotest.(check (float 1e-9)) "final info loss" outcome.S.Cycle.info_loss
+        last.S.Audit.info_loss_after)
+    [ S.Cycle.native; S.Vadalog_bridge.executor ]
 
 let test_audit_post_state_patched () =
   let md = figure5 () in
@@ -773,20 +776,65 @@ let test_enhanced_risk_via_engine () =
     (S.Business.clusters (S.Business.control_closure ownerships) <> [])
 
 let test_reasoned_cycle () =
+  (* Both executors run Cycle.run's loop: on Figure 5 the engine takes the
+     native cycle's rounds and moves, one null per risky combination. *)
   let md = figure5 () in
-  let outcome = S.Vadalog_bridge.reasoned_cycle md in
-  Alcotest.(check bool) "some suppression happened" true
-    (outcome.S.Vadalog_bridge.nulls_injected > 0);
-  (* The null-tolerant reasoned cycle must not over-suppress: Figure 5
-     needs at most one null per risky tuple. *)
-  Alcotest.(check bool) "minimal suppression" true
-    (outcome.S.Vadalog_bridge.nulls_injected <= 3);
+  let moves outcome =
+    List.map
+      (fun a -> (a.S.Cycle.round, a.S.Cycle.tuple, a.S.Cycle.attr))
+      outcome.S.Cycle.trace
+  in
+  let executor = S.Vadalog_bridge.executor in
+  let reasoned = S.Cycle.run ~executor md in
+  List.iter
+    (fun (name, outcome) ->
+      Alcotest.(check int) (name ^ " rounds") 2 outcome.S.Cycle.rounds;
+      Alcotest.(check int) (name ^ " nulls") 2 outcome.S.Cycle.nulls_injected;
+      Alcotest.(check (list (triple int int string)))
+        (name ^ " moves")
+        [ (1, 0, "sector"); (1, 5, "area") ]
+        (moves outcome))
+    [ ("native", S.Cycle.run md); ("engine", reasoned) ];
   let report =
-    S.Risk.estimate (S.Risk.K_anonymity { k = 2 })
-      outcome.S.Vadalog_bridge.anonymized
+    S.Risk.estimate (S.Risk.K_anonymity { k = 2 }) reasoned.S.Cycle.anonymized
   in
   Alcotest.(check int) "anonymized is 2-anonymous" 0
-    (List.length (S.Risk.risky report ~threshold:0.5))
+    (List.length (S.Risk.risky report ~threshold:0.5));
+  (* The budget is the loop's: the fact ceiling counts injected nulls, so
+     round 1's two nulls stop the run at the next round boundary. *)
+  let budget = Vadasa_base.Budget.create ~max_facts:1 () in
+  let cut = S.Cycle.run ~executor ~budget md in
+  Alcotest.(check bool) "interrupted at the ceiling" true
+    (cut.S.Cycle.interrupted = Some Vadasa_base.Budget.Fact_ceiling);
+  Alcotest.(check int) "after one round" 1 cut.S.Cycle.rounds;
+  (* A configuration with no program is refused before round 1: a
+     cancelled budget stops the loop before any round, so only a check
+     made before the loop can raise. *)
+  let cancelled = Vadasa_base.Budget.create () in
+  Vadasa_base.Budget.cancel cancelled;
+  let h = D.Ig_survey.figure5_hierarchy () in
+  let maybe measure = { S.Cycle.default_config with S.Cycle.measure } in
+  let standard measure =
+    { (maybe measure) with S.Cycle.semantics = R.Null_semantics.Standard }
+  in
+  let recoding method_ = { S.Cycle.default_config with S.Cycle.method_ } in
+  let mc = S.Risk.Monte_carlo { samples = 10; seed = 1 } in
+  let flat ~freq:_ ~weight_sum:_ = 0.0 in
+  List.iter
+    (fun (name, config) ->
+      match S.Cycle.run ~config ~executor ~budget:cancelled md with
+      | _ -> Alcotest.failf "%s: expected Unsupported" name
+      | exception S.Vadalog_bridge.Unsupported _ -> ())
+    [
+      ("maybe-match re-identification", maybe S.Risk.Re_identification);
+      ("maybe-match individual", maybe (S.Risk.Individual S.Risk.Naive));
+      ("maybe-match SUDA", maybe (S.Risk.Suda { max_msu_size = 2; threshold_size = 3 }));
+      ("Benedetti-Franconi", standard (S.Risk.Individual S.Risk.Benedetti_franconi));
+      ("Monte Carlo", standard (S.Risk.Individual mc));
+      ("custom", standard (S.Risk.Custom { name = "flat"; score = flat }));
+      ("global recoding", recoding (S.Cycle.Global_recoding h));
+      ("recode then suppress", recoding (S.Cycle.Recode_then_suppress h));
+    ]
 
 let test_monte_carlo_unsupported_on_engine () =
   let md = figure5 () in
@@ -1169,6 +1217,71 @@ let prop_risk_decreases_after_cycle =
         S.Risk.estimate (S.Risk.K_anonymity { k = 2 }) outcome.S.Cycle.anonymized
       in
       S.Risk.global_risk after <= S.Risk.global_risk before +. 1e-9)
+
+(* Two relations equal up to a bijective renaming of null labels. *)
+let equal_up_to_null_labels a b =
+  let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
+  let same_label x y =
+    match Hashtbl.find_opt fwd x, Hashtbl.find_opt bwd y with
+    | None, None ->
+      Hashtbl.add fwd x y;
+      Hashtbl.add bwd y x;
+      true
+    | Some y', Some x' -> y' = y && x' = x
+    | Some _, None | None, Some _ -> false
+  in
+  let ok = ref (R.Relation.cardinal a = R.Relation.cardinal b) in
+  if !ok then
+    R.Relation.iteri
+      (fun i t ->
+        Array.iteri
+          (fun p v ->
+            match v, (R.Relation.get b i).(p) with
+            | Value.Null x, Value.Null y -> if not (same_label x y) then ok := false
+            | v, w -> if not (Value.equal v w) then ok := false)
+          t)
+      a;
+  !ok
+
+let prop_engine_executor_matches_native =
+  let k2 = S.Risk.K_anonymity { k = 2 } and reid = S.Risk.Re_identification in
+  let cases =
+    [
+      ("k-anonymity, maybe-match", k2, R.Null_semantics.Maybe_match, 0.5);
+      ("k-anonymity, standard", k2, R.Null_semantics.Standard, 0.5);
+      ("re-identification, standard", reid, R.Null_semantics.Standard, 0.2);
+    ]
+  in
+  QCheck2.Test.make ~name:"engine executor equals the native cycle on random microdata"
+    ~count:30
+    ~print:(fun ((n, seed, dist), (name, _, _, _), share_nulls) ->
+      let dist = match dist with D.Generator.W -> "W" | U -> "U" | V -> "V" in
+      Printf.sprintf "%d tuples, seed %d, %s; %s, share_nulls %b" n seed dist name
+        share_nulls)
+    QCheck2.Gen.(triple gen_microdata (oneofl cases) bool)
+    (fun (params, (_, measure, semantics, threshold), share_nulls) ->
+      let md = md_of params in
+      let config =
+        { S.Cycle.default_config with S.Cycle.measure; semantics; threshold; share_nulls }
+      in
+      let native = S.Cycle.run ~config md in
+      let engine = S.Cycle.run ~config ~executor:S.Vadalog_bridge.executor md in
+      let actions o =
+        List.map
+          (fun a -> (a.S.Cycle.round, a.S.Cycle.tuple, a.S.Cycle.attr, a.S.Cycle.kind))
+          o.S.Cycle.trace
+      in
+      if actions native <> actions engine then QCheck2.Test.fail_report "traces differ";
+      if native.S.Cycle.nulls_injected <> engine.S.Cycle.nulls_injected then
+        QCheck2.Test.fail_reportf "nulls injected: native %d, engine %d"
+          native.S.Cycle.nulls_injected engine.S.Cycle.nulls_injected;
+      if
+        (native.S.Cycle.rounds, native.S.Cycle.converged, native.S.Cycle.unresolved)
+        <> (engine.S.Cycle.rounds, engine.S.Cycle.converged, engine.S.Cycle.unresolved)
+      then QCheck2.Test.fail_report "rounds, convergence or unresolved tuples differ";
+      equal_up_to_null_labels
+        (S.Microdata.relation native.S.Cycle.anonymized)
+        (S.Microdata.relation engine.S.Cycle.anonymized))
 
 let prop_control_closure_engine_native =
   QCheck2.Test.make ~name:"control closure: engine equals native on random graphs"
@@ -1619,6 +1732,7 @@ let () =
             prop_cycle_reaches_k_anonymity;
             prop_suppression_only_adds_nulls;
             prop_risk_decreases_after_cycle;
+            prop_engine_executor_matches_native;
             prop_control_closure_engine_native;
           ] );
     ]
