@@ -646,6 +646,7 @@ let reason_cmd =
     | () -> ()
     | exception V.Engine.Interrupted i -> warn_degraded i);
     V.Engine.shutdown engine;
+    V.Engine.publish_rule_counters engine;
     let preds =
       match queries with [] -> program.V.Program.outputs | qs -> qs
     in
@@ -724,6 +725,7 @@ let explain_cmd =
     | () -> ()
     | exception V.Engine.Interrupted i -> warn_degraded i);
     V.Engine.shutdown engine;
+    V.Engine.publish_rule_counters engine;
     (match V.Engine.explain ?max_depth engine pred args with
     | Some tree ->
       if json then print_string (Srv.Codec.explain_string tree)
@@ -783,6 +785,7 @@ let profile_cmd =
     | () -> ()
     | exception V.Engine.Interrupted i -> warn_degraded i);
     V.Engine.shutdown engine;
+    V.Engine.publish_rule_counters engine;
     let report = V.Engine.profile_report engine in
     if json_out then
       print_endline (T.Json.to_string ~indent:true (V.Profile.to_json report))
@@ -1123,12 +1126,15 @@ let serve_cmd =
     (match persist with
     | None -> ()
     | Some p ->
-      let r = Srv.Persist.recovery p in
+      let recovered = T.Metric.to_json (Srv.Persist.metrics p) in
+      let count key =
+        Option.value ~default:0 (Option.bind (T.Json.member key recovered) T.Json.to_int_opt)
+      in
       Printf.printf
         "vadasa serve: recovered from %s (%d records replayed, %d skipped, \
          %d torn bytes discarded)\n%!"
-        (Srv.Persist.dir p) r.Srv.Persist.replayed r.Srv.Persist.skipped
-        r.Srv.Persist.truncated);
+        (Srv.Persist.dir p) (count "replayed_records") (count "skipped_records")
+        (count "truncated_bytes"));
     let server =
       match Srv.Server.create ~config handlers with
       | server -> server

@@ -8,6 +8,8 @@ let fresh_label g =
   g.used <- g.used + 1;
   n
 
+let next_label g = g.next
+
 let fresh_null g = Value.null (fresh_label g)
 
 let fresh_symbol g ~prefix = prefix ^ "_" ^ string_of_int (fresh_label g)

@@ -15,6 +15,9 @@ val fresh_null : t -> Value.t
 val fresh_label : t -> int
 (** The next raw label. [fresh_null g = Value.null (fresh_label g)]. *)
 
+val next_label : t -> int
+(** The label the next {!fresh_label} returns, drawing none. *)
+
 val fresh_symbol : t -> prefix:string -> string
 (** A fresh identifier such as ["z_7"]; used for invented predicate and
     variable names. *)

@@ -109,17 +109,19 @@ let act config md ~tuple ~attr =
     | Some kind -> Some kind
     | None -> suppression ())
 
+exception Interrupted of Budget.reason
+
 type executor = {
-  risk : config -> Microdata.t -> Risk.report;
-  suppress : Ids.t -> Microdata.t -> (int * string) list -> unit;
+  risk : config -> Budget.t option -> Microdata.t -> Risk.report;
+  suppress : Budget.t option -> Ids.t -> Microdata.t -> (int * string) list -> unit;
 }
 
 let native =
   {
     risk =
-      (fun config md -> Risk.estimate ~semantics:config.semantics config.measure md);
+      (fun config _ md -> Risk.estimate ~semantics:config.semantics config.measure md);
     suppress =
-      (fun ids md directives ->
+      (fun _ ids md directives ->
         List.iter
           (fun (tuple, attr) -> ignore (Suppression.suppress ids md ~tuple ~attr))
           directives);
@@ -207,7 +209,7 @@ let run_body ?(config = default_config) ?(executor = native) ?audit ?budget inpu
   let round = ref 0 in
   let continue = ref true in
   let qi_count = Array.length (Microdata.qi_positions md) in
-  let estimate = executor.risk config in
+  let estimate = executor.risk config budget in
   (* Figure 7b's loss metric as of now — pure arithmetic on the running
      counters, cheap enough to evaluate per audit event. *)
   let info_loss_now () =
@@ -227,22 +229,22 @@ let run_body ?(config = default_config) ?(executor = native) ?audit ?budget inpu
   (* The budget is polled at round boundaries: every completed round
      leaves the working copy strictly safer than the round before, so
      stopping between rounds yields a usable (if unfinished) DB. *)
-  let budget_exhausted () =
-    match budget with
-    | None -> false
-    | Some b -> (
-      match Budget.check b ~facts:(Ids.count ids) with
-      | None -> false
-      | Some reason ->
-        interrupted := Some reason;
-        Log.debug (fun m ->
-            m "cycle interrupted (%s) after round %d"
-              (Budget.reason_to_string reason)
-              !round);
-        true)
+  let stop reason =
+    interrupted := Some reason;
+    Log.debug (fun m ->
+        m "cycle interrupted (%s) after round %d" (Budget.reason_to_string reason) !round)
   in
-  while !continue && !round < config.max_rounds && not (budget_exhausted ()) do
-    incr round;
+  let budget_exhausted () =
+    match Option.bind budget (fun b -> Budget.check b ~facts:(Ids.count ids)) with
+    | None -> false
+    | Some reason ->
+      stop reason;
+      true
+  in
+  (* One round. Its audit event is recorded once its suppressions are
+     applied, so a round an executor's chase cut short ([Interrupted])
+     leaves no event; the loop drops its trace. *)
+  let run_round () =
     Faultpoint.hit "cycle.round";
     Telemetry.count "sdc.cycle.rounds" 1;
     let report =
@@ -259,12 +261,17 @@ let run_body ?(config = default_config) ?(executor = native) ?audit ?budget inpu
       List.rev !acc
     in
     if !risky_initial < 0 then risky_initial := List.length risky;
-    (match audit with
-    | Some recorder ->
-      let max_risk, mean_risk = risk_stats risk in
-      Audit.begin_round recorder ~round:!round ~risky:(List.length risky)
-        ~max_risk ~mean_risk ~info_loss:(info_loss_now ())
-    | None -> ());
+    let info_loss_before = info_loss_now () in
+    let audit_round ~suppressed ~recoded ~blocked ~skipped =
+      match audit with
+      | Some recorder ->
+        let max_risk, mean_risk = risk_stats risk in
+        Audit.begin_round recorder ~round:!round ~risky:(List.length risky)
+          ~max_risk ~mean_risk ~info_loss:info_loss_before;
+        Audit.end_round recorder ~suppressed ~recoded ~blocked ~skipped
+          ~info_loss:(info_loss_now ())
+      | None -> ()
+    in
     Telemetry.observe "sdc.cycle.risky_per_round"
       (float_of_int (List.length risky));
     Log.debug (fun m ->
@@ -275,11 +282,7 @@ let run_body ?(config = default_config) ?(executor = native) ?audit ?budget inpu
     if risky = [] then begin
       converged := true;
       continue := false;
-      match audit with
-      | Some recorder ->
-        Audit.end_round recorder ~suppressed:0 ~recoded:0 ~blocked:0 ~skipped:0
-          ~info_loss:(info_loss_now ())
-      | None -> ()
+      audit_round ~suppressed:0 ~recoded:0 ~blocked:0 ~skipped:0
     end
     else begin
       let ordered = Heuristics.order_tuples config.tuple_order md ~risk risky in
@@ -364,16 +367,10 @@ let run_body ?(config = default_config) ?(executor = native) ?audit ?budget inpu
                       }
                       :: !trace))
             ordered;
-          executor.suppress ids md (List.rev !pending));
+          executor.suppress budget ids md (List.rev !pending));
       Telemetry.count "sdc.cycle.blocked" (List.length !blocked);
-      (match audit with
-      | Some recorder ->
-        Audit.end_round recorder ~suppressed:!round_suppressed
-          ~recoded:!round_recoded
-          ~blocked:(List.length !blocked)
-          ~skipped:!round_skipped
-          ~info_loss:(info_loss_now ())
-      | None -> ());
+      audit_round ~suppressed:!round_suppressed ~recoded:!round_recoded
+        ~blocked:(List.length !blocked) ~skipped:!round_skipped;
       Log.debug (fun m ->
           m "round %d: %d actions, %d blocked" !round
             (List.length !trace) (List.length !blocked));
@@ -383,6 +380,17 @@ let run_body ?(config = default_config) ?(executor = native) ?audit ?budget inpu
         continue := false
       end
     end
+  in
+  while !continue && !round < config.max_rounds && not (budget_exhausted ()) do
+    incr round;
+    let trace_before = !trace in
+    match run_round () with
+    | () -> ()
+    | exception Interrupted reason ->
+      trace := trace_before;
+      decr round;
+      stop reason;
+      continue := false
   done;
   (match audit with
   | Some recorder -> Audit.finish recorder

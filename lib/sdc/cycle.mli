@@ -66,23 +66,36 @@ type outcome = {
   trace : action list;  (** chronological *)
   converged : bool;
   interrupted : Vadasa_base.Budget.reason option;
-      (** [Some _] when a budget stopped the cycle at a round boundary:
+      (** [Some _] when a budget stopped the cycle at a round boundary or
+          cut an executor's step short:
           the outcome is degraded — [anonymized] holds every action
           applied so far but tuples may remain over threshold *)
 }
 
+exception Interrupted of Vadasa_base.Budget.reason
+(** Raised by an executor step that the run's budget cut short, having
+    changed nothing; {!run} turns it into [interrupted = Some reason]. *)
+
 (** The two steps of a round, as an executor runs them. The loop — tuple
     order, attribute choice, within-round null sharing, per-round limit,
-    audit and budget — is {!run}'s alone. *)
+    audit and budget — is {!run}'s alone. Both steps receive the run's
+    budget: an executor whose step can run long polls it and raises
+    {!Interrupted}. *)
 type executor = {
-  risk : config -> Microdata.t -> Risk.report;
+  risk :
+    config -> Vadasa_base.Budget.t option -> Microdata.t -> Risk.report;
       (** Estimate the configured measure under the configured semantics.
-          Applied to the config once, before round 1: an executor rejects
-          a configuration it cannot run there, and may prepare its work
-          for the rounds. [freq] and [weight_sum] must be those of
-          {!Risk.group_stats} under [config.semantics]: the loop's null
-          sharing and trace read them. *)
-  suppress : Vadasa_base.Ids.t -> Microdata.t -> (int * string) list -> unit;
+          Applied to the config and budget once, before round 1: an
+          executor rejects a configuration it cannot run there, and may
+          prepare its work for the rounds. [freq] and [weight_sum] must
+          be those of {!Risk.group_stats} under [config.semantics]: the
+          loop's null sharing and trace read them. *)
+  suppress :
+    Vadasa_base.Budget.t option ->
+    Vadasa_base.Ids.t ->
+    Microdata.t ->
+    (int * string) list ->
+    unit;
       (** Apply one round's [(tuple, attribute)] suppressions in place, in
           action order, drawing every null label from the run's generator
           (its count is the outcome's [nulls_injected]). Each attribute
@@ -106,8 +119,12 @@ val run :
     equal up to a renaming of null labels.
 
     [budget] is polled between rounds (the derived-fact ceiling counts
-    injected nulls); on exhaustion the cycle stops cleanly and reports
-    [interrupted = Some reason] instead of raising.
+    injected nulls) and passed to both executor steps; on exhaustion the
+    cycle stops cleanly and reports [interrupted = Some reason] instead
+    of raising. A round an executor step cut short ({!Interrupted}) is
+    not counted: [rounds], [trace] and the audit trail hold the
+    completed rounds only, and that round's suppressions are not
+    applied.
 
     [audit] receives exactly one {!Audit.event} per executed round
     (including a final converging round that applied no action), so the

@@ -289,19 +289,26 @@ let cycle_program (config : Cycle.config) =
         ^ " has no maybe-match program; only k-anonymity does"))
   | Relational.Null_semantics.Standard, measure -> program_of_measure measure
 
-(* Algorithm 7, with the suppression program's [tuple] read from the
-   encoding's [qset]. Parsed once. *)
-let suppression_program =
-  V.Parser.parse (base_program ^ Suppression.program ^ "tuple(I, VS) :- qset(I, VS).\n")
+let suppression_program_source =
+  base_program ^ Suppression.program ^ "tuple(I, VS) :- qset(I, VS).\n"
+
+let suppression_program = V.Parser.parse suppression_program_source
+
+(* A cycle step's chase under the run's budget: a chase the budget cut
+   short stops the cycle. *)
+let saturate_in_cycle budget ?first_null_label ?facts program md =
+  match saturate ?budget ?first_null_label ?facts program md with
+  | engine -> engine
+  | exception V.Engine.Interrupted i -> raise (Cycle.Interrupted i.V.Engine.reason)
 
 (* One round's suppressions in one chase. The chase's nulls are labelled
-   from the run's generator: the first label seeds the chase and one more
-   is drawn for every further null it invents. The suppressed tuples are
-   folded back into the relation. *)
-let suppress_via_engine ids md directives =
+   from the run's generator, starting at its next label; once the chase
+   is done, one label is drawn per null it invented. The suppressed
+   tuples are folded back into the relation. *)
+let suppress_via_engine budget ids md directives =
   if directives <> [] then begin
     let engine =
-      saturate ~first_null_label:(Ids.fresh_label ids)
+      saturate_in_cycle budget ~first_null_label:(Ids.next_label ids)
         ~facts:
           (List.map
              (fun (i, attr) -> ("anonymize", [| Value.Int i; Value.Str attr |]))
@@ -309,7 +316,7 @@ let suppress_via_engine ids md directives =
         suppression_program md
     in
     let nulls = V.Engine.nulls_created engine in
-    for _ = 2 to nulls do
+    for _ = 1 to nulls do
       ignore (Ids.fresh_label ids)
     done;
     Vadasa_telemetry.Telemetry.count "sdc.suppression.cells" nulls;
@@ -333,13 +340,13 @@ let suppress_via_engine ids md directives =
   end
 
 let executor =
-  let risk (config : Cycle.config) =
+  let risk (config : Cycle.config) budget =
     let program = V.Parser.parse (cycle_program config) in
     fun md ->
       let stats = Risk.group_stats ~semantics:config.semantics md in
       {
         Risk.measure = config.measure;
-        risk = decode_risks (saturate program md) (Microdata.cardinal md);
+        risk = decode_risks (saturate_in_cycle budget program md) (Microdata.cardinal md);
         freq = stats.Relational.Algebra.Group_stats.freq;
         weight_sum = stats.Relational.Algebra.Group_stats.weight_sum;
       }

@@ -101,6 +101,11 @@ val explain_risk :
   Risk.measure -> Microdata.t -> tuple:int -> string option
 (** Provenance tree of the tuple's [riskoutput] fact, rendered. *)
 
+val suppression_program_source : string
+(** The program the engine executor's suppression step runs: Algorithm 7
+    ({!Suppression.program}) over {!base_program}'s encoding, its
+    [tuple] read from the encoding's [qset]. *)
+
 val executor : Cycle.executor
 (** The engine executor of {!Cycle.run}: Algorithm 2 with both steps on
     the engine.
@@ -109,12 +114,16 @@ val executor : Cycle.executor
       [Maybe_match], decoded like {!risk_via_engine}; [freq] and
       [weight_sum] come from {!Risk.group_stats} under the config's
       semantics. The program is parsed once per run.
-    - {e Suppression}: a round's suppressions run as Algorithm 7
-      ({!Suppression.program}) in one chase; the invented nulls are
+    - {e Suppression}: a round's suppressions run as
+      {!suppression_program_source} in one chase; the invented nulls are
       labelled from the run's generator and folded back into the
       relation.
+
+    Both chases run under the cycle's budget; one the budget cuts short
+    raises {!Cycle.Interrupted}, so the run ends with that round
+    discarded and its suppressions unapplied.
 
     Before round 1 it raises {!Unsupported} for any configuration with no
     program: a measure other than k-anonymity under [Maybe_match],
     Benedetti–Franconi, Monte Carlo or [Custom] risk, and either recoding
-    method. The audit trail, budget and heuristics are {!Cycle.run}'s. *)
+    method. The audit trail and heuristics are {!Cycle.run}'s. *)

@@ -74,22 +74,23 @@ let render = function
 
 let state t key = locked t (fun () -> render (get t key).state)
 
-let sorted_circuits t =
+(* Per circuit: its state (a name in JSON, 0/1/2 in Prometheus) and its
+   consecutive failures. *)
+let metrics t =
+  let module M = Vadasa_telemetry.Telemetry.Metric in
   locked t (fun () -> Hashtbl.fold (fun key c acc -> (key, c) :: acc) t.circuits [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let states t = List.map (fun (key, c) -> (key, c.state)) (sorted_circuits t)
-
-let stats t =
-  Json.Obj
-    (List.map
-       (fun (key, c) ->
-         ( key,
-           Json.Obj
-             [
-               ("state", Json.Str (render c.state));
-               ( "consecutive_failures",
-                 Json.Int (if c.state = Closed then c.failures else t.threshold)
-               );
-             ] ))
-       (sorted_circuits t))
+  |> List.concat_map (fun (key, c) ->
+         let code = match c.state with Closed -> 0 | Half_open -> 1 | Open -> 2 in
+         M.nest key
+           [
+             {
+               (M.gauge ~labels:[ ("endpoint", key) ] ~family:"vadasa_breaker_state"
+                  ~help:"Circuit state per endpoint: 0 closed, 1 half-open, 2 open"
+                  "state" code)
+               with
+               json = Json.Str (render c.state);
+             };
+             M.json "consecutive_failures"
+               (Json.Int (if c.state = Closed then c.failures else t.threshold));
+           ])

@@ -30,13 +30,10 @@ val failure : t -> string -> unit
 (** A failure (5xx or an escaped exception). In half-open state it
     re-opens the circuit immediately. *)
 
-type state = Closed | Half_open | Open
-
-val states : t -> (string * state) list
-(** Every key's circuit state, sorted by key. *)
-
 val state : t -> string -> string
 (** ["closed" | "open" | "half_open"] — for tests. *)
 
-val stats : t -> Vadasa_base.Json.t
-(** Per-key state and consecutive-failure counts. *)
+val metrics : t -> Vadasa_telemetry.Telemetry.Metric.t list
+(** Per key, sorted: [state] (the name in JSON; gauge
+    [vadasa_breaker_state{endpoint}] 0 closed, 1 half-open, 2 open) and
+    [consecutive_failures] (JSON only). *)

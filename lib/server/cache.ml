@@ -100,30 +100,25 @@ let find_or_build t key build = fst (find_or_build_hit t key build)
    from the current data instead of serving the stale value. *)
 let remove t key = with_lock t (fun () -> Hashtbl.remove t.table key)
 
-let hits t = with_lock t (fun () -> t.hits)
-
-let misses t = with_lock t (fun () -> t.misses)
-
-let evictions t = with_lock t (fun () -> t.evictions)
-
-let size t = with_lock t (fun () -> Hashtbl.length t.table)
-
 let name t = t.name
-
-let capacity t = t.capacity
 
 let clear t =
   with_lock t (fun () ->
       Hashtbl.reset t.table;
       t.tick <- 0)
 
-let stats t =
+let metrics t =
+  let module M = Vadasa_telemetry.Telemetry.Metric in
+  let labels = [ ("cache", t.name) ] in
   with_lock t (fun () ->
-      Vadasa_base.Json.Obj
-        [
-          ("size", Vadasa_base.Json.Int (Hashtbl.length t.table));
-          ("capacity", Vadasa_base.Json.Int t.capacity);
-          ("hits", Vadasa_base.Json.Int t.hits);
-          ("misses", Vadasa_base.Json.Int t.misses);
-          ("evictions", Vadasa_base.Json.Int t.evictions);
-        ])
+      [
+        M.gauge ~labels ~family:"vadasa_cache_size" ~help:"Entries currently cached"
+          "size" (Hashtbl.length t.table);
+        M.json "capacity" (Vadasa_base.Json.Int t.capacity);
+        M.counter ~labels ~family:"vadasa_cache_hits_total" ~help:"Cache lookup hits"
+          "hits" t.hits;
+        M.counter ~labels ~family:"vadasa_cache_misses_total"
+          ~help:"Cache lookup misses" "misses" t.misses;
+        M.counter ~labels ~family:"vadasa_cache_evictions_total"
+          ~help:"Cache LRU evictions" "evictions" t.evictions;
+      ])

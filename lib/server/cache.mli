@@ -29,17 +29,7 @@ val remove : ('k, 'v) t -> 'k -> unit
     absorbed appended rows must not keep serving its pre-append
     microdata. *)
 
-val hits : ('k, 'v) t -> int
-
-val misses : ('k, 'v) t -> int
-
-val evictions : ('k, 'v) t -> int
-
-val size : ('k, 'v) t -> int
-
 val name : ('k, 'v) t -> string
-
-val capacity : ('k, 'v) t -> int
 
 val clear : ('k, 'v) t -> unit
 
@@ -50,5 +40,7 @@ val evict_lru : ('k, 'e) Hashtbl.t -> last_used:('e -> int) -> bool
     the caches here and the dataset registry. Not synchronized — the
     caller holds the table's lock. *)
 
-val stats : ('k, 'v) t -> Vadasa_base.Json.t
-(** Object with [size], [capacity], [hits], [misses], [evictions]. *)
+val metrics : ('k, 'v) t -> Vadasa_telemetry.Telemetry.Metric.t list
+(** [size], [capacity], [hits], [misses] and [evictions], read under
+    the cache's lock; the exported ones carry the label
+    [cache="<name>"]. *)

@@ -25,6 +25,7 @@ module E = Vadasa_base.Error
 module Budget = Vadasa_base.Budget
 module Faultpoint = Vadasa_resilience.Faultpoint
 module Telemetry = Vadasa_telemetry.Telemetry
+module M = Telemetry.Metric
 module S = Vadasa_sdc
 module V = Vadasa_vadalog
 
@@ -53,8 +54,7 @@ type t = {
   counters_mutex : Mutex.t;
 }
 
-let create ?(program_capacity = 64) ?(dataset_capacity = 16)
-    ?(registry_capacity = 16) ?dataset_audit ?breaker_threshold
+let create ?(registry_capacity = 16) ?dataset_audit ?breaker_threshold
     ?breaker_cooldown ?default_max_facts ?engine_pool ?persist ?job_domains
     ?job_queue ?tenant_quota ?job_retain ?tenant_rate ?tenant_burst () =
   let registry =
@@ -76,8 +76,8 @@ let create ?(program_capacity = 64) ?(dataset_capacity = 16)
     Persist.recover p;
     Jobs.resume jobs);
   {
-    programs = Cache.create ~capacity:program_capacity "programs";
-    datasets = Cache.create ~capacity:dataset_capacity "datasets";
+    programs = Cache.create ~capacity:64 "programs";
+    datasets = Cache.create ~capacity:16 "datasets";
     registry;
     jobs;
     persist;
@@ -104,11 +104,18 @@ let count t ~meth ~pattern (resp : Http.response) =
   Hashtbl.replace t.counters key (n + 1);
   Mutex.unlock t.counters_mutex
 
-let request_counts t =
+let request_metrics t =
   Mutex.lock t.counters_mutex;
   let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counters [] in
   Mutex.unlock t.counters_mutex;
   List.sort compare entries
+  |> List.map (fun ((meth, path, status), n) ->
+         M.counter
+           ~labels:[ ("method", meth); ("path", path); ("status", string_of_int status) ]
+           ~family:"vadasa_http_requests_total"
+           ~help:"Guarded requests by method, path and status"
+           (Printf.sprintf "%s %s %d" meth path status)
+           n)
 
 let programs t = t.programs
 
@@ -565,206 +572,42 @@ let job_cancel t req =
   Http.response ~status:200
     (Json.to_string ~indent:true (Jobs.job_json (Jobs.cancel t.jobs id)) ^ "\n")
 
-(* The labeled series living outside the telemetry registry: request
-   counters, cache statistics, breaker states, uptime. The registry
-   itself (engine/pool/latency instruments, merged across worker-domain
-   shards) renders first via [Telemetry.Prometheus.render]. *)
-let prometheus_body ?(extra_prom = fun () -> "") t =
-  let buf = Buffer.create 4096 in
-  (* Runtime-health gauges are sampled at capture time, so every scrape
-     sees the capturing domain's current GC picture. *)
-  Health.sample_gc ();
-  Buffer.add_string buf
-    (Telemetry.Prometheus.render
-       (Telemetry.Report.capture Telemetry.global));
-  Prom.family buf ~name:"vadasa_uptime_seconds"
-    ~help:"Seconds since the handlers were created" ~typ:"gauge";
-  Prom.sample_float buf ~name:"vadasa_uptime_seconds"
-    (Unix.gettimeofday () -. t.started_at);
-  Prom.family buf ~name:"vadasa_http_requests_total"
-    ~help:"Guarded requests by method, path and status" ~typ:"counter";
-  List.iter
-    (fun ((meth, path, status), n) ->
-      Prom.sample_int buf ~name:"vadasa_http_requests_total"
-        ~labels:
-          [ ("method", meth); ("path", path); ("status", string_of_int status) ]
-        n)
-    (request_counts t);
-  let cache_series name help value_programs value_datasets =
-    Prom.family buf ~name ~help ~typ:"counter";
-    Prom.sample_int buf ~name
-      ~labels:[ ("cache", Cache.name t.programs) ]
-      value_programs;
-    Prom.sample_int buf ~name
-      ~labels:[ ("cache", Cache.name t.datasets) ]
-      value_datasets
+(* GET /metrics — one list of every component's entries, nested under
+   today's keys: the JSON body is that list, the exposition its samples
+   after the telemetry registry (merged across worker-domain shards). *)
+let metrics ?(extra = fun () -> []) t req =
+  let uptime = Unix.gettimeofday () -. t.started_at in
+  let cache c = M.nest (Cache.name c) (Cache.metrics c) in
+  let entries =
+    {
+      (M.prom M.Gauge ~family:"vadasa_uptime_seconds"
+         ~help:"Seconds since the handlers were created" uptime)
+      with
+      path = [ "uptime_s" ];
+      json = Json.Float uptime;
+    }
+    :: M.nest "caches" (cache t.programs @ cache t.datasets)
+    @ M.nest "registry" (Registry.metrics t.registry)
+    @ M.nest "jobs" (Jobs.metrics t.jobs)
+    @ M.nest "requests" (request_metrics t)
+    @ M.nest "breaker" (Breaker.metrics t.breaker)
+    @ M.json "faults_armed"
+        (Json.List
+           (List.map
+              (fun (name, action) -> Json.Str (name ^ ":" ^ action))
+              (Faultpoint.armed ())))
+      :: (match t.persist with None -> [] | Some p -> M.nest "persist" (Persist.metrics p))
+    @ extra ()
   in
-  cache_series "vadasa_cache_hits_total" "Cache lookup hits"
-    (Cache.hits t.programs) (Cache.hits t.datasets);
-  cache_series "vadasa_cache_misses_total" "Cache lookup misses"
-    (Cache.misses t.programs) (Cache.misses t.datasets);
-  cache_series "vadasa_cache_evictions_total" "Cache LRU evictions"
-    (Cache.evictions t.programs) (Cache.evictions t.datasets);
-  Prom.family buf ~name:"vadasa_cache_size"
-    ~help:"Entries currently cached" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_cache_size"
-    ~labels:[ ("cache", Cache.name t.programs) ]
-    (Cache.size t.programs);
-  Prom.sample_int buf ~name:"vadasa_cache_size"
-    ~labels:[ ("cache", Cache.name t.datasets) ]
-    (Cache.size t.datasets);
-  Prom.family buf ~name:"vadasa_breaker_state"
-    ~help:"Circuit state per endpoint: 0 closed, 1 half-open, 2 open"
-    ~typ:"gauge";
-  List.iter
-    (fun (endpoint, state) ->
-      Prom.sample_int buf ~name:"vadasa_breaker_state"
-        ~labels:[ ("endpoint", endpoint) ]
-        (match state with
-        | Breaker.Closed -> 0
-        | Breaker.Half_open -> 1
-        | Breaker.Open -> 2))
-    (Breaker.states t.breaker);
-  (* Registry series are aggregates only — never labeled per dataset id
-     (ids are client-chosen; series cardinality must stay bounded). *)
-  let totals = Registry.totals t.registry in
-  Prom.family buf ~name:"vadasa_datasets_registered"
-    ~help:"Datasets live in the registry" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_datasets_registered"
-    totals.Registry.registered;
-  Prom.family buf ~name:"vadasa_datasets_rows"
-    ~help:"Rows across live registered datasets (base + deltas)" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_datasets_rows" totals.Registry.rows;
-  Prom.family buf ~name:"vadasa_datasets_bytes"
-    ~help:"CSV bytes accepted by live registered datasets" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_datasets_bytes" totals.Registry.bytes;
-  Prom.family buf ~name:"vadasa_datasets_appends_total"
-    ~help:"Delta appends absorbed by the registry" ~typ:"counter";
-  Prom.sample_int buf ~name:"vadasa_datasets_appends_total"
-    totals.Registry.appends;
-  Prom.family buf ~name:"vadasa_datasets_chase_rebuilds_total"
-    ~help:"Appends whose chase continuation was invalidated (from-scratch \
-           rebuild)" ~typ:"counter";
-  Prom.sample_int buf ~name:"vadasa_datasets_chase_rebuilds_total"
-    totals.Registry.rebuilds;
-  Prom.family buf ~name:"vadasa_datasets_evictions_total"
-    ~help:"Datasets evicted by the registry's LRU bound" ~typ:"counter";
-  Prom.sample_int buf ~name:"vadasa_datasets_evictions_total"
-    totals.Registry.evictions;
-  (* Jobs series are aggregates only, like the dataset series — never
-     labeled per job id or tenant (both are client-chosen). *)
-  let jc = Jobs.counters t.jobs in
-  let jobs_counter name help value =
-    Prom.family buf ~name ~help ~typ:"counter";
-    Prom.sample_int buf ~name value
-  in
-  jobs_counter "vadasa_jobs_submitted_total" "Jobs admitted and journaled"
-    jc.Jobs.submitted;
-  jobs_counter "vadasa_jobs_completed_total" "Jobs finished successfully"
-    jc.Jobs.completed;
-  jobs_counter "vadasa_jobs_failed_total"
-    "Jobs that exhausted their retries or hit a non-retryable error"
-    jc.Jobs.failed;
-  jobs_counter "vadasa_jobs_cancelled_total" "Jobs cancelled by DELETE"
-    jc.Jobs.cancelled;
-  jobs_counter "vadasa_jobs_orphaned_total"
-    "Jobs found mid-flight during crash recovery (faulted, not re-run)"
-    jc.Jobs.orphaned;
-  jobs_counter "vadasa_jobs_replayed_total"
-    "Queued jobs re-run after crash recovery" jc.Jobs.replayed;
-  jobs_counter "vadasa_jobs_pruned_total"
-    "Terminal jobs dropped by the per-tenant retention cap" jc.Jobs.pruned;
-  Prom.family buf ~name:"vadasa_jobs_rejected_total"
-    ~help:"Submissions rejected before admission, by gate" ~typ:"counter";
-  Prom.sample_int buf ~name:"vadasa_jobs_rejected_total"
-    ~labels:[ ("gate", "quota") ]
-    jc.Jobs.rejected_quota;
-  Prom.sample_int buf ~name:"vadasa_jobs_rejected_total"
-    ~labels:[ ("gate", "rate") ]
-    jc.Jobs.rejected_rate;
-  Prom.sample_int buf ~name:"vadasa_jobs_rejected_total"
-    ~labels:[ ("gate", "queue") ]
-    jc.Jobs.rejected_queue;
-  Prom.family buf ~name:"vadasa_jobs_queued" ~help:"Jobs awaiting a worker"
-    ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_jobs_queued" jc.Jobs.queued;
-  Prom.family buf ~name:"vadasa_jobs_running"
-    ~help:"Jobs currently executing" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_jobs_running" jc.Jobs.running;
-  (match t.persist with
-  | None -> ()
-  | Some p ->
-    let c = Journal.counters (Persist.journal p) in
-    let recovery = Persist.recovery p in
-    let journal_counter name help value =
-      Prom.family buf ~name ~help ~typ:"counter";
-      Prom.sample_int buf ~name value
-    in
-    journal_counter "vadasa_journal_appends_total"
-      "Records durably appended to the journal" c.Journal.appends;
-    journal_counter "vadasa_journal_bytes_total"
-      "Framed bytes written to the journal" c.Journal.bytes;
-    journal_counter "vadasa_journal_fsyncs_total"
-      "Journal fsync calls (one per group-committed batch)"
-      c.Journal.fsyncs;
-    journal_counter "vadasa_journal_batches_total"
-      "Group-committed journal batches" c.Journal.batches;
-    journal_counter "vadasa_journal_errors_total"
-      "Journal batches that failed and were rolled back" c.Journal.errors;
-    journal_counter "vadasa_journal_snapshots_total"
-      "Snapshots written (journal truncations)" recovery.Persist.snapshots;
-    journal_counter "vadasa_journal_replayed_records_total"
-      "Journal records re-applied during boot recovery"
-      recovery.Persist.replayed;
-    journal_counter "vadasa_journal_skipped_records_total"
-      "Journal records skipped during boot recovery (stale or undecodable)"
-      recovery.Persist.skipped;
-    Prom.family buf ~name:"vadasa_journal_truncated_bytes"
-      ~help:"Torn-tail bytes discarded by the boot-time CRC scan"
-      ~typ:"gauge";
-    Prom.sample_int buf ~name:"vadasa_journal_truncated_bytes"
-      recovery.Persist.truncated);
-  Buffer.add_string buf (extra_prom ());
-  Buffer.contents buf
-
-let metrics ?(extra = fun () -> []) ?extra_prom t req =
-  if Prom.wants_prometheus req then
+  if Prom.wants_prometheus req then begin
+    (* Runtime-health gauges are sampled at capture time, so every scrape
+       sees the capturing domain's current GC picture. *)
+    Health.sample_gc ();
     Http.response ~content_type:Prom.content_type ~status:200
-      (prometheus_body ?extra_prom t)
-  else
-    let requests =
-      Json.Obj
-        (List.map
-           (fun ((meth, pattern, status), n) ->
-             (Printf.sprintf "%s %s %d" meth pattern status, Json.Int n))
-           (request_counts t))
-    in
-    let body =
-      Json.Obj
-        ([
-           ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
-           ( "caches",
-             Json.Obj
-               [
-                 ("programs", Cache.stats t.programs);
-                 ("datasets", Cache.stats t.datasets);
-               ] );
-           ("registry", Registry.stats t.registry);
-           ("jobs", Jobs.stats t.jobs);
-           ("requests", requests);
-           ("breaker", Breaker.stats t.breaker);
-           ( "faults_armed",
-             Json.List
-               (List.map
-                  (fun (name, action) -> Json.Str (name ^ ":" ^ action))
-                  (Faultpoint.armed ())) );
-         ]
-        @ (match t.persist with
-          | None -> []
-          | Some p -> [ ("persist", Persist.stats p) ])
-        @ extra ())
-    in
-    Http.response ~status:200 (Json.to_string ~indent:true body ^ "\n")
+      (Telemetry.Prometheus.render ~metrics:entries
+         (Telemetry.Report.capture Telemetry.global))
+  end
+  else Http.response ~status:200 (Json.to_string ~indent:true (M.to_json entries) ^ "\n")
 
 (* ---- router ------------------------------------------------------------- *)
 
@@ -813,7 +656,7 @@ let guard t ~meth ~pattern handler req =
   count t ~meth ~pattern resp;
   resp
 
-let router ?extra_metrics ?extra_prom t =
+let router ?extra_metrics t =
   let route meth pattern handler =
     ( meth,
       pattern,
@@ -822,7 +665,7 @@ let router ?extra_metrics ?extra_prom t =
   Router.create
     [
       route Http.GET "/healthz" (healthz t);
-      route Http.GET "/metrics" (metrics ?extra:extra_metrics ?extra_prom t);
+      route Http.GET "/metrics" (metrics ?extra:extra_metrics t);
       route Http.POST "/v1/risk" (risk t);
       route Http.POST "/v1/anonymize" (anonymize t);
       route Http.POST "/v1/categorize" (categorize t);

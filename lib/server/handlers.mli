@@ -77,8 +77,6 @@ type compiled = {
 type t
 
 val create :
-  ?program_capacity:int ->
-  ?dataset_capacity:int ->
   ?registry_capacity:int ->
   ?dataset_audit:(string -> unit) ->
   ?breaker_threshold:int ->
@@ -94,8 +92,9 @@ val create :
   ?tenant_burst:float ->
   unit ->
   t
-(** Breaker defaults as {!Breaker.create}: 5 consecutive failures to
-    open, 10 s cooldown. [default_max_facts] is a server-wide
+(** The program cache holds 64 compiled programs and the dataset cache
+    16 loaded datasets. Breaker defaults as {!Breaker.create}: 5
+    consecutive failures to open, 10 s cooldown. [default_max_facts] is a server-wide
     derived-fact ceiling ([serve --max-facts]) applied to requests that
     don't carry their own. [engine_pool] is a shared chase worker pool
     ([serve --engine-domains]): request engines borrow it for parallel
@@ -144,16 +143,17 @@ val budget_of : Http.request -> Codec.options -> Vadasa_base.Budget.t option
     [max_facts]; [None] when no constraint applies. *)
 
 val router :
-  ?extra_metrics:(unit -> (string * Vadasa_base.Json.t) list) ->
-  ?extra_prom:(unit -> string) ->
+  ?extra_metrics:(unit -> Vadasa_telemetry.Telemetry.Metric.t list) ->
   t ->
   Router.t
-(** The standard endpoint surface; [extra_metrics] lets the server add
-    pool statistics to the JSON [GET /metrics] body, [extra_prom]
-    appends extra exposition text (pool series) to the Prometheus body.
+(** The standard endpoint surface; [extra_metrics] adds entries to
+    [GET /metrics] (the server's pool numbers, nested under ["pool"]).
 
     [GET /metrics] content-negotiates: an [Accept] header naming
     [text/plain] (e.g. [text/plain; version=0.0.4]) or an OpenMetrics
     type selects Prometheus text exposition — the telemetry registry
-    merged across worker-domain shards, plus request counters, cache
-    and breaker series; anything else keeps the JSON body. *)
+    merged across worker-domain shards, then the samples of every
+    component's entries ({!Cache.metrics}, {!Registry.metrics},
+    {!Jobs.metrics}, request counters, {!Breaker.metrics},
+    {!Persist.metrics}, uptime); anything else keeps the JSON body,
+    the same entries nested by key. *)

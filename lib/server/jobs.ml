@@ -818,22 +818,14 @@ let stop t =
   in
   match p with None -> () | Some p -> Task_pool.stop p
 
-type counters = {
-  submitted : int;
-  completed : int;
-  failed : int;
-  cancelled : int;
-  orphaned : int;
-  replayed : int;
-  rejected_quota : int;
-  rejected_rate : int;
-  rejected_queue : int;
-  pruned : int;
-  queued : int;
-  running : int;
-}
-
-let counters t =
+(* Aggregates only, like the dataset series — never labelled per job id
+   or tenant (both are client-chosen). *)
+let metrics t =
+  let module M = Vadasa_telemetry.Telemetry.Metric in
+  let rejected gate key n =
+    M.counter ~labels:[ ("gate", gate) ] ~family:"vadasa_jobs_rejected_total"
+      ~help:"Submissions rejected before admission, by gate" key n
+  in
   Mutex.lock t.mu;
   let queued, running =
     Hashtbl.fold
@@ -844,43 +836,37 @@ let counters t =
         | _ -> (q, r))
       t.table (0, 0)
   in
-  let c =
-    {
-      submitted = t.submitted;
-      completed = t.completed;
-      failed = t.failed;
-      cancelled = t.cancelled;
-      orphaned = t.orphaned;
-      replayed = t.replayed;
-      rejected_quota = t.rejected_quota;
-      rejected_rate = t.rejected_rate;
-      rejected_queue = t.rejected_queue;
-      pruned = t.pruned;
-      queued;
-      running;
-    }
+  let entries =
+    [
+      M.counter ~family:"vadasa_jobs_submitted_total"
+        ~help:"Jobs admitted and journaled" "submitted" t.submitted;
+      M.counter ~family:"vadasa_jobs_completed_total"
+        ~help:"Jobs finished successfully" "completed" t.completed;
+      M.counter ~family:"vadasa_jobs_failed_total"
+        ~help:"Jobs that exhausted their retries or hit a non-retryable error"
+        "failed" t.failed;
+      M.counter ~family:"vadasa_jobs_cancelled_total"
+        ~help:"Jobs cancelled by DELETE" "cancelled" t.cancelled;
+      M.counter ~family:"vadasa_jobs_orphaned_total"
+        ~help:"Jobs found mid-flight during crash recovery (faulted, not re-run)"
+        "orphaned" t.orphaned;
+      M.counter ~family:"vadasa_jobs_replayed_total"
+        ~help:"Queued jobs re-run after crash recovery" "replayed" t.replayed;
+      rejected "quota" "rejected_quota" t.rejected_quota;
+      rejected "rate" "rejected_rate" t.rejected_rate;
+      rejected "queue" "rejected_queue" t.rejected_queue;
+      M.counter ~family:"vadasa_jobs_pruned_total"
+        ~help:"Terminal jobs dropped by the per-tenant retention cap" "pruned"
+        t.pruned;
+      M.gauge ~family:"vadasa_jobs_queued" ~help:"Jobs awaiting a worker"
+        "queued" queued;
+      M.gauge ~family:"vadasa_jobs_running" ~help:"Jobs currently executing"
+        "running" running;
+      M.json "quota" (Json.Int t.quota);
+      M.json "retain" (Json.Int t.retain);
+      M.json "rate" (Json.Float t.rate);
+      M.json "burst" (Json.Float t.burst);
+    ]
   in
   Mutex.unlock t.mu;
-  c
-
-let stats t =
-  let c = counters t in
-  Json.Obj
-    [
-      ("submitted", Json.Int c.submitted);
-      ("completed", Json.Int c.completed);
-      ("failed", Json.Int c.failed);
-      ("cancelled", Json.Int c.cancelled);
-      ("orphaned", Json.Int c.orphaned);
-      ("replayed", Json.Int c.replayed);
-      ("rejected_quota", Json.Int c.rejected_quota);
-      ("rejected_rate", Json.Int c.rejected_rate);
-      ("rejected_queue", Json.Int c.rejected_queue);
-      ("pruned", Json.Int c.pruned);
-      ("queued", Json.Int c.queued);
-      ("running", Json.Int c.running);
-      ("quota", Json.Int t.quota);
-      ("retain", Json.Int t.retain);
-      ("rate", Json.Float t.rate);
-      ("burst", Json.Float t.burst);
-    ]
+  entries

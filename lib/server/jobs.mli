@@ -108,22 +108,10 @@ val job_id : job -> string
 val stop : t -> unit
 (** Stop the worker pool (drains queued jobs first). Idempotent. *)
 
-type counters = {
-  submitted : int;
-  completed : int;
-  failed : int;
-  cancelled : int;
-  orphaned : int;
-  replayed : int;
-  rejected_quota : int;
-  rejected_rate : int;
-  rejected_queue : int;
-  pruned : int;  (** terminal jobs dropped by the per-tenant retention cap *)
-  queued : int;
-  running : int;
-}
-
-val counters : t -> counters
-
-val stats : t -> Vadasa_base.Json.t
-(** The [GET /metrics] ["jobs"] object. *)
+val metrics : t -> Vadasa_telemetry.Telemetry.Metric.t list
+(** Lifetime [submitted], [completed], [failed], [cancelled],
+    [orphaned], [replayed], [rejected_quota]/[_rate]/[_queue] (one
+    [gate]-labelled family) and [pruned] (terminal jobs dropped by the
+    per-tenant retention cap); the [queued] and [running] jobs now; and
+    the admission settings [quota], [retain], [rate], [burst] (JSON
+    only). One read under the table's lock. *)

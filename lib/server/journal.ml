@@ -292,36 +292,25 @@ let close t =
     Domain.join d;
     (try Unix.close t.fd with Unix.Unix_error _ -> ())
 
-type counters = {
-  appends : int;
-  bytes : int;
-  fsyncs : int;
-  batches : int;
-  errors : int;
-}
-
-let counters t =
+let metrics t =
+  let module M = Vadasa_telemetry.Telemetry.Metric in
   Mutex.lock t.mu;
-  let c =
-    {
-      appends = t.appends;
-      bytes = t.bytes;
-      fsyncs = t.fsyncs;
-      batches = t.batches;
-      errors = t.errors;
-    }
+  let entries =
+    [
+      M.counter ~family:"vadasa_journal_appends_total"
+        ~help:"Records durably appended to the journal" "appends" t.appends;
+      M.counter ~family:"vadasa_journal_bytes_total"
+        ~help:"Framed bytes written to the journal" "bytes" t.bytes;
+      M.counter ~family:"vadasa_journal_fsyncs_total"
+        ~help:"Journal fsync calls (one per group-committed batch)" "fsyncs"
+        t.fsyncs;
+      M.counter ~family:"vadasa_journal_batches_total"
+        ~help:"Group-committed journal batches" "batches" t.batches;
+      M.counter ~family:"vadasa_journal_errors_total"
+        ~help:"Journal batches that failed and were rolled back" "errors"
+        t.errors;
+      M.json "last_seq" (Json.Int (t.next_seq - 1));
+    ]
   in
   Mutex.unlock t.mu;
-  c
-
-let stats t =
-  let c = counters t in
-  Json.Obj
-    [
-      ("appends", Json.Int c.appends);
-      ("bytes", Json.Int c.bytes);
-      ("fsyncs", Json.Int c.fsyncs);
-      ("batches", Json.Int c.batches);
-      ("errors", Json.Int c.errors);
-      ("last_seq", Json.Int (last_seq t));
-    ]
+  entries

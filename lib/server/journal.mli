@@ -60,14 +60,8 @@ val scan : path:string -> scan_result
 val crc32 : string -> int
 (** The frame checksum (IEEE CRC-32), exposed for tests. *)
 
-type counters = {
-  appends : int;  (** records committed *)
-  bytes : int;  (** framed bytes written by committed batches *)
-  fsyncs : int;
-  batches : int;  (** group commits; [appends / batches] = batch size *)
-  errors : int;  (** failed (rolled-back) batches *)
-}
-
-val counters : t -> counters
-
-val stats : t -> Vadasa_base.Json.t
+val metrics : t -> Vadasa_telemetry.Telemetry.Metric.t list
+(** Committed [appends] (records), [bytes] (framed, of committed
+    batches), [fsyncs], [batches] (group commits; [appends / batches]
+    is the batch size) and [errors] (failed, rolled-back batches), plus
+    [last_seq] (JSON only); one read under the journal's lock. *)

@@ -323,42 +323,29 @@ let close t =
 
 let journal t = t.journal
 
-let stats t =
+let metrics t =
+  let module M = Vadasa_telemetry.Telemetry.Metric in
+  let journal = M.nest "journal" (Journal.metrics t.journal) in
   Mutex.lock t.lk;
-  let snapshots = t.snapshots
-  and since = t.since_snapshot
-  and replayed = t.replayed_records
-  and skipped = t.skipped_records
-  and truncated = t.truncated_bytes in
-  Mutex.unlock t.lk;
-  Json.Obj
-    [
-      ("dir", Json.Str t.dir);
-      ("journal", Journal.stats t.journal);
-      ("snapshots", Json.Int snapshots);
-      ("since_snapshot", Json.Int since);
-      ("snapshot_every", Json.Int t.snapshot_every);
-      ("replayed_records", Json.Int replayed);
-      ("skipped_records", Json.Int skipped);
-      ("truncated_bytes", Json.Int truncated);
-    ]
-
-type recovery = {
-  replayed : int;
-  skipped : int;
-  truncated : int;
-  snapshots : int;
-}
-
-let recovery t =
-  Mutex.lock t.lk;
-  let r =
-    {
-      replayed = t.replayed_records;
-      skipped = t.skipped_records;
-      truncated = t.truncated_bytes;
-      snapshots = t.snapshots;
-    }
+  let entries =
+    (M.json "dir" (Json.Str t.dir) :: journal)
+    @ [
+        M.counter ~family:"vadasa_journal_snapshots_total"
+          ~help:"Snapshots written (journal truncations)" "snapshots"
+          t.snapshots;
+        M.json "since_snapshot" (Json.Int t.since_snapshot);
+        M.json "snapshot_every" (Json.Int t.snapshot_every);
+        M.counter ~family:"vadasa_journal_replayed_records_total"
+          ~help:"Journal records re-applied during boot recovery"
+          "replayed_records" t.replayed_records;
+        M.counter ~family:"vadasa_journal_skipped_records_total"
+          ~help:
+            "Journal records skipped during boot recovery (stale or undecodable)"
+          "skipped_records" t.skipped_records;
+        M.gauge ~family:"vadasa_journal_truncated_bytes"
+          ~help:"Torn-tail bytes discarded by the boot-time CRC scan"
+          "truncated_bytes" t.truncated_bytes;
+      ]
   in
   Mutex.unlock t.lk;
-  r
+  entries

@@ -65,15 +65,9 @@ val dir : t -> string
 
 val journal : t -> Journal.t
 
-val stats : t -> Vadasa_base.Json.t
-(** The [/metrics] JSON object (journal counters, snapshot and
-    recovery accounting). *)
-
-type recovery = {
-  replayed : int;  (** journal records re-applied at boot *)
-  skipped : int;  (** records that failed to re-apply (counted, not fatal) *)
-  truncated : int;  (** torn-tail bytes discarded at boot *)
-  snapshots : int;  (** snapshots written since open *)
-}
-
-val recovery : t -> recovery
+val metrics : t -> Vadasa_telemetry.Telemetry.Metric.t list
+(** The store's [dir], its journal's {!Journal.metrics} under
+    ["journal"], and the snapshot and boot-recovery accounting
+    ([snapshots], [since_snapshot], [snapshot_every],
+    [replayed_records], [skipped_records], [truncated_bytes]), read
+    under the store's lock. *)

@@ -1,10 +1,6 @@
-(* Low-level Prometheus exposition helpers for /metrics content
-   negotiation. The telemetry library renders its own registry
-   ([Telemetry.Prometheus.render]); this module covers what lives
-   outside the registry — the handler request counters, cache and
-   breaker statistics, and pool gauges — as labeled series, plus the
-   Accept-header sniffing that selects the exposition body. Kept free
-   of [Handlers]/[Server] so both can call into it. *)
+(* Content negotiation for /metrics: the Accept-header sniffing that
+   selects the Prometheus exposition body, and its media type. The text
+   itself is written by [Telemetry.Prometheus.render]. *)
 
 let content_type = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -45,37 +41,3 @@ let wants_prometheus req =
   | Some accept ->
     String.split_on_char ',' (String.lowercase_ascii accept)
     |> List.exists accept_entry_matches
-
-let label_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let family buf ~name ~help ~typ =
-  Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ)
-
-let render_labels labels =
-  match labels with
-  | [] -> ""
-  | labels ->
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (label_escape v))
-           labels)
-    ^ "}"
-
-let sample_int buf ~name ?(labels = []) v =
-  Buffer.add_string buf (Printf.sprintf "%s%s %d\n" name (render_labels labels) v)
-
-let sample_float buf ~name ?(labels = []) v =
-  Buffer.add_string buf
-    (Printf.sprintf "%s%s %g\n" name (render_labels labels) v)

@@ -1,10 +1,6 @@
-(** Prometheus text-exposition helpers for [/metrics] content
-    negotiation.
-
-    [Telemetry.Prometheus.render] covers the telemetry registry; these
-    helpers render everything that lives outside it (request counters,
-    cache/breaker/pool statistics) as labeled series appended to the
-    same body. See [docs/SERVER.md] for the resulting series. *)
+(** Content negotiation for [GET /metrics]. The exposition text is
+    written by [Telemetry.Prometheus.render]; see [docs/SERVER.md] for
+    the series. *)
 
 val content_type : string
 (** ["text/plain; version=0.0.4; charset=utf-8"]. *)
@@ -16,19 +12,3 @@ val wants_prometheus : Http.request -> bool
     media type is matched as a token (not a substring) and an entry
     with [q=0] is explicitly not acceptable; a missing header or a bare
     [*/*] keeps the JSON body. *)
-
-val label_escape : string -> string
-(** Escape a label value: backslash, double quote and newline. *)
-
-val family : Buffer.t -> name:string -> help:string -> typ:string -> unit
-(** Append the [# HELP]/[# TYPE] preamble of one metric family. The
-    caller is responsible for [name] already being a valid Prometheus
-    metric name (see [Telemetry.prometheus_name]). *)
-
-val sample_int :
-  Buffer.t -> name:string -> ?labels:(string * string) list -> int -> unit
-(** Append one sample line, e.g.
-    [vadasa_http_requests_total{path="/v1/risk"} 7]. *)
-
-val sample_float :
-  Buffer.t -> name:string -> ?labels:(string * string) list -> float -> unit

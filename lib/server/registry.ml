@@ -536,47 +536,32 @@ let entry_json (entry : entry) =
           ("updated_at", Json.Float entry.updated_at);
         ])
 
-type totals = {
-  registered : int;
-  bytes : int;
-  rows : int;
-  appends : int;  (* lifetime, survives delete/evict *)
-  rebuilds : int;  (* lifetime *)
-  evictions : int;
-}
-
-let totals t =
-  let entries =
-    with_lock t.mu (fun () ->
-        Hashtbl.fold (fun _ e acc -> e :: acc) t.table [])
-  in
-  let bytes, rows =
-    List.fold_left
-      (fun (b, r) (e : entry) -> (b + e.bytes, r + S.Microdata.cardinal e.md))
-      (0, 0) entries
-  in
+(* Aggregates only — never labelled per dataset id (ids are
+   client-chosen; series cardinality must stay bounded). *)
+let metrics t =
+  let module M = Telemetry.Metric in
   with_lock t.mu (fun () ->
-      {
-        registered = List.length entries;
-        bytes;
-        rows;
-        appends = t.lifetime_appends;
-        rebuilds = t.lifetime_rebuilds;
-        evictions = t.evictions;
-      })
-
-let stats t =
-  let totals = totals t in
-  Json.Obj
-    [
-      ("registered", Json.Int totals.registered);
-      ("capacity", Json.Int t.capacity);
-      ("rows", Json.Int totals.rows);
-      ("bytes", Json.Int totals.bytes);
-      ("appends", Json.Int totals.appends);
-      ("chase_rebuilds", Json.Int totals.rebuilds);
-      ("evictions", Json.Int totals.evictions);
-    ]
+      let bytes, rows =
+        Hashtbl.fold
+          (fun _ (e : entry) (b, r) -> (b + e.bytes, r + S.Microdata.cardinal e.md))
+          t.table (0, 0)
+      in
+      [
+        M.gauge ~family:"vadasa_datasets_registered"
+          ~help:"Datasets live in the registry" "registered" (Hashtbl.length t.table);
+        M.json "capacity" (Json.Int t.capacity);
+        M.gauge ~family:"vadasa_datasets_rows"
+          ~help:"Rows across live registered datasets (base + deltas)" "rows" rows;
+        M.gauge ~family:"vadasa_datasets_bytes"
+          ~help:"CSV bytes accepted by live registered datasets" "bytes" bytes;
+        M.counter ~family:"vadasa_datasets_appends_total"
+          ~help:"Delta appends absorbed by the registry" "appends" t.lifetime_appends;
+        M.counter ~family:"vadasa_datasets_chase_rebuilds_total"
+          ~help:"Appends whose chase continuation was invalidated (from-scratch rebuild)"
+          "chase_rebuilds" t.lifetime_rebuilds;
+        M.counter ~family:"vadasa_datasets_evictions_total"
+          ~help:"Datasets evicted by the registry's LRU bound" "evictions" t.evictions;
+      ])
 
 (* ---- persistence: snapshot dump/restore + journal replay ----------------- *)
 

@@ -154,16 +154,8 @@ val entry_json : entry -> Vadasa_base.Json.t
 
 (** {2 Registry-wide accounting} *)
 
-type totals = {
-  registered : int;
-  bytes : int;
-  rows : int;
-  appends : int;  (** lifetime — survives delete/evict *)
-  rebuilds : int;  (** lifetime chase rebuilds *)
-  evictions : int;
-}
-
-val totals : t -> totals
-
-val stats : t -> Vadasa_base.Json.t
-(** The [GET /metrics] JSON object. *)
+val metrics : t -> Vadasa_telemetry.Telemetry.Metric.t list
+(** [registered], [capacity], [rows] and [bytes] of the live datasets;
+    lifetime [appends], [chase_rebuilds] and [evictions] (they survive
+    delete and eviction). One read under the registry lock; aggregates
+    only, never labelled per dataset id. *)

@@ -84,56 +84,37 @@ let handlers t = t.handlers
 
 let pool t = t.pool
 
-let outcomes tally =
-  [
-    ("submitted", Atomic.get tally.submitted);
-    ("rejected", Atomic.get tally.rejected);
-    ("completed", Atomic.get tally.completed);
-    ("expired", Atomic.get tally.expired);
-    ("raised", Atomic.get tally.raised);
-  ]
+module M = Telemetry.Metric
 
-let pool_json config pool tally =
-  Json.Obj
-    ([
-       ("queue_length", Json.Int (Task_pool.queue_length pool));
-       ("queue_capacity", Json.Int config.queue_capacity);
-       ("domains", Json.Int config.domains);
-       ("busy", Json.Int (Atomic.get tally.busy));
-     ]
-    @ List.map (fun (k, v) -> (k, Json.Int v)) (outcomes tally)
-    @
-    match Atomic.get tally.last_error with
-    | None -> []
-    | Some msg -> [ ("last_error", Json.Str msg) ])
-
-let pool_prom config pool tally =
-  let buf = Buffer.create 512 in
-  Prom.family buf ~name:"vadasa_pool_queue_depth"
-    ~help:"Jobs waiting in the HTTP worker pool queue" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_pool_queue_depth"
-    (Task_pool.queue_length pool);
-  Prom.family buf ~name:"vadasa_pool_jobs_total"
-    ~help:"HTTP worker pool jobs by outcome" ~typ:"counter";
-  List.iter
-    (fun (outcome, v) ->
-      Prom.sample_int buf ~name:"vadasa_pool_jobs_total"
-        ~labels:[ ("outcome", outcome) ]
-        v)
-    (outcomes tally);
-  let domains = config.domains in
+(* The HTTP worker pool's numbers, under ["pool"] in /metrics. *)
+let pool_metrics config pool tally =
   let busy = Atomic.get tally.busy in
-  Prom.family buf ~name:"vadasa_pool_domains"
-    ~help:"Worker domains in the HTTP pool" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_pool_domains" domains;
-  Prom.family buf ~name:"vadasa_pool_busy_domains"
-    ~help:"Worker domains currently executing a job" ~typ:"gauge";
-  Prom.sample_int buf ~name:"vadasa_pool_busy_domains" busy;
-  Prom.family buf ~name:"vadasa_pool_utilization"
-    ~help:"Busy fraction of the HTTP worker pool (0..1)" ~typ:"gauge";
-  Prom.sample_float buf ~name:"vadasa_pool_utilization"
-    (float_of_int busy /. float_of_int domains);
-  Buffer.contents buf
+  let outcome name n =
+    M.counter ~labels:[ ("outcome", name) ] ~family:"vadasa_pool_jobs_total"
+      ~help:"HTTP worker pool jobs by outcome" name (Atomic.get n)
+  in
+  [
+    M.gauge ~family:"vadasa_pool_queue_depth"
+      ~help:"Jobs waiting in the HTTP worker pool queue" "queue_length"
+      (Task_pool.queue_length pool);
+    M.json "queue_capacity" (Json.Int config.queue_capacity);
+    M.gauge ~family:"vadasa_pool_domains" ~help:"Worker domains in the HTTP pool"
+      "domains" config.domains;
+    M.gauge ~family:"vadasa_pool_busy_domains"
+      ~help:"Worker domains currently executing a job" "busy" busy;
+    outcome "submitted" tally.submitted;
+    outcome "rejected" tally.rejected;
+    outcome "completed" tally.completed;
+    outcome "expired" tally.expired;
+    outcome "raised" tally.raised;
+    M.prom M.Gauge ~family:"vadasa_pool_utilization"
+      ~help:"Busy fraction of the HTTP worker pool (0..1)"
+      (float_of_int busy /. float_of_int config.domains);
+  ]
+  @
+  match Atomic.get tally.last_error with
+  | None -> []
+  | Some msg -> [ M.json "last_error" (Json.Str msg) ]
 
 let create ?(config = default_config) ?router handlers =
   if config.domains < 1 then invalid_arg "Server.create: domains must be >= 1";
@@ -175,8 +156,7 @@ let create ?(config = default_config) ?router handlers =
         | Some r -> r
         | None ->
           Handlers.router
-            ~extra_metrics:(fun () -> [ ("pool", pool_json config pool tally) ])
-            ~extra_prom:(fun () -> pool_prom config pool tally)
+            ~extra_metrics:(fun () -> M.nest "pool" (pool_metrics config pool tally))
             handlers
       in
       {

@@ -723,53 +723,128 @@ let prometheus_name name =
       (fun i c -> if (if i = 0 then ok_first c else ok c) then c else '_')
       name
 
-let prom_escape_help s =
+(* HELP text escapes backslash and newline; a label value ([~quote])
+   also the double quote. *)
+let prom_escape ?(quote = false) s =
   let buf = Buffer.create (String.length s) in
   String.iter
     (fun c ->
       match c with
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
+      | '"' when quote -> Buffer.add_string buf "\\\""
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
 
-(* Sample values and bucket bounds: integers render bare, the rest in
-   shortest-form scientific — Prometheus parses both. *)
+(* Sample values and bucket bounds: integers render bare, the rest as
+   [Json.float_repr] prints them (the shortest text that reads back to
+   the same float). *)
 let prom_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Json.float_repr f
+
+(* Histogram sums alone keep [%g]'s six significant digits: the golden
+   exposition (test/golden_prometheus.txt) pins a sum of 77000.306 as
+   [77000.3]. *)
+let prom_sum f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
+let prom_labels = function
+  | [] -> ""
+  | labels ->
+    "{"
+    ^ String.concat ","
+        (List.map
+           (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prom_escape ~quote:true v))
+           labels)
+    ^ "}"
+
+module Metric = struct
+  type kind = Counter | Gauge
+
+  type sample = {
+    family : string;
+    kind : kind;
+    help : string;
+    labels : (string * string) list;
+    value : float;
+  }
+
+  type t = { path : string list; json : Json.t; sample : sample option }
+
+  let json key json = { path = [ key ]; json; sample = None }
+
+  let prom kind ?(labels = []) ~family ~help value =
+    { path = []; json = Json.Null; sample = Some { family; kind; help; labels; value } }
+
+  let exported kind ?labels ~family ~help key n =
+    {
+      (prom kind ?labels ~family ~help (float_of_int n)) with
+      path = [ key ];
+      json = Json.Int n;
+    }
+
+  let counter = exported Counter
+
+  let gauge = exported Gauge
+
+  (* An empty list keeps its key, as an empty object. *)
+  let nest key = function
+    | [] -> [ json key (Json.Obj []) ]
+    | entries -> List.map (fun m -> { m with path = key :: m.path }) entries
+
+  (* Entries sharing a first key nest into one object, keys in
+     first-seen order; the lists are a few dozen entries long. *)
+  let rec to_json entries =
+    let entries = List.filter (fun m -> m.path <> []) entries in
+    let keys =
+      List.fold_left
+        (fun acc m ->
+          let k = List.hd m.path in
+          if List.mem k acc then acc else k :: acc)
+        [] entries
+    in
+    Json.Obj
+      (List.rev_map
+         (fun k ->
+           match List.filter (fun m -> List.hd m.path = k) entries with
+           | [ { path = [ _ ]; json; _ } ] -> (k, json)
+           | mine -> (k, to_json (List.map (fun m -> { m with path = List.tl m.path }) mine)))
+         keys)
+end
+
 module Prometheus = struct
   (* Each family renders HELP + TYPE + its samples; families whose
-     sanitized names collide are dropped after the first so the
-     exposition never contains duplicate series. *)
-  let render ?(namespace = "vadasa") (report : Report.t) =
+     names collide are dropped after the first so the exposition never
+     contains duplicate series. *)
+  let render ?(namespace = "vadasa") ?(metrics = []) (report : Report.t) =
     let buf = Buffer.create 2048 in
     let seen = Hashtbl.create 32 in
-    let family name help typ emit =
-      let full = namespace ^ "_" ^ prometheus_name name in
+    let family full help typ emit =
       if not (Hashtbl.mem seen full) then begin
         Hashtbl.add seen full ();
         Buffer.add_string buf
-          (Printf.sprintf "# HELP %s %s\n" full (prom_escape_help help));
+          (Printf.sprintf "# HELP %s %s\n" full (prom_escape help));
         Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" full typ);
         emit full
       end
     in
+    let registry_family name = family (namespace ^ "_" ^ prometheus_name name) in
     List.iter
       (fun (name, v) ->
-        family (name ^ "_total") ("Vada-SA counter " ^ name) "counter"
+        registry_family (name ^ "_total") ("Vada-SA counter " ^ name) "counter"
           (fun full -> Buffer.add_string buf (Printf.sprintf "%s %d\n" full v)))
       report.Report.counters;
     List.iter
       (fun (name, v) ->
-        family name ("Vada-SA gauge " ^ name) "gauge" (fun full ->
+        registry_family name ("Vada-SA gauge " ^ name) "gauge" (fun full ->
             Buffer.add_string buf (Printf.sprintf "%s %s\n" full (prom_float v))))
       report.Report.gauges;
     List.iter
       (fun (name, (s : Histogram.summary)) ->
-        family name ("Vada-SA histogram " ^ name) "histogram" (fun full ->
+        registry_family name ("Vada-SA histogram " ^ name) "histogram" (fun full ->
             List.iter
               (fun (le, n) ->
                 Buffer.add_string buf
@@ -780,15 +855,39 @@ module Prometheus = struct
               (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" full
                  s.Histogram.count);
             Buffer.add_string buf
-              (Printf.sprintf "%s_sum %s\n" full (prom_float s.Histogram.sum));
+              (Printf.sprintf "%s_sum %s\n" full (prom_sum s.Histogram.sum));
             Buffer.add_string buf
               (Printf.sprintf "%s_count %d\n" full s.Histogram.count)))
       report.Report.histograms;
     if report.Report.dropped_spans > 0 then
-      family "telemetry_dropped_spans_total"
+      registry_family "telemetry_dropped_spans_total"
         "Telemetry spans dropped by the retention limit" "counter" (fun full ->
           Buffer.add_string buf
             (Printf.sprintf "%s %d\n" full report.Report.dropped_spans));
+    (* Labelled samples group by family, families in first-seen order;
+       the first sample of a family gives its HELP and TYPE. *)
+    let groups = Hashtbl.create 16 and order = ref [] in
+    List.iter
+      (fun (s : Metric.sample) ->
+        match Hashtbl.find_opt groups s.family with
+        | Some group -> Hashtbl.replace groups s.family (s :: group)
+        | None ->
+          order := s.family :: !order;
+          Hashtbl.add groups s.family [ s ])
+      (List.filter_map (fun (m : Metric.t) -> m.sample) metrics);
+    List.iter
+      (fun name ->
+        let group = List.rev (Hashtbl.find groups name) in
+        let first = List.hd group in
+        let typ = match first.kind with Counter -> "counter" | Gauge -> "gauge" in
+        family name first.help typ (fun full ->
+            List.iter
+              (fun (s : Metric.sample) ->
+                Buffer.add_string buf
+                  (Printf.sprintf "%s%s %s\n" full (prom_labels s.labels)
+                     (prom_float s.value)))
+              group))
+      (List.rev !order);
     Buffer.contents buf
 end
 

@@ -210,18 +210,79 @@ val prometheus_name : string -> string
     [[a-zA-Z_:][a-zA-Z0-9_:]*]: every other character (the dots of
     ["engine.facts.derived"], spaces, slashes) becomes ['_']. *)
 
+(** Numbers kept outside the registry (the server's caches, datasets,
+    jobs, journal, breaker, pool and request counts), each declared
+    once: its JSON key and, when exported, its Prometheus sample. A
+    component's [metrics] function returns a list of these; the JSON
+    body is the nested list ({!to_json}) and {!Prometheus.render}
+    writes their samples. *)
+module Metric : sig
+  type kind = Counter | Gauge
+
+  type sample = {
+    family : string;
+        (** full exposition name, e.g. ["vadasa_cache_hits_total"] *)
+    kind : kind;
+    help : string;
+    labels : (string * string) list;
+    value : float;
+  }
+
+  type t = {
+    path : string list;
+        (** JSON keys, outermost first; [[]] for a Prometheus-only entry *)
+    json : Json.t;
+    sample : sample option;  (** [None] for a JSON-only entry *)
+  }
+
+  val json : string -> Json.t -> t
+  (** A JSON-only entry (a capacity, a directory, a last error). *)
+
+  val counter :
+    ?labels:(string * string) list -> family:string -> help:string ->
+    string -> int -> t
+  (** [counter ~family ~help key n]: [n] under JSON [key] and as a
+      counter sample of [family]. *)
+
+  val gauge :
+    ?labels:(string * string) list -> family:string -> help:string ->
+    string -> int -> t
+  (** As {!counter}, typed gauge. *)
+
+  val prom :
+    kind -> ?labels:(string * string) list -> family:string -> help:string ->
+    float -> t
+  (** A Prometheus-only entry; set [path] and [json] on the result to
+      give it a JSON form that differs from its sample (a float, a state
+      name). *)
+
+  val nest : string -> t list -> t list
+  (** Prefix every entry's JSON path with one key; an empty list becomes
+      an empty object under that key. *)
+
+  val to_json : t list -> Json.t
+  (** Entries nested by path into one object, keys in first-seen
+      order; Prometheus-only entries are skipped. *)
+end
+
 module Prometheus : sig
-  val render : ?namespace:string -> Report.t -> string
-  (** Text exposition format 0.0.4 of a captured report: every metric
-      family gets [# HELP]/[# TYPE] lines; counters are suffixed
-      [_total]; histograms render cumulative [_bucket{le="..."}] series
-      plus [+Inf], [_sum] and [_count]. Names are sanitized with
+  val render : ?namespace:string -> ?metrics:Metric.t list -> Report.t -> string
+  (** Text exposition format 0.0.4 of a captured report followed by
+      the samples of [metrics]; the only writer of exposition text in
+      the stack. Every metric family gets its HELP and TYPE comment
+      lines once; registry counters are suffixed [_total]; histograms
+      render cumulative [_bucket{le="..."}] series plus [+Inf], [_sum]
+      and [_count]. Registry names are sanitized with
       {!prometheus_name} and prefixed with [namespace ^ "_"] (default
-      ["vadasa"]); families whose sanitized names collide are dropped
-      after the first so the exposition never repeats a series. Span
-      aggregates are not exported (scrape the JSON report or a trace
-      for those); a positive dropped-span count appears as
-      [<ns>_telemetry_dropped_spans_total]. *)
+      ["vadasa"]). Samples group by family in first-seen order, the
+      first sample of a family giving its help and type; label values
+      are escaped. A family whose name was already written is dropped,
+      so the exposition never repeats a series. Integral values render
+      bare, the rest as {!Json.float_repr} prints them ([123456.7], not
+      [123457]); histogram [_sum] lines alone keep six significant
+      digits ([%g]). Span aggregates are not exported (scrape the JSON
+      report or a trace for those); a positive dropped-span count
+      appears as [<ns>_telemetry_dropped_spans_total]. *)
 end
 
 val trace_json : t -> Json.t

@@ -1497,18 +1497,26 @@ let stats t =
 (* Mirror the always-on chase statistics into the global telemetry
    registry. Counters are {e set} to their absolute values, so re-running
    an engine (or several engines in one process) never double-counts its
-   own totals — the last run's numbers win per counter name. *)
+   own totals — the last run's numbers win per counter name. Only names
+   fixed by the engine: a rule label or predicate comes from the program
+   text, so mirroring those would give a long-running process one
+   permanent series per client program ({!publish_rule_counters}). *)
+let set_counter name v = Telemetry.Counter.set (Telemetry.Counter.v name) v
+
 let publish_telemetry t =
   if Telemetry.enabled () then begin
-    let set name v = Telemetry.Counter.set (Telemetry.Counter.v name) v in
-    set "engine.facts.derived" t.s_derived;
-    set "engine.facts.duplicate" t.s_duplicates;
-    set "engine.facts.total" (Database.total t.db);
-    set "engine.nulls.created" (Ids.count t.ids);
-    set "engine.agg.groups" t.s_agg_groups;
-    set "engine.iterations" t.s_iterations;
-    set "engine.strata" (Array.length t.strat.Stratify.strata);
-    set "engine.provenance.nodes" t.s_derived;
+    set_counter "engine.facts.derived" t.s_derived;
+    set_counter "engine.facts.duplicate" t.s_duplicates;
+    set_counter "engine.facts.total" (Database.total t.db);
+    set_counter "engine.nulls.created" (Ids.count t.ids);
+    set_counter "engine.agg.groups" t.s_agg_groups;
+    set_counter "engine.iterations" t.s_iterations;
+    set_counter "engine.strata" (Array.length t.strat.Stratify.strata);
+    set_counter "engine.provenance.nodes" t.s_derived
+  end
+
+let publish_rule_counters t =
+  if Telemetry.enabled () then begin
     let by_label = Hashtbl.create 16 in
     Hashtbl.iter
       (fun _ cr ->
@@ -1521,11 +1529,11 @@ let publish_telemetry t =
       t.compiled;
     Hashtbl.iter
       (fun name (d, dup) ->
-        set (name ^ ".derived") d;
-        set (name ^ ".duplicates") dup)
+        set_counter (name ^ ".derived") d;
+        set_counter (name ^ ".duplicates") dup)
       by_label;
     Hashtbl.iter
-      (fun pred r -> set ("engine.pred." ^ pred ^ ".derived") !r)
+      (fun pred r -> set_counter ("engine.pred." ^ pred ^ ".derived") !r)
       t.pred_derived
   end
 

@@ -268,6 +268,14 @@ val rule_derivations : t -> (string * int) list
 val pred_derivations : t -> (string * int) list
 (** New facts per head predicate, most productive first. *)
 
+val publish_rule_counters : t -> unit
+(** Set [engine.rule.<label>.derived]/[.duplicates] and
+    [engine.pred.<p>.derived] on the global telemetry registry (when
+    enabled). {!run} publishes only the engine's fixed-name counters
+    ([engine.facts.*], [engine.iterations], ...): these names come from
+    the program text, so a one-shot run (the CLI's [--metrics]) calls
+    this after its run, and a long-running server does not. *)
+
 (** {2 Profiling}
 
     Every engine carries an always-on {!Profile.t}: per-rule self time,

@@ -166,7 +166,7 @@ let test_journal_fault_rollback () =
       ignore (Journal.append j "second");
       Alcotest.(check bool)
         "failed batches counted" true
-        ((Journal.counters j).Journal.errors >= 2);
+        (Metric_value.int (Journal.metrics j) "errors" >= 2);
       Journal.close j;
       let scan = Journal.scan ~path in
       Alcotest.(check (list string))
@@ -188,14 +188,14 @@ let test_journal_concurrent_appends () =
                 Journal.append j (Printf.sprintf "d%d-%03d" d i))))
   in
   let seqs = List.concat_map Domain.join domains in
-  let c = Journal.counters j in
+  let c = Metric_value.int (Journal.metrics j) in
   Journal.close j;
   Alcotest.(check int) "all committed" (4 * per_domain) (List.length seqs);
   Alcotest.(check int)
     "distinct seqs" (4 * per_domain)
     (List.length (List.sort_uniq compare seqs));
-  Alcotest.(check int) "append counter" (4 * per_domain) c.Journal.appends;
-  Alcotest.(check bool) "batched" true (c.Journal.batches <= c.Journal.appends);
+  Alcotest.(check int) "append counter" (4 * per_domain) (c "appends");
+  Alcotest.(check bool) "batched" true (c "batches" <= c "appends");
   let scan = Journal.scan ~path in
   let expected =
     List.sort compare
@@ -288,9 +288,9 @@ let test_persist_commit_replay_snapshot () =
       let p2, s2, add2 = toy_store dir in
       Persist.recover p2;
       Alcotest.(check (list int)) "journal replay" [ 3; 2; 1 ] !s2;
-      let r = Persist.recovery p2 in
-      Alcotest.(check int) "replayed records" 3 r.Persist.replayed;
-      Alcotest.(check int) "none skipped" 0 r.Persist.skipped;
+      let r = Metric_value.int (Persist.metrics p2) in
+      Alcotest.(check int) "replayed records" 3 (r "replayed_records");
+      Alcotest.(check int) "none skipped" 0 (r "skipped_records");
       (* snapshot captures the records; the journal is truncated *)
       Persist.snapshot p2;
       Alcotest.(check int) "journal truncated" 0
@@ -334,7 +334,7 @@ let test_persist_seq_continues_after_snapshot () =
   Persist.recover p3;
   Alcotest.(check (list int))
     "post-snapshot commits recovered" [ 5; 4; 3; 2; 1 ] !s3;
-  Alcotest.(check int) "both replayed" 2 (Persist.recovery p3).Persist.replayed;
+  Alcotest.(check int) "both replayed" 2 (Metric_value.int (Persist.metrics p3) "replayed_records");
   Persist.close p3
 
 (* --- the crash-safe registry ---------------------------------------------- *)
@@ -429,8 +429,8 @@ let test_registry_crash_recover_identical () =
   let p3 = Persist.open_ ~dir () in
   let reg3 = Registry.create ~persist:p3 () in
   Persist.recover p3;
-  let r = Persist.recovery p3 in
-  Alcotest.(check int) "snapshot carried everything" 0 r.Persist.replayed;
+  Alcotest.(check int) "snapshot carried everything" 0
+    (Metric_value.int (Persist.metrics p3) "replayed_records");
   let e3 = Registry.get reg3 "d" in
   Alcotest.(check string) "snapshot restore byte-identical"
     (Registry.entry_csv e2) (Registry.entry_csv e3);
@@ -677,8 +677,8 @@ let test_jobs_terminal_retention () =
       in
       let deadline = Unix.gettimeofday () +. 20.0 in
       let rec settle () =
-        let c = Jobs.counters jobs in
-        if c.Jobs.completed + c.Jobs.failed + c.Jobs.cancelled < 5 then
+        let c = Metric_value.int (Jobs.metrics jobs) in
+        if c "completed" + c "failed" + c "cancelled" < 5 then
           if Unix.gettimeofday () > deadline then
             Alcotest.fail "jobs never settled"
           else begin
@@ -693,7 +693,7 @@ let test_jobs_terminal_retention () =
         "the newest survive"
         (List.filteri (fun i _ -> i >= 3) ids)
         kept;
-      Alcotest.(check int) "prunes counted" 3 (Jobs.counters jobs).Jobs.pruned)
+      Alcotest.(check int) "prunes counted" 3 (Metric_value.int (Jobs.metrics jobs) "pruned"))
 
 (* Minting fresh tenant names must not launder an existing tenant's
    rate-limit debt: once the bucket table trips its bound, only buckets

@@ -85,17 +85,14 @@ let bridge_inputs () =
       (facts @ ident @ own_facts ())
   in
   let suppression =
-    (* Algorithm 7 as the reasoned cycle runs it: [tuple] is [qset], and
-       every fifth tuple suppresses its first quasi-identifier. *)
+    (* Algorithm 7 as the engine executor runs it, every fifth tuple
+       suppressing its first quasi-identifier. *)
     let qi = List.hd (S.Microdata.quasi_identifiers md) in
     let directives =
       List.init (S.Microdata.cardinal md / 5) (fun j ->
           ("anonymize", [| Value.Int (5 * j); Value.Str qi |]))
     in
-    with_facts
-      (S.Vadalog_bridge.base_program ^ S.Suppression.program
-     ^ "tuple(I, VS) :- qset(I, VS).\n")
-      (facts @ directives)
+    with_facts S.Vadalog_bridge.suppression_program_source (facts @ directives)
   in
   [
     ("k-anonymity", measure (S.Risk.K_anonymity { k = 2 }));

@@ -305,9 +305,9 @@ let test_registry_lru_eviction () =
   (* touch "a" so "b" is the least recently used *)
   ignore (Srv.Registry.find reg "a");
   ignore (put_csv reg "c" base);
-  let totals = Srv.Registry.totals reg in
-  Alcotest.(check int) "bounded" 2 totals.Srv.Registry.registered;
-  Alcotest.(check int) "one eviction" 1 totals.Srv.Registry.evictions;
+  let metrics = Srv.Registry.metrics reg in
+  Alcotest.(check int) "bounded" 2 (Metric_value.int metrics "registered");
+  Alcotest.(check int) "one eviction" 1 (Metric_value.int metrics "evictions");
   Alcotest.(check bool) "b evicted" true (Srv.Registry.find reg "b" = None);
   Alcotest.(check bool) "a kept" true (Srv.Registry.find reg "a" <> None)
 

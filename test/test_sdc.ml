@@ -800,13 +800,26 @@ let test_reasoned_cycle () =
   in
   Alcotest.(check int) "anonymized is 2-anonymous" 0
     (List.length (S.Risk.risky report ~threshold:0.5));
-  (* The budget is the loop's: the fact ceiling counts injected nulls, so
-     round 1's two nulls stop the run at the next round boundary. *)
-  let budget = Vadasa_base.Budget.create ~max_facts:1 () in
-  let cut = S.Cycle.run ~executor ~budget md in
-  Alcotest.(check bool) "interrupted at the ceiling" true
+  (* The loop polls the budget between rounds, where the fact ceiling
+     counts injected nulls: natively, round 1's two nulls stop the run at
+     the next round boundary. *)
+  let ceiling () = Vadasa_base.Budget.create ~max_facts:1 () in
+  let cut = S.Cycle.run ~budget:(ceiling ()) md in
+  Alcotest.(check bool) "native interrupted at the ceiling" true
     (cut.S.Cycle.interrupted = Some Vadasa_base.Budget.Fact_ceiling);
-  Alcotest.(check int) "after one round" 1 cut.S.Cycle.rounds;
+  Alcotest.(check int) "native after one round" 1 cut.S.Cycle.rounds;
+  (* The engine executor's chases run under the same budget: the ceiling
+     is below round 1's risk chase, so the run stops during round 1,
+     which is not counted and changes nothing. *)
+  let cut = S.Cycle.run ~executor ~budget:(ceiling ()) md in
+  Alcotest.(check bool) "engine interrupted at the ceiling" true
+    (cut.S.Cycle.interrupted = Some Vadasa_base.Budget.Fact_ceiling);
+  Alcotest.(check int) "no round completed" 0 cut.S.Cycle.rounds;
+  Alcotest.(check int) "no null drawn" 0 cut.S.Cycle.nulls_injected;
+  Alcotest.(check int) "no action" 0 (List.length cut.S.Cycle.trace);
+  Alcotest.(check string) "relation unchanged"
+    (R.Csv.write_string (S.Microdata.relation md))
+    (R.Csv.write_string (S.Microdata.relation cut.S.Cycle.anonymized));
   (* A configuration with no program is refused before round 1: a
      cancelled budget stops the loop before any round, so only a check
      made before the loop can raise. *)

@@ -252,9 +252,9 @@ let test_cache_hit_miss () =
   let v, hit = Srv.Cache.find_or_build_hit c "k" (fun _ -> 99) in
   Alcotest.(check int) "cached value survives" 42 v;
   Alcotest.(check bool) "second is a hit" true hit;
-  Alcotest.(check int) "hits" 1 (Srv.Cache.hits c);
+  Alcotest.(check int) "hits" 1 (Metric_value.int (Srv.Cache.metrics c) "hits");
   (* find_opt "k" missed once, find_or_build_hit missed once *)
-  Alcotest.(check int) "misses" 2 (Srv.Cache.misses c)
+  Alcotest.(check int) "misses" 2 (Metric_value.int (Srv.Cache.metrics c) "misses")
 
 let test_cache_lru_eviction () =
   let c = Srv.Cache.create ~capacity:2 "t" in
@@ -263,10 +263,10 @@ let test_cache_lru_eviction () =
   ignore (Srv.Cache.find_opt c "a");
   (* "b" is now the least recently used; inserting "c" evicts it *)
   ignore (Srv.Cache.find_or_build c "c" (fun _ -> 3));
-  Alcotest.(check int) "size bounded" 2 (Srv.Cache.size c);
+  Alcotest.(check int) "size bounded" 2 (Metric_value.int (Srv.Cache.metrics c) "size");
   Alcotest.(check (option int)) "a kept" (Some 1) (Srv.Cache.find_opt c "a");
   Alcotest.(check (option int)) "b evicted" None (Srv.Cache.find_opt c "b");
-  Alcotest.(check int) "one eviction" 1 (Srv.Cache.evictions c)
+  Alcotest.(check int) "one eviction" 1 (Metric_value.int (Srv.Cache.metrics c) "evictions")
 
 let test_cache_concurrent_builders () =
   let c = Srv.Cache.create ~capacity:8 "t" in
@@ -283,7 +283,7 @@ let test_cache_concurrent_builders () =
   Alcotest.(check bool)
     "at least one build, no corruption" true
     (Atomic.get builds >= 1);
-  Alcotest.(check int) "one entry" 1 (Srv.Cache.size c)
+  Alcotest.(check int) "one entry" 1 (Metric_value.int (Srv.Cache.metrics c) "size")
 
 (* --- pool ---------------------------------------------------------------- *)
 
@@ -409,7 +409,7 @@ let test_e2e_concurrent_risk () =
       let handlers = Srv.Server.handlers _server in
       Alcotest.(check int)
         "one dataset cached" 1
-        (Srv.Cache.size (Srv.Handlers.datasets handlers)))
+        (Metric_value.int (Srv.Cache.metrics (Srv.Handlers.datasets handlers)) "size"))
 
 let test_e2e_program_cache_hit () =
   let csv, name = Lazy.force figure6 in
@@ -433,7 +433,7 @@ let test_e2e_program_cache_hit () =
       let handlers = Srv.Server.handlers server in
       Alcotest.(check int)
         "hit counted" 1
-        (Srv.Cache.hits (Srv.Handlers.programs handlers));
+        (Metric_value.int (Srv.Cache.metrics (Srv.Handlers.programs handlers)) "hits");
       (* the hit is visible in /metrics *)
       let status, metrics = http_call ~port ~meth:"GET" ~target:"/metrics" () in
       Alcotest.(check int) "metrics 200" 200 status;
@@ -1006,6 +1006,189 @@ let test_e2e_explain_byte_identical () =
       Alcotest.(check string) "byte-identical to the CLI rendering" expected
         resp)
 
+let pinned_series =
+  [
+    "vadasa_breaker_state{endpoint=\"GET /v1/jobs/{id}\"}";
+    "vadasa_breaker_state{endpoint=\"POST /v1/datasets/{id}/facts\"}";
+    "vadasa_breaker_state{endpoint=\"POST /v1/jobs\"}";
+    "vadasa_breaker_state{endpoint=\"POST /v1/risk\"}";
+    "vadasa_breaker_state{endpoint=\"PUT /v1/datasets/{id}\"}";
+    "vadasa_cache_evictions_total{cache=\"datasets\"}";
+    "vadasa_cache_evictions_total{cache=\"programs\"}";
+    "vadasa_cache_hits_total{cache=\"datasets\"}";
+    "vadasa_cache_hits_total{cache=\"programs\"}";
+    "vadasa_cache_misses_total{cache=\"datasets\"}";
+    "vadasa_cache_misses_total{cache=\"programs\"}";
+    "vadasa_cache_size{cache=\"datasets\"}";
+    "vadasa_cache_size{cache=\"programs\"}";
+    "vadasa_csv_read_bytes_total";
+    "vadasa_csv_read_rows_total";
+    "vadasa_csv_write_bytes_total";
+    "vadasa_csv_write_rows_total";
+    "vadasa_datasets_appends_total";
+    "vadasa_datasets_bytes";
+    "vadasa_datasets_chase_rebuilds_total";
+    "vadasa_datasets_evictions_total";
+    "vadasa_datasets_registered";
+    "vadasa_datasets_rows";
+    "vadasa_engine_agg_groups_total";
+    "vadasa_engine_facts_derived_total";
+    "vadasa_engine_facts_duplicate_total";
+    "vadasa_engine_facts_total_total";
+    "vadasa_engine_iteration_delta_count";
+    "vadasa_engine_iteration_delta_sum";
+    "vadasa_engine_iteration_derived_count";
+    "vadasa_engine_iteration_derived_sum";
+    "vadasa_engine_iteration_duplicates_count";
+    "vadasa_engine_iteration_duplicates_sum";
+    "vadasa_engine_iterations_total";
+    "vadasa_engine_nulls_created_total";
+    "vadasa_engine_provenance_nodes_total";
+    "vadasa_engine_strata_total";
+    "vadasa_http_latency_GET_v1_jobs__id__count";
+    "vadasa_http_latency_GET_v1_jobs__id__sum";
+    "vadasa_http_latency_POST_v1_datasets__id__facts_count";
+    "vadasa_http_latency_POST_v1_datasets__id__facts_sum";
+    "vadasa_http_latency_POST_v1_jobs_count";
+    "vadasa_http_latency_POST_v1_jobs_sum";
+    "vadasa_http_latency_POST_v1_risk_count";
+    "vadasa_http_latency_POST_v1_risk_sum";
+    "vadasa_http_latency_PUT_v1_datasets__id__count";
+    "vadasa_http_latency_PUT_v1_datasets__id__sum";
+    "vadasa_http_requests_total{method=\"GET\",path=\"/v1/jobs/{id}\",status=\"200\"}";
+    "vadasa_http_requests_total{method=\"POST\",path=\"/v1/datasets/{id}/facts\",status=\"200\"}";
+    "vadasa_http_requests_total{method=\"POST\",path=\"/v1/jobs\",status=\"202\"}";
+    "vadasa_http_requests_total{method=\"POST\",path=\"/v1/risk\",status=\"200\"}";
+    "vadasa_http_requests_total{method=\"PUT\",path=\"/v1/datasets/{id}\",status=\"201\"}";
+    "vadasa_jobs_cancelled_total";
+    "vadasa_jobs_completed_total";
+    "vadasa_jobs_failed_total";
+    "vadasa_jobs_orphaned_total";
+    "vadasa_jobs_pruned_total";
+    "vadasa_jobs_queued";
+    "vadasa_jobs_rejected_total{gate=\"queue\"}";
+    "vadasa_jobs_rejected_total{gate=\"quota\"}";
+    "vadasa_jobs_rejected_total{gate=\"rate\"}";
+    "vadasa_jobs_replayed_total";
+    "vadasa_jobs_running";
+    "vadasa_jobs_submitted_total";
+    "vadasa_journal_appends_total";
+    "vadasa_journal_batches_total";
+    "vadasa_journal_bytes_total";
+    "vadasa_journal_errors_total";
+    "vadasa_journal_fsyncs_total";
+    "vadasa_journal_replayed_records_total";
+    "vadasa_journal_skipped_records_total";
+    "vadasa_journal_snapshots_total";
+    "vadasa_journal_truncated_bytes";
+    "vadasa_pool_busy_domains";
+    "vadasa_pool_domains";
+    "vadasa_pool_jobs_total{outcome=\"completed\"}";
+    "vadasa_pool_jobs_total{outcome=\"expired\"}";
+    "vadasa_pool_jobs_total{outcome=\"raised\"}";
+    "vadasa_pool_jobs_total{outcome=\"rejected\"}";
+    "vadasa_pool_jobs_total{outcome=\"submitted\"}";
+    "vadasa_pool_queue_depth";
+    "vadasa_pool_utilization";
+    "vadasa_relational_group_stats_class_tests_total";
+    "vadasa_sdc_risk_estimates_total";
+    "vadasa_sdc_risk_global";
+    "vadasa_sdc_risk_tuples_count";
+    "vadasa_sdc_risk_tuples_sum";
+    "vadasa_server_pool_wait_count";
+    "vadasa_server_pool_wait_sum";
+    "vadasa_uptime_seconds";
+  ]
+
+(* The "# TYPE" lines of an exposition, minus the runtime's gc.* gauges
+   (one family per domain that happened to serve a scrape). *)
+let families body =
+  String.split_on_char '\n' body
+  |> List.filter (fun l ->
+         String.starts_with ~prefix:"# TYPE " l
+         && not (String.starts_with ~prefix:"# TYPE vadasa_gc_" l))
+  |> List.sort_uniq compare
+
+let explain_new_names ~port ~pred ~label =
+  let program =
+    Printf.sprintf "@label(%S).\n%s(X) :- seed(X).\nseed(a).\n@output(%S).\n" label
+      pred pred
+  in
+  let body =
+    Json.to_string
+      (Json.Obj [ ("program", Json.Str program); ("fact", Json.Str (pred ^ "(a)")) ])
+  in
+  let status, _ =
+    http_call ~port ~meth:"POST" ~target:"/v1/explain"
+      ~headers:[ ("content-type", "application/json") ]
+      ~body ()
+  in
+  Alcotest.(check int) (pred ^ " explained") 200 status
+
+(* Predicate names and rule labels are client text: explaining programs
+   with new ones must not add series to /metrics. *)
+let test_e2e_program_text_adds_no_series () =
+  with_telemetry (fun () ->
+      with_server (fun _server port ->
+          explain_new_names ~port ~pred:"alphaq" ~label:"alpha_rule";
+          (* the first scrape's own latency family shows from the second *)
+          ignore (scrape port);
+          let before = families (scrape port) in
+          explain_new_names ~port ~pred:"betaq" ~label:"beta_rule";
+          explain_new_names ~port ~pred:"gammaq" ~label:"gamma_rule";
+          Alcotest.(check (list string)) "same families" before (families (scrape port))))
+
+(* Every sample name and label set /metrics exports on one fixed server
+   state (a data dir, one dataset with one append, one job, one cache
+   hit, breaker circuits), without histogram buckets and gc.* gauges: a
+   series dropped from any component's [metrics] list fails here. *)
+let test_e2e_pinned_series () =
+  let dir = Filename.temp_file "vadasa-series" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let csv, name = Lazy.force figure6 in
+  let persist = Srv.Persist.open_ ~dir () in
+  let handlers = Srv.Handlers.create ~persist ~job_domains:1 () in
+  with_telemetry (fun () ->
+      with_server ~handlers (fun _server port ->
+          let call meth target body =
+            let status, resp = http_call ~port ~meth ~target ~body () in
+            if status >= 300 then Alcotest.failf "%s %s: %d %s" meth target status resp;
+            resp
+          in
+          ignore (call "PUT" "/v1/datasets/d" (csv_slice csv 0 100));
+          ignore (call "POST" "/v1/datasets/d/facts" (csv_slice csv 100 120));
+          let field key body = Option.bind (Json.member key (json_of body)) Json.to_string_opt in
+          let job =
+            Option.get (field "id" (call "POST" "/v1/jobs" {|{"dataset": "d", "op": "risk"}|}))
+          in
+          let rec settle tries =
+            let state = field "state" (call "GET" ("/v1/jobs/" ^ job) "") in
+            if state <> Some "done" && tries > 0 then begin
+              Unix.sleepf 0.05;
+              settle (tries - 1)
+            end
+          in
+          settle 400;
+          for _ = 1 to 2 do
+            ignore (call "POST" ("/v1/risk?name=" ^ name) csv)
+          done;
+          let series =
+            String.split_on_char '\n' (scrape port)
+            |> List.filter_map (fun line ->
+                   match String.rindex_opt line ' ' with
+                   | Some i
+                     when line <> ""
+                          && line.[0] <> '#'
+                          && not
+                               (Astring_contains.contains line "_bucket{"
+                               || String.starts_with ~prefix:"vadasa_gc_" line) ->
+                     Some (String.sub line 0 i)
+                   | _ -> None)
+            |> List.sort_uniq compare
+          in
+          Alcotest.(check (list string)) "series" pinned_series series))
+
 let test_e2e_explain_not_found_422 () =
   with_server (fun _server port ->
       let body =
@@ -1161,6 +1344,9 @@ let () =
             test_e2e_explain_byte_identical;
           Alcotest.test_case "explain missing fact 422" `Quick
             test_e2e_explain_not_found_422;
+          Alcotest.test_case "program text adds no series" `Quick
+            test_e2e_program_text_adds_no_series;
+          Alcotest.test_case "pinned series" `Quick test_e2e_pinned_series;
           Alcotest.test_case "anonymize embeds audit trail" `Quick
             test_e2e_anonymize_audit_embedded;
         ] );

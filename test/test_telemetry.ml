@@ -581,6 +581,52 @@ let test_prometheus_no_duplicate_series () =
   Alcotest.(check int) "one sample for the colliding family" 1
     (List.length occurrences)
 
+(* Non-integers print as Json.float_repr does: %g would give 123457 and
+   1.23457e+06. *)
+let test_prometheus_float_precision () =
+  let r = T.create () in
+  T.Gauge.set (T.Gauge.v ~registry:r "uptime") 123456.7;
+  let metrics =
+    [ T.Metric.prom T.Metric.Gauge ~family:"vadasa_big" ~help:"big" 1234567.89 ]
+  in
+  let lines =
+    String.split_on_char '\n' (T.Prometheus.render ~metrics (T.Report.capture r))
+  in
+  Alcotest.(check bool) "registry gauge" true (List.mem "vadasa_uptime 123456.7" lines);
+  Alcotest.(check bool) "labelled sample" true (List.mem "vadasa_big 1234567.89" lines)
+
+(* Labelled samples: one HELP/TYPE per family, escaped label values, and
+   a family already written by the registry is dropped. *)
+let test_prometheus_samples () =
+  let r = T.create () in
+  T.Counter.add (T.Counter.v ~registry:r "taken") 1;
+  let module M = T.Metric in
+  let entries =
+    [
+      M.counter ~labels:[ ("k", "a\"b") ] ~family:"vadasa_x_total" ~help:"X" "a" 1;
+      M.counter ~labels:[ ("k", "c") ] ~family:"vadasa_x_total" ~help:"X" "c" 2;
+      M.gauge ~family:"vadasa_taken_total" ~help:"collides" "taken" 9;
+      M.json "json_only" (T.Json.Str "s");
+    ]
+  in
+  let rendered =
+    T.Prometheus.render ~metrics:entries (T.Report.capture r)
+  in
+  Alcotest.(check string) "exposition"
+    "# HELP vadasa_taken_total Vada-SA counter taken\n\
+     # TYPE vadasa_taken_total counter\n\
+     vadasa_taken_total 1\n\
+     # HELP vadasa_x_total X\n\
+     # TYPE vadasa_x_total counter\n\
+     vadasa_x_total{k=\"a\\\"b\"} 1\n\
+     vadasa_x_total{k=\"c\"} 2\n"
+    rendered;
+  Alcotest.(check string) "json body" {|{"a":1,"c":2,"taken":9,"json_only":"s"}|}
+    (T.Json.to_string (M.to_json entries));
+  Alcotest.(check string) "nested"
+    {|{"outer":{"a":1,"c":2,"taken":9,"json_only":"s"}}|}
+    (T.Json.to_string (M.to_json (M.nest "outer" entries)))
+
 (* --- engine integration ------------------------------------------------ *)
 
 let ancestry_src =
@@ -598,6 +644,16 @@ let test_engine_rule_counters () =
   T.reset T.global;
   let engine = V.Engine.create (V.Parser.parse ancestry_src) in
   V.Engine.run engine;
+  let counters () = (T.Report.capture T.global).T.Report.counters in
+  (* A run mirrors only fixed-name counters; names taken from the program
+     text appear once the caller publishes them. *)
+  Alcotest.(check bool) "run publishes no per-rule counter" false
+    (List.exists
+       (fun (name, _) ->
+         String.starts_with ~prefix:"engine.rule." name
+         || String.starts_with ~prefix:"engine.pred." name)
+       (counters ()));
+  V.Engine.publish_rule_counters engine;
   T.set_enabled false;
   let stats = V.Engine.stats engine in
   Alcotest.(check bool) "facts derived" true (stats.V.Engine.facts_derived > 0);
@@ -616,6 +672,9 @@ let test_engine_rule_counters () =
     (List.assoc_opt "engine.facts.derived" report.T.Report.counters);
   Alcotest.(check bool) "per-rule counter present" true
     (List.mem_assoc "engine.rule.step.derived" report.T.Report.counters);
+  Alcotest.(check (option int)) "per-predicate counter"
+    (List.assoc_opt "ancestor" (V.Engine.pred_derivations engine))
+    (List.assoc_opt "engine.pred.ancestor.derived" report.T.Report.counters);
   Alcotest.(check bool) "engine.run span present" true
     (List.exists
        (fun a -> String.equal a.T.Report.agg_path "engine.run")
@@ -682,6 +741,9 @@ let () =
           Alcotest.test_case "golden exposition" `Quick test_prometheus_golden;
           Alcotest.test_case "sanitize collisions dedup" `Quick
             test_prometheus_no_duplicate_series;
+          Alcotest.test_case "non-integer precision" `Quick
+            test_prometheus_float_precision;
+          Alcotest.test_case "labelled samples" `Quick test_prometheus_samples;
         ] );
       ( "engine",
         [
