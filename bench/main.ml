@@ -7,6 +7,7 @@
      main.exe --full           paper-size datasets (slow)
      main.exe fig7a fig7e ...  selected experiments only
      main.exe micro            Bechamel kernels only
+     main.exe render           maintained vs cold risk-report rendering
      main.exe --json-dir DIR   write BENCH_<figure>.json reports to DIR
                                (created if missing)
      main.exe --no-json        skip the JSON reports
@@ -804,6 +805,57 @@ let incremental () =
   note "canonical forms are byte-identical every round (asserted)"
 
 (* ------------------------------------------------------------------ *)
+(* Report rendering: the body of a maintained [GET /v1/datasets/{id}/risk]
+   (a registered 400-row U dataset under Benedetti-Franconi, rendered
+   once before timing and unchanged since, so every number's text is
+   already known) against a cold render of the same report. Prints the
+   median time and the minor-heap words of one render. *)
+let render () =
+  section "Report rendering - maintained vs cold risk-report body";
+  let module Srv = Vadasa_server in
+  let md = D.Suite.load ~scale:0.016 "R25A4U" in
+  let options = { Srv.Codec.default_options with Srv.Codec.measure = "individual" } in
+  let measure = S.Risk.Individual S.Risk.Benedetti_franconi in
+  let reg = Srv.Registry.create () in
+  let entry =
+    (Srv.Registry.put reg ~id:"render" ~digest:"render" ~bytes:0 ~options
+       ~measure ~semantics:R.Null_semantics.Maybe_match ~compiled:None
+       (S.Microdata.copy md))
+      .Srv.Registry.entry
+  in
+  let threshold = options.Srv.Codec.threshold in
+  let report = S.Risk.estimate measure md in
+  let cases =
+    [
+      ("maintained", fun () -> Srv.Registry.risk_report_string ~threshold entry);
+      ("cold", fun () -> Srv.Codec.risk_report_string ~threshold md report);
+    ]
+  in
+  Printf.printf "  %d rows, body %d bytes\n" (S.Microdata.cardinal md)
+    (String.length (snd (List.hd cases) ()));
+  Printf.printf "  %-12s %12s %14s\n" "render" "us (median)" "minor words";
+  List.iter
+    (fun (name, f) ->
+      let reps = 200 in
+      let batch () =
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to reps do
+          ignore (Sys.opaque_identity (f ()))
+        done;
+        (Unix.gettimeofday () -. t0) /. float_of_int reps
+      in
+      ignore (batch ());
+      let times = Array.init 9 (fun _ -> batch ()) in
+      Array.sort Float.compare times;
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (f ()));
+      let words = Gc.minor_words () -. w0 in
+      Printf.printf "  %-12s %12.1f %14.0f\n" name (times.(4) *. 1e6) words)
+    cases;
+  note "expectation: the maintained render reuses every number's text and";
+  note "allocates a fraction of the cold render's words"
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -822,6 +874,7 @@ let experiments =
     ("ablation", ablation);
     ("scaling", scaling);
     ("incremental", incremental);
+    ("render", render);
     ("micro", micro);
   ]
 

@@ -12,7 +12,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape buf s =
+let add_string buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -50,8 +50,7 @@ let float_repr f =
 (* A line break and its indentation, for nesting depths up to 31. *)
 let newline_indent = "\n" ^ String.make 62 ' '
 
-let to_string ?(float_repr = float_repr) ?(indent = false) t =
-  let buf = Buffer.create 256 in
+let to_buffer ?(indent = false) ?(depth = 0) buf t =
   (* With [indent], a line break and two spaces per [depth]. *)
   let newline depth =
     if indent then begin
@@ -71,7 +70,7 @@ let to_string ?(float_repr = float_repr) ?(indent = false) t =
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f -> Buffer.add_string buf (float_repr f)
-    | Str s -> escape buf s
+    | Str s -> add_string buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
       Buffer.add_char buf '[';
@@ -90,14 +89,18 @@ let to_string ?(float_repr = float_repr) ?(indent = false) t =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           newline (depth + 1);
-          escape buf k;
+          add_string buf k;
           Buffer.add_string buf (if indent then ": " else ":");
           go (depth + 1) v)
         fields;
       newline depth;
       Buffer.add_char buf '}'
   in
-  go 0 t;
+  go depth t
+
+let to_string ?indent t =
+  let buf = Buffer.create 256 in
+  to_buffer ?indent buf t;
   Buffer.contents buf
 
 exception Parse of string

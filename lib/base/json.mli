@@ -21,11 +21,19 @@ val float_repr : float -> string
     [%.17g] that parses back to the same float; [nan] prints as [0] and
     the infinities as [±1e308]. *)
 
-val to_string : ?float_repr:(float -> string) -> ?indent:bool -> t -> string
+val add_string : Buffer.t -> string -> unit
+(** Append [s] as a JSON string literal: quoted, with the quote, the
+    backslash and the control characters escaped; other bytes pass
+    through. *)
+
+val to_buffer : ?indent:bool -> ?depth:int -> Buffer.t -> t -> unit
+(** Append the encoding of a value. With [~indent:true] it is laid out
+    as if nested [depth] levels deep (default [0]): a writer that
+    prints an enclosing object itself can embed the value in it. *)
+
+val to_string : ?indent:bool -> t -> string
 (** Compact by default; [~indent:true] pretty-prints with two-space
-    indentation. [float_repr] (default {!float_repr}) prints each
-    [Float]; a caller passing its own must return what {!float_repr}
-    would, so a memoized printer changes no byte. *)
+    indentation. *)
 
 val of_string : string -> (t, string) result
 (** Full JSON parser (strings with escapes and surrogate pairs, numbers,

@@ -112,7 +112,14 @@ let risky report ~threshold =
     report.risk;
   List.rev !out
 
-let global_risk report = Array.fold_left ( +. ) 0.0 report.risk
+(* A loop rather than [Array.fold_left], which boxes every partial sum;
+   same order of additions, same bits. *)
+let global_risk report =
+  let sum = ref 0.0 in
+  for i = 0 to Array.length report.risk - 1 do
+    sum := !sum +. report.risk.(i)
+  done;
+  !sum
 
 let measure_to_string = function
   | Re_identification -> "re-identification"

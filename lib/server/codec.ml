@@ -474,30 +474,6 @@ let response_of_error (e : E.t) =
 
 let float_list a = Json.List (Array.fold_right (fun f l -> Json.Float f :: l) a [])
 
-let int_list a = Json.List (Array.fold_right (fun i l -> Json.Int i :: l) a [])
-
-let risk_report_json ~threshold md (report : S.Risk.report) =
-  let risky = S.Risk.risky report ~threshold in
-  Json.Obj
-    [
-      ("dataset", Json.Str (S.Microdata.name md));
-      ("tuples", Json.Int (S.Microdata.cardinal md));
-      ("measure", Json.Str (S.Risk.measure_to_string report.S.Risk.measure));
-      ("threshold", Json.Float threshold);
-      ("global_risk", Json.Float (S.Risk.global_risk report));
-      ("risky_count", Json.Int (List.length risky));
-      ("risky", Json.List (List.map (fun i -> Json.Int i) risky));
-      ("risk", float_list report.S.Risk.risk);
-      ("freq", int_list report.S.Risk.freq);
-      ("weight_sum", float_list report.S.Risk.weight_sum);
-    ]
-
-let risk_report_string ?float_repr ~threshold md report =
-  Json.to_string ?float_repr ~indent:true (risk_report_json ~threshold md report)
-  ^ "\n"
-
-(* ---- degraded renderings -------------------------------------------------- *)
-
 (* The partial-progress object attached to every degraded response. *)
 let interrupt_json (i : V.Engine.interrupt) =
   Json.Obj
@@ -511,14 +487,146 @@ let interrupt_json (i : V.Engine.interrupt) =
 let degrade_fields interrupt =
   [ ("degraded", Json.Bool true); ("partial", interrupt_json interrupt) ]
 
-let risk_report_degraded_string ~threshold md report interrupt =
-  match risk_report_json ~threshold md report with
-  | Json.Obj fields ->
-    (* Baseline fields first, degraded markers appended: an unbudgeted
-       response stays byte-identical to [risk_report_string]. *)
-    Json.to_string ~indent:true (Json.Obj (fields @ degrade_fields interrupt))
-    ^ "\n"
-  | json -> Json.to_string ~indent:true json ^ "\n"
+(* The text of a maintained report's two per-row float columns, kept
+   between renders. Row [i]'s text is reused while [i < filled] and the
+   row's float still has the bits it was printed from. Bits, not float
+   equality: [0.] and [-0.] print differently, and a nan never equals
+   itself. *)
+module Report_text = struct
+  type column = {
+    mutable bits : float array;  (* the float each text was printed from *)
+    mutable text : string array;
+    mutable filled : int;  (* rows [0, filled) hold text *)
+  }
+
+  type t = {
+    risk : column;
+    weight_sum : column;
+    mutable formatted : int;  (* floats the last render printed afresh *)
+    mutable bytes : int;  (* length of the last body *)
+  }
+
+  let column () = { bits = [||]; text = [||]; filled = 0 }
+
+  let create () =
+    { risk = column (); weight_sum = column (); formatted = 0; bytes = 0 }
+
+  let formatted t = t.formatted
+
+  let reserve c n =
+    if Array.length c.bits < n then begin
+      let cap = max n (2 * Array.length c.bits) in
+      let bits = Array.make cap 0.0 and text = Array.make cap "" in
+      Array.blit c.bits 0 bits 0 c.filled;
+      Array.blit c.text 0 text 0 c.filled;
+      c.bits <- bits;
+      c.text <- text
+    end
+
+  (* Row [i]'s text for [values.(i)], read in place so that no float is
+     boxed for a row whose text is reused. *)
+  let row t c (values : float array) i =
+    if
+      i < c.filled
+      && Int64.bits_of_float c.bits.(i) = Int64.bits_of_float values.(i)
+    then c.text.(i)
+    else begin
+      let s = Json.float_repr values.(i) in
+      c.bits.(i) <- values.(i);
+      c.text.(i) <- s;
+      t.formatted <- t.formatted + 1;
+      s
+    end
+end
+
+(* [string_of_int]'s digits, without the intermediate string. *)
+let rec add_int buf i =
+  if i < 0 then Buffer.add_string buf (string_of_int i)
+  else begin
+    if i >= 10 then add_int buf (i / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+(* A list field's value at depth 1 of the report object, laid out as
+   [Json.to_string ~indent:true] lays it out. *)
+let add_items buf n add_item =
+  if n = 0 then Buffer.add_string buf "[]"
+  else begin
+    Buffer.add_char buf '[';
+    for i = 0 to n - 1 do
+      Buffer.add_string buf (if i = 0 then "\n    " else ",\n    ");
+      add_item i
+    done;
+    Buffer.add_string buf "\n  ]"
+  end
+
+(* The one risk-report writer: the bytes [Json.to_string ~indent:true]
+   gives for the report object, appended straight from the arrays. The
+   per-row floats come from (and refresh) [text]'s columns; every float
+   printed afresh is counted. *)
+let add_risk_report (text : Report_text.t) ?interrupt buf ~threshold md
+    (report : S.Risk.report) =
+  let add_float f =
+    text.formatted <- text.formatted + 1;
+    Buffer.add_string buf (Json.float_repr f)
+  in
+  let add_column (c : Report_text.column) values =
+    let n = Array.length values in
+    Report_text.reserve c n;
+    add_items buf n (fun i -> Buffer.add_string buf (Report_text.row text c values i));
+    c.filled <- n
+  in
+  text.formatted <- 0;
+  let risk = report.S.Risk.risk in
+  let risky = ref 0 in
+  for i = 0 to Array.length risk - 1 do
+    if risk.(i) > threshold then incr risky
+  done;
+  Buffer.add_string buf "{\n  \"dataset\": ";
+  Json.add_string buf (S.Microdata.name md);
+  Buffer.add_string buf ",\n  \"tuples\": ";
+  add_int buf (S.Microdata.cardinal md);
+  Buffer.add_string buf ",\n  \"measure\": ";
+  Json.add_string buf (S.Risk.measure_to_string report.S.Risk.measure);
+  Buffer.add_string buf ",\n  \"threshold\": ";
+  add_float threshold;
+  Buffer.add_string buf ",\n  \"global_risk\": ";
+  add_float (S.Risk.global_risk report);
+  Buffer.add_string buf ",\n  \"risky_count\": ";
+  add_int buf !risky;
+  Buffer.add_string buf ",\n  \"risky\": ";
+  let next = ref 0 in
+  add_items buf !risky (fun _ ->
+      while not (risk.(!next) > threshold) do
+        incr next
+      done;
+      add_int buf !next;
+      incr next);
+  Buffer.add_string buf ",\n  \"risk\": ";
+  add_column text.risk risk;
+  Buffer.add_string buf ",\n  \"freq\": ";
+  let freq = report.S.Risk.freq in
+  add_items buf (Array.length freq) (fun i -> add_int buf freq.(i));
+  Buffer.add_string buf ",\n  \"weight_sum\": ";
+  add_column text.weight_sum report.S.Risk.weight_sum;
+  Option.iter
+    (fun i ->
+      Buffer.add_string buf ",\n  \"degraded\": true,\n  \"partial\": ";
+      Json.to_buffer ~indent:true ~depth:1 buf (interrupt_json i))
+    interrupt;
+  Buffer.add_string buf "\n}\n"
+
+(* A cold render fills fresh columns: every float is printed once. *)
+let risk_report_string ?(text = Report_text.create ()) ?interrupt ~threshold md
+    report =
+  let size =
+    if text.Report_text.bytes > 0 then text.Report_text.bytes + 1024
+    else 256 + (64 * Array.length report.S.Risk.risk)
+  in
+  let buf = Buffer.create size in
+  add_risk_report text ?interrupt buf ~threshold md report;
+  text.Report_text.bytes <- Buffer.length buf;
+  Buffer.contents buf
 
 let anonymize_outcome_json ?audit md (outcome : S.Cycle.outcome) =
   ignore md;

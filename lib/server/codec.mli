@@ -147,36 +147,57 @@ val response_of_error : Vadasa_base.Error.t -> Http.response
     rejections) additionally gets a real [Retry-After] header — the
     same convention as the circuit breaker's 503. *)
 
-val risk_report_json :
-  threshold:float ->
-  Vadasa_sdc.Microdata.t ->
-  Vadasa_sdc.Risk.report ->
-  Vadasa_base.Json.t
+(** {2 Risk reports} *)
+
+(** What a maintained report keeps of its last rendering, so the next
+    one prints only the numbers that changed. Two text columns, one for
+    [risk] and one for [weight_sum], hold each row's text next to the
+    bits of the float it was printed from, up to a filled-prefix length.
+    A render blits a row's stored text when the row's float has the same
+    bits, and prints (and stores) a fresh one when they differ or the
+    row is new. An append re-scores a few rows, so the next body
+    formats only theirs. Not thread-safe: its owner renders under a
+    lock ({!Registry.risk_report_string}). *)
+module Report_text : sig
+  type t
+
+  val create : unit -> t
+
+  val formatted : t -> int
+  (** Floats the last render through [t] printed with
+      {!Vadasa_base.Json.float_repr} rather than reusing a stored text:
+      the changed and new rows' [risk] and [weight_sum] values, plus
+      [threshold] and [global_risk], which are always printed. *)
+end
 
 val risk_report_string :
-  ?float_repr:(float -> string) ->
+  ?text:Report_text.t ->
+  ?interrupt:Vadasa_vadalog.Engine.interrupt ->
   threshold:float ->
   Vadasa_sdc.Microdata.t ->
   Vadasa_sdc.Risk.report ->
   string
-(** Indented JSON plus trailing newline — the canonical rendering used
-    verbatim by both the CLI and the server. [float_repr] is passed to
-    {!Vadasa_base.Json.to_string}: the registry's memoized printer
-    ({!Registry.risk_report_string}) renders the same bytes. *)
+(** The risk report as indented JSON plus a trailing newline: the one
+    rendering used by the CLI's [risk --json], [POST /v1/risk], the
+    maintained and [?mode=full] [GET /v1/datasets/{id}/risk] and the
+    jobs runner, so their bodies are byte-identical for the same state.
+    Fields, in order: [dataset], [tuples], [measure], [threshold],
+    [global_risk], [risky_count], [risky], [risk], [freq], [weight_sum];
+    floats print as {!Vadasa_base.Json.float_repr} does. One writer
+    appends them straight into a buffer, without building a
+    {!Vadasa_base.Json.t} tree.
+
+    [text] reuses and refreshes a maintained report's per-row text
+    ({!Report_text}), and the buffer is sized from the last body
+    rendered through it; it changes no byte. Without it the render
+    fills fresh columns. [interrupt] appends
+    ["degraded": true] and a ["partial"] object ({!interrupt_json}) after
+    the baseline fields, so a degraded body's prefix is the unbudgeted
+    rendering. *)
 
 val interrupt_json : Vadasa_vadalog.Engine.interrupt -> Vadasa_base.Json.t
 (** [{"reason", "stratum", "iteration", "facts_derived"}] — the partial
     progress carried by a degraded response. *)
-
-val risk_report_degraded_string :
-  threshold:float ->
-  Vadasa_sdc.Microdata.t ->
-  Vadasa_sdc.Risk.report ->
-  Vadasa_vadalog.Engine.interrupt ->
-  string
-(** {!risk_report_string}'s fields followed by ["degraded": true] and a
-    ["partial"] object — the baseline prefix is byte-identical to the
-    unbudgeted rendering. *)
 
 val anonymize_outcome_json :
   ?audit:Vadasa_sdc.Audit.event list ->

@@ -222,7 +222,7 @@ let risk t req =
       Http.response ~status:200 (Codec.risk_report_string ~threshold md report)
     | exception V.Engine.Interrupted interrupt ->
       Http.response ~status:200
-        (Codec.risk_report_degraded_string ~threshold md report interrupt)
+        (Codec.risk_report_string ~interrupt ~threshold md report)
 
 let anonymize t req =
   let payload = payload_of_request req in

@@ -34,16 +34,6 @@ type chase = {
   mutable snap : V.Engine.Snapshot.t;
 }
 
-(* Rendered report numbers keyed by their float bits: [0.] and [-0.]
-   print differently, and structural equality on floats would merge
-   them. *)
-module Float_text = Hashtbl.Make (struct
-  type t = float
-
-  let equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-  let hash = Hashtbl.hash
-end)
-
 type entry = {
   id : string;
   digest : string;  (* of the base payload; makes PUT idempotent *)
@@ -61,9 +51,7 @@ type entry = {
   mutable updated_at : float;
   mu : Mutex.t;
   mutable last_used : int;  (* registry LRU tick *)
-  mutable rendered : string Float_text.t;
-      (* each float of the last rendered report, as [Json.float_repr]
-         printed it *)
+  text : Codec.Report_text.t;  (* per-row text of the last rendered report *)
 }
 
 type t = {
@@ -242,7 +230,7 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
         updated_at = now;
         mu = Mutex.create ();
         last_used = 0;
-        rendered = Float_text.create 0;
+        text = Codec.Report_text.create ();
       }
     in
     let record =
@@ -466,34 +454,13 @@ let entry_semantics (entry : entry) = entry.semantics
 let entry_report (entry : entry) =
   with_lock entry.mu (fun () -> S.Risk.Incremental.report entry.scorer)
 
-(* The table is rebuilt on every render from the previous one, so it
-   holds only the floats of the current report: an append re-scores a
-   few rows, and only their new values reach [Json.float_repr]. *)
 let risk_report_string ~threshold (entry : entry) =
   with_lock entry.mu @@ fun () ->
-  let previous = entry.rendered in
-  let current = Float_text.create (max 16 (Float_text.length previous)) in
-  let float_repr f =
-    match Float_text.find_opt current f with
-    | Some text -> text
-    | None ->
-      let text =
-        match Float_text.find_opt previous f with
-        | Some text -> text
-        | None -> Json.float_repr f
-      in
-      Float_text.add current f text;
-      text
-  in
-  let body =
-    Codec.risk_report_string ~float_repr ~threshold entry.md
-      (S.Risk.Incremental.report entry.scorer)
-  in
-  entry.rendered <- current;
-  body
+  Codec.risk_report_string ~text:entry.text ~threshold entry.md
+    (S.Risk.Incremental.report entry.scorer)
 
-let rendered_floats (entry : entry) =
-  with_lock entry.mu (fun () -> Float_text.length entry.rendered)
+let formatted_floats (entry : entry) =
+  with_lock entry.mu (fun () -> Codec.Report_text.formatted entry.text)
 
 let entry_csv (entry : entry) =
   with_lock entry.mu (fun () ->
@@ -692,7 +659,7 @@ let restore_entry t json =
         | None -> Unix.gettimeofday ());
       mu = Mutex.create ();
       last_used = 0;
-      rendered = Float_text.create 0;
+      text = Codec.Report_text.create ();
     }
   in
   with_lock t.mu (fun () ->

@@ -126,14 +126,15 @@ val risk_report_string : threshold:float -> entry -> string
 (** The maintained report as {!Codec.risk_report_string} renders it,
     byte-identical to a cold render of the same state. Dataset name,
     row count and report are read under the entry lock, so an append
-    never tears the body. Each float's text is reused from the entry's
-    previous render when its bits are unchanged; only new values are
-    formatted. *)
+    never tears the body. The entry keeps its report's per-row text
+    ({!Codec.Report_text}): a row whose [risk] or [weight_sum] float
+    kept its bits since the last render is blitted, and only re-scored
+    and new rows are formatted. *)
 
-val rendered_floats : entry -> int
-(** Distinct floats whose text the entry keeps from its last render: at
-    most the distinct risk and weight-sum values of the report plus its
-    threshold and global risk. *)
+val formatted_floats : entry -> int
+(** Floats the entry's last {!risk_report_string} formatted
+    ({!Codec.Report_text.formatted}): after an append that re-scored
+    [r] rows, the next render formats at most [2r + 2]. *)
 
 val entry_csv : entry -> string
 (** The current (base ∪ deltas) relation as a CSV document — what a

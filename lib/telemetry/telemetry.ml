@@ -38,7 +38,18 @@ module Json = Vadasa_base.Json
 
 (* ---- instruments ------------------------------------------------------ *)
 
-type counter = { mutable c_value : int }
+(* Each domain adds to its own slice of a counter, unsynchronized, and a
+   capture sums the slices. [Counter.set] instead publishes an absolute
+   value into a cell every slice of the name shares, tagged with a fresh
+   epoch; a slice counts its adds only while its epoch is the cell's, so
+   a set from any domain discards every slice's earlier adds. *)
+type counter = {
+  mutable c_value : int;  (* this slice's adds since [c_epoch] *)
+  mutable c_epoch : int;
+  c_base : (int * int) Atomic.t;  (* the last set: (value, epoch) *)
+}
+
+let counter_epoch = Atomic.make 1
 
 (* A gauge is its (value, write-sequence) pair published as one atomic
    immutable record, so a concurrent capture can never tear the two
@@ -128,6 +139,9 @@ type t = {
   mutable reg_next_shard : int;
   reg_span_count : int Atomic.t;  (* retained spans across all shards *)
   reg_span_limit : int Atomic.t;
+  reg_counter_bases : (string, (int * int) Atomic.t) Hashtbl.t;
+      (* each counter name's set cell, shared by its shards; guarded by
+         [reg_lock] *)
 }
 
 type registry = t
@@ -142,6 +156,7 @@ let create ?(span_limit = 100_000) () =
     reg_next_shard = 0;
     reg_span_count = Atomic.make 0;
     reg_span_limit = Atomic.make span_limit;
+    reg_counter_bases = Hashtbl.create 32;
   }
 
 let global = create ()
@@ -204,6 +219,9 @@ let reset t =
       s.sh_dropped <- 0;
       Mutex.unlock s.sh_lock)
     (shards t);
+  Mutex.lock t.reg_lock;
+  Hashtbl.reset t.reg_counter_bases;
+  Mutex.unlock t.reg_lock;
   Atomic.set t.reg_span_count 0
 
 (* Intern an instrument in the calling domain's shard. Only the owner
@@ -222,17 +240,42 @@ let intern table lock name make =
 module Counter = struct
   type nonrec t = counter
 
+  let base registry name =
+    Mutex.lock registry.reg_lock;
+    let cell =
+      match Hashtbl.find_opt registry.reg_counter_bases name with
+      | Some cell -> cell
+      | None ->
+        let cell = Atomic.make (0, 0) in
+        Hashtbl.add registry.reg_counter_bases name cell;
+        cell
+    in
+    Mutex.unlock registry.reg_lock;
+    cell
+
   let v ?(registry = global) name =
     let s = shard_of registry in
-    intern s.sh_counters s.sh_lock name (fun () -> { c_value = 0 })
+    intern s.sh_counters s.sh_lock name (fun () ->
+        { c_value = 0; c_epoch = 0; c_base = base registry name })
 
-  let add c n = c.c_value <- c.c_value + n
+  (* This slice's adds, or 0 when a set has happened since. *)
+  let own c =
+    let _, epoch = Atomic.get c.c_base in
+    if c.c_epoch = epoch then c.c_value else 0
+
+  let add c n =
+    let _, epoch = Atomic.get c.c_base in
+    if c.c_epoch <> epoch then begin
+      c.c_value <- 0;
+      c.c_epoch <- epoch
+    end;
+    c.c_value <- c.c_value + n
 
   let incr c = add c 1
 
-  let set c n = c.c_value <- n
+  let set c n = Atomic.set c.c_base (n, Atomic.fetch_and_add counter_epoch 1)
 
-  let value c = c.c_value
+  let value c = fst (Atomic.get c.c_base) + own c
 end
 
 module Gauge = struct
@@ -501,8 +544,13 @@ module Report = struct
         Mutex.lock s.sh_lock;
         Hashtbl.iter
           (fun name c ->
-            let prev = Option.value ~default:0 (Hashtbl.find_opt counters name) in
-            Hashtbl.replace counters name (prev + c.c_value))
+            (* the shared set value once per name, then every slice's adds *)
+            let prev =
+              match Hashtbl.find_opt counters name with
+              | Some prev -> prev
+              | None -> fst (Atomic.get c.c_base)
+            in
+            Hashtbl.replace counters name (prev + Counter.own c))
           s.sh_counters;
         Hashtbl.iter
           (fun name g ->
@@ -737,19 +785,12 @@ let prom_escape ?(quote = false) s =
     s;
   Buffer.contents buf
 
-(* Sample values and bucket bounds: integers render bare, the rest as
-   [Json.float_repr] prints them (the shortest text that reads back to
-   the same float). *)
+(* Sample values, histogram sums and bucket bounds: integers render
+   bare, the rest as [Json.float_repr] prints them (the shortest text
+   that reads back to the same float). *)
 let prom_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Json.float_repr f
-
-(* Histogram sums alone keep [%g]'s six significant digits: the golden
-   exposition (test/golden_prometheus.txt) pins a sum of 77000.306 as
-   [77000.3]. *)
-let prom_sum f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
 
 let prom_labels = function
   | [] -> ""
@@ -855,7 +896,7 @@ module Prometheus = struct
               (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" full
                  s.Histogram.count);
             Buffer.add_string buf
-              (Printf.sprintf "%s_sum %s\n" full (prom_sum s.Histogram.sum));
+              (Printf.sprintf "%s_sum %s\n" full (prom_float s.Histogram.sum));
             Buffer.add_string buf
               (Printf.sprintf "%s_count %d\n" full s.Histogram.count)))
       report.Report.histograms;

@@ -71,10 +71,14 @@ module Counter : sig
   val add : t -> int -> unit
 
   val set : t -> int -> unit
-  (** Overwrite the value: lets producers publish absolute totals
+  (** The counter's value is now [n], whichever domain sets it: adds
+      made before the set, on any domain, stop counting, and later adds
+      count on top of [n]. Lets producers publish absolute totals
       idempotently (re-publishing never double-counts). *)
 
   val value : t -> int
+  (** The last {!set}'s value plus the calling domain's adds since it;
+      {!Report.capture} also counts the other domains' adds. *)
 end
 
 module Gauge : sig
@@ -279,8 +283,7 @@ module Prometheus : sig
       are escaped. A family whose name was already written is dropped,
       so the exposition never repeats a series. Integral values render
       bare, the rest as {!Json.float_repr} prints them ([123456.7], not
-      [123457]); histogram [_sum] lines alone keep six significant
-      digits ([%g]). Span aggregates are not exported (scrape the JSON
+      [123457]), histogram [_sum] lines included. Span aggregates are not exported (scrape the JSON
       report or a trace for those); a positive dropped-span count
       appears as [<ns>_telemetry_dropped_spans_total]. *)
 end

@@ -554,10 +554,14 @@ let test_e2e_registry_flow () =
 
 let csv_headers = [ ("content-type", "text/csv") ]
 
-(* Each maintained GET, through the registry's memoized float printer,
+(* Each maintained GET, through the entry's per-row text columns,
    equals both a cold render of a copy of the same state and the
    ?mode=full body — after every append, under registered and
-   overridden thresholds — and the memo stays bounded by the rows. *)
+   overridden thresholds. Every other append is a single row. The GET
+   after an append that re-scored [r] rows formats at most [2r + 2]
+   floats (the re-scored rows' risk and weight_sum, plus threshold and
+   global risk), and a repeated GET formats only those last two: a
+   writer that reprinted every float would format [2n + 2]. *)
 let test_e2e_memoized_render () =
   let csv = Lazy.force figure6_csv in
   let n = csv_rows csv in
@@ -575,14 +579,25 @@ let test_e2e_memoized_render () =
       let entry = Srv.Registry.get (Srv.Handlers.registry handlers) "memo" in
       let measure = Srv.Registry.entry_measure entry in
       let semantics = Srv.Registry.entry_semantics entry in
+      (* the first render prints every float; the bound holds from here *)
+      let status, _ = call ~meth:"GET" ~target:"/v1/datasets/memo/risk" () in
+      Alcotest.(check int) "first GET 200" 200 status;
+      let partial_rescores = ref 0 in
       for d = 0 to deltas - 1 do
         let lo = base_rows + (d * step) in
-        let hi = if d = deltas - 1 then n else lo + step in
-        let status, _ =
+        let hi =
+          if d = deltas - 1 then n else if d mod 2 = 1 then lo + 1 else lo + step
+        in
+        let status, body =
           call ~meth:"POST" ~target:"/v1/datasets/memo/facts"
             ~headers:csv_headers ~body:(csv_slice csv lo hi) ()
         in
         Alcotest.(check int) "append 200" 200 status;
+        let rescored =
+          match Option.bind (Json.member "rows_rescored" (json_of body)) Json.to_int_opt with
+          | Some r -> r
+          | None -> Alcotest.failf "append response without rows_rescored: %s" body
+        in
         let threshold, query =
           match d mod 3 with
           | 0 -> (0.5, "")
@@ -594,7 +609,13 @@ let test_e2e_memoized_render () =
           call ~meth:"GET" ~target:("/v1/datasets/memo/risk" ^ query) ()
         in
         Alcotest.(check int) (label ^ ": GET 200") 200 status;
+        let formatted = Srv.Registry.formatted_floats entry in
+        if formatted > (2 * rescored) + 2 then
+          Alcotest.failf "%s: formatted %d floats after %d rows were re-scored"
+            label formatted rescored;
         let copy = Srv.Registry.entry_md_snapshot entry in
+        let rows = S.Microdata.cardinal copy in
+        if rescored < rows then incr partial_rescores;
         Alcotest.(check string) (label ^ ": = cold render of a copy")
           (Srv.Codec.risk_report_string ~threshold copy
              (S.Risk.estimate ~semantics measure copy))
@@ -607,11 +628,16 @@ let test_e2e_memoized_render () =
         in
         Alcotest.(check int) (label ^ ": full 200") 200 status;
         Alcotest.(check string) (label ^ ": = ?mode=full") full maintained;
-        let rows = S.Microdata.cardinal copy in
-        let memo = Srv.Registry.rendered_floats entry in
-        if memo > 2 * rows then
-          Alcotest.failf "%s: memo holds %d floats for %d rows" label memo rows
-      done)
+        let status, again =
+          call ~meth:"GET" ~target:("/v1/datasets/memo/risk" ^ query) ()
+        in
+        Alcotest.(check int) (label ^ ": repeated GET 200") 200 status;
+        Alcotest.(check string) (label ^ ": repeated GET") maintained again;
+        Alcotest.(check int) (label ^ ": a repeated GET formats threshold and global risk only")
+          2 (Srv.Registry.formatted_floats entry)
+      done;
+      if !partial_rescores = 0 then
+        Alcotest.fail "every append re-scored the whole dataset: the bound tested nothing")
 
 (* An append committing while a GET renders must not tear the body: the
    dataset's row count and its per-row arrays come from one state. *)

@@ -19,6 +19,33 @@ let test_counter () =
   T.Counter.set c 2;
   Alcotest.(check int) "set is absolute" 2 (T.Counter.value c')
 
+(* A set means "the value is now v" whichever domain sets it: each
+   domain adds to its own shard, and a capture sums the shards. *)
+let test_counter_set_across_domains () =
+  let r = T.create () in
+  let captured () =
+    Option.value ~default:(-1)
+      (List.assoc_opt "published" (T.Report.capture r).T.Report.counters)
+  in
+  let on_other_domain f =
+    Domain.join (Domain.spawn (fun () -> f (T.Counter.v ~registry:r "published")))
+  in
+  let c = T.Counter.v ~registry:r "published" in
+  T.Counter.add c 5;
+  on_other_domain (fun c -> T.Counter.add c 3);
+  Alcotest.(check int) "adds sum across domains" 8 (captured ());
+  on_other_domain (fun c -> T.Counter.set c 7);
+  Alcotest.(check int) "a set on another domain wins" 7 (captured ());
+  T.Counter.set c 4;
+  Alcotest.(check int) "the last set wins" 4 (captured ());
+  Alcotest.(check int) "value after a set" 4 (T.Counter.value c);
+  T.Counter.add c 2;
+  on_other_domain (fun c -> T.Counter.add c 1);
+  Alcotest.(check int) "adds after a set count on top of it" 7 (captured ());
+  T.reset r;
+  Alcotest.(check int) "reset forgets the set" 0
+    (T.Counter.value (T.Counter.v ~registry:r "published"))
+
 let test_gauge () =
   let r = T.create () in
   let g = T.Gauge.v ~registry:r "risk" in
@@ -687,6 +714,8 @@ let () =
       ( "instruments",
         [
           Alcotest.test_case "counter" `Quick test_counter;
+          Alcotest.test_case "counter set across domains" `Quick
+            test_counter_set_across_domains;
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram exact stats" `Quick
             test_histogram_exact_stats;
