@@ -8,6 +8,8 @@
      main.exe fig7a fig7e ...  selected experiments only
      main.exe micro            Bechamel kernels only
      main.exe render           maintained vs cold risk-report rendering
+     main.exe snapshot         registry snapshot from kept CSV text vs a
+                               re-render of every dataset
      main.exe --json-dir DIR   write BENCH_<figure>.json reports to DIR
                                (created if missing)
      main.exe --no-json        skip the JSON reports
@@ -856,6 +858,114 @@ let render () =
   note "allocates a fraction of the cold render's words"
 
 (* ------------------------------------------------------------------ *)
+(* Registry snapshots: 12 datasets shaped like perfbench's serve-ingest
+   (200-600 base rows of generated microdata, then 40 appends of 1-3
+   rows each, [measure=individual]). A snapshot copies each entry's
+   kept CSV text into the file and fsyncs it; the "render" case is what
+   a snapshot cost before the text was kept: every entry rendered from
+   its relation and JSON-escaped, with no file I/O at all. Prints the
+   median time and the minor-heap words of one. *)
+let snapshot () =
+  section "Registry snapshots - kept CSV text vs re-rendering every entry";
+  let module Srv = Vadasa_server in
+  let dir = Filename.temp_file "vadasa-bench-snapshot" "" in
+  Sys.remove dir;
+  let persist = Srv.Persist.open_ ~snapshot_every:max_int ~dir () in
+  let reg = Srv.Registry.create ~persist () in
+  let options =
+    { Srv.Codec.default_options with Srv.Codec.measure = "individual" }
+  in
+  let measure = S.Risk.Individual S.Risk.Benedetti_franconi in
+  let appends = 40 in
+  let relations =
+    List.init 12 (fun d ->
+        let base = 200 + (d * 400 / 11) in
+        let md =
+          D.Generator.generate
+            {
+              D.Generator.name = Printf.sprintf "ds%d" d;
+              tuples = base + (3 * appends);
+              qi_count = 4;
+              distribution = [| D.Generator.W; D.Generator.U; D.Generator.V |].(d mod 3);
+              seed = 17 + d;
+            }
+        in
+        let rel = S.Microdata.relation md in
+        let header, rows =
+          match
+            String.split_on_char '\n' (R.Csv.write_string rel)
+            |> List.filter (fun l -> l <> "")
+          with
+          | header :: rows -> (header, Array.of_list rows)
+          | [] -> assert false
+        in
+        let document lo hi =
+          String.concat "\n" (header :: Array.to_list (Array.sub rows lo (hi - lo)))
+          ^ "\n"
+        in
+        let id = Printf.sprintf "ds%d" d in
+        let entry =
+          (Srv.Registry.put reg ~id ~digest:id ~bytes:0 ~options ~measure
+             ~semantics:R.Null_semantics.Maybe_match ~compiled:None
+             (S.Microdata.copy
+                (match
+                   Srv.Codec.microdata_of_payload
+                     { Srv.Codec.csv = document 0 base; options }
+                 with
+                | Ok md -> md
+                | Error e -> failwith (Vadasa_base.Error.to_string e))))
+            .Srv.Registry.entry
+        in
+        let next = ref base in
+        for i = 0 to appends - 1 do
+          let n = 1 + (i mod 3) in
+          ignore (Srv.Registry.append reg entry ~csv:(document !next (!next + n)));
+          next := !next + n
+        done;
+        R.Csv.read_string ~name:id (Srv.Registry.entry_csv entry))
+  in
+  let render () =
+    let buf = Buffer.create 65536 in
+    List.iter
+      (fun rel -> Vadasa_base.Json.to_buffer buf (Vadasa_base.Json.Str (R.Csv.write_string rel)))
+      relations;
+    Buffer.contents buf
+  in
+  let cases =
+    [
+      ("render", fun () -> ignore (Sys.opaque_identity (render ())));
+      ("kept text", fun () -> Srv.Persist.snapshot persist);
+    ]
+  in
+  let path = Filename.concat dir "registry.snapshot" in
+  Srv.Persist.snapshot persist;
+  Printf.printf "  %d datasets, %d rows, snapshot %d bytes\n" (List.length relations)
+    (List.fold_left (fun n rel -> n + R.Relation.cardinal rel) 0 relations)
+    (Unix.stat path).Unix.st_size;
+  Printf.printf "  %-12s %12s %14s\n" "snapshot" "ms (median)" "minor words";
+  List.iter
+    (fun (name, f) ->
+      f ();
+      let times =
+        Array.init 15 (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            f ();
+            Unix.gettimeofday () -. t0)
+      in
+      Array.sort Float.compare times;
+      let w0 = Gc.minor_words () in
+      f ();
+      let words = Gc.minor_words () -. w0 in
+      Printf.printf "  %-12s %12.2f %14.0f\n" name (times.(7) *. 1e3) words)
+    cases;
+  Srv.Persist.close persist;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  note "expectation: the render case is the CPU a snapshot used to spend";
+  note "before writing a byte; the kept-text snapshot, fsync included,";
+  note "allocates a small fraction of its minor words"
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -875,6 +985,7 @@ let experiments =
     ("scaling", scaling);
     ("incremental", incremental);
     ("render", render);
+    ("snapshot", snapshot);
     ("micro", micro);
   ]
 

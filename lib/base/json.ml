@@ -12,10 +12,14 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let add_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+(* Runs of bytes that need no escape are copied in one blit each. *)
+let add_escaped buf s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = s.[i] in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
@@ -24,11 +28,20 @@ let add_string buf s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\b' -> Buffer.add_string buf "\\b"
       | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s;
   Buffer.add_char buf '"'
+
+let add_member buf ~first key =
+  if not first then Buffer.add_char buf ',';
+  add_string buf key;
+  Buffer.add_char buf ':'
 
 (* The C primitive [Printf]'s [%g] conversions end in: same digits,
    without parsing a format string on every call. *)

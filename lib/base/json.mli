@@ -26,6 +26,15 @@ val add_string : Buffer.t -> string -> unit
     backslash and the control characters escaped; other bytes pass
     through. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** {!add_string} without the surrounding quotes: a writer can emit one
+    JSON string literal from several pieces. *)
+
+val add_member : Buffer.t -> first:bool -> string -> unit
+(** Append one object member's key, [,"key":] — without the comma when
+    it is the [first] member — for a writer that streams an object's
+    values itself. *)
+
 val to_buffer : ?indent:bool -> ?depth:int -> Buffer.t -> t -> unit
 (** Append the encoding of a value. With [~indent:true] it is laid out
     as if nested [depth] levels deep (default [0]): a writer that

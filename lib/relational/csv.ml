@@ -40,20 +40,35 @@ let parse_line line =
 let needs_quoting s =
   String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
 
-let render_field s =
+let add_field buf s =
   if needs_quoting s then begin
-    let buf = Buffer.create (String.length s + 2) in
     Buffer.add_char buf '"';
     String.iter
       (fun c ->
         if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
       s;
-    Buffer.add_char buf '"';
-    Buffer.contents buf
+    Buffer.add_char buf '"'
   end
-  else s
+  else Buffer.add_string buf s
 
-let render_line fields = String.concat "," (List.map render_field fields)
+let render_line fields =
+  let buf = Buffer.create 64 in
+  List.iteri
+    (fun i field ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_field buf field)
+    fields;
+  Buffer.contents buf
+
+let add_rows buf rel =
+  Relation.iter
+    (fun t ->
+      for i = 0 to Array.length t - 1 do
+        if i > 0 then Buffer.add_char buf ',';
+        add_field buf (Value.to_string t.(i))
+      done;
+      Buffer.add_char buf '\n')
+    rel
 
 (* Non-empty lines paired with their original 1-based line number, so
    diagnostics stay accurate when blank lines are skipped. *)
@@ -120,15 +135,10 @@ let read_string ?header ~name doc =
 let write_string rel =
   Faultpoint.hit "csv.write";
   let buf = Buffer.create 1024 in
-  let schema = Relation.schema rel in
-  Buffer.add_string buf (render_line (Schema.attribute_names schema));
+  Buffer.add_string buf
+    (render_line (Schema.attribute_names (Relation.schema rel)));
   Buffer.add_char buf '\n';
-  Relation.iter
-    (fun t ->
-      Buffer.add_string buf
-        (render_line (Array.to_list (Array.map Value.to_string t)));
-      Buffer.add_char buf '\n')
-    rel;
+  add_rows buf rel;
   let doc = Buffer.contents buf in
   if Telemetry.enabled () then begin
     Telemetry.count "csv.write.rows" (Relation.cardinal rel);

@@ -18,8 +18,15 @@ val read_string : ?header:bool -> name:string -> string -> Relation.t
     1-based line in the original document (blank lines count), [column]
     the 1-based index of the first extra or missing field. *)
 
+val add_rows : Buffer.t -> Relation.t -> unit
+(** Append every tuple as one CSV line ([\n]-terminated, no header),
+    quoting as {!render_line} does; each field is written straight
+    into the buffer. Fires no fault point and counts nothing. *)
+
 val write_string : Relation.t -> string
-(** Render with a header line. *)
+(** Render with a header line: the header, then {!add_rows}. Fires the
+    ["csv.write"] fault point and counts [csv.write.rows] /
+    [csv.write.bytes]. *)
 
 val load : ?header:bool -> name:string -> string -> Relation.t
 (** [load ~name path] reads the file at [path]. Parse errors carry a

@@ -799,7 +799,8 @@ let register t =
   match t.persist with
   | None -> ()
   | Some p ->
-    Persist.register p ~section:"jobs" ~prefix:"job." ~dump:(fun () -> dump t)
+    Persist.register p ~section:"jobs" ~prefix:"job."
+      ~dump:(fun buf -> Json.to_buffer buf (dump t))
       ~restore:(restore t) ~apply:(apply t)
 
 (* ---- accessors ----------------------------------------------------------- *)

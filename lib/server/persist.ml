@@ -29,11 +29,12 @@
 
 module E = Vadasa_base.Error
 module Json = Vadasa_base.Json
+module Telemetry = Vadasa_telemetry.Telemetry
 
 type registrant = {
   section : string;  (* snapshot key *)
   prefix : string;  (* journal record "kind" prefix, e.g. "dataset." *)
-  dump : unit -> Json.t;
+  dump : Buffer.t -> unit;  (* appends the section's JSON value *)
   restore : Json.t -> unit;
   apply : Json.t -> unit;
 }
@@ -167,31 +168,29 @@ let fsync_dir dir =
     (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
-(* caller holds the exclusive lock *)
+(* caller holds the exclusive lock. The document is streamed into one
+   buffer, each registrant appending its own section. *)
 let write_snapshot t =
-  let state =
-    Json.Obj
-      [
-        ("version", Json.Int 1);
-        ("last_seq", Json.Int (Journal.last_seq t.journal));
-        ( "sections",
-          Json.Obj
-            (List.map (fun r -> (r.section, r.dump ())) t.registrants) );
-      ]
-  in
+  Telemetry.span "persist.snapshot" @@ fun () ->
+  let buf = Buffer.create 65536 in
+  Printf.bprintf buf {|{"version":1,"last_seq":%d,"sections":{|}
+    (Journal.last_seq t.journal);
+  List.iteri
+    (fun i r ->
+      Json.add_member buf ~first:(i = 0) r.section;
+      r.dump buf)
+    t.registrants;
+  Buffer.add_string buf "}}";
   let tmp = snapshot_path t.dir ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  let oc =
+    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
   in
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      let raw = Bytes.of_string (Json.to_string state) in
-      let off = ref 0 in
-      while !off < Bytes.length raw do
-        off := !off + Unix.write fd raw !off (Bytes.length raw - !off)
-      done;
-      Unix.fsync fd);
+      Buffer.output_buffer oc buf;
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
   Unix.rename tmp (snapshot_path t.dir);
   fsync_dir t.dir;
   Journal.truncate t.journal;
@@ -324,7 +323,7 @@ let close t =
 let journal t = t.journal
 
 let metrics t =
-  let module M = Vadasa_telemetry.Telemetry.Metric in
+  let module M = Telemetry.Metric in
   let journal = M.nest "journal" (Journal.metrics t.journal) in
   Mutex.lock t.lk;
   let entries =

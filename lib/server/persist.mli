@@ -27,14 +27,15 @@ val register :
   t ->
   section:string ->
   prefix:string ->
-  dump:(unit -> Vadasa_base.Json.t) ->
+  dump:(Buffer.t -> unit) ->
   restore:(Vadasa_base.Json.t -> unit) ->
   apply:(Vadasa_base.Json.t -> unit) ->
   unit
-(** Attach a durable subsystem: [dump]/[restore] serialize its full
-    state into the snapshot's [section]; [apply] re-applies one journal
-    record whose ["kind"] field starts with [prefix]. Register every
-    subsystem before {!recover}. *)
+(** Attach a durable subsystem: [dump] appends its full state, one
+    compact JSON value, to the snapshot being written as its
+    [section]; [restore] reads that value back; [apply] re-applies one
+    journal record whose ["kind"] field starts with [prefix]. Register
+    every subsystem before {!recover}. *)
 
 val recover : t -> unit
 (** Load the snapshot (if any) through each registrant's [restore],
@@ -56,7 +57,8 @@ val replaying : t -> bool
 val snapshot : t -> unit
 (** Force a snapshot now: dump all registrants (under the exclusive
     lock), write + fsync a temp file, atomically rename it over the
-    previous snapshot, truncate the journal. *)
+    previous snapshot, truncate the journal. Recorded as the
+    [persist.snapshot] telemetry span. *)
 
 val close : t -> unit
 (** Final snapshot (best-effort), then close the journal. *)

@@ -41,6 +41,12 @@ type entry = {
   measure : S.Risk.measure;
   semantics : R.Null_semantics.t;
   md : S.Microdata.t;  (* the live relation; rows appended in place *)
+  csv : string Queue.t;
+      (* [Csv.write_string] of [md]'s relation, kept in step with it:
+         the render the entry started from, then each append's rows.
+         Snapshots and [?include=csv] copy it instead of re-rendering
+         every row. Pieces, not one growing buffer: the PUT's render is
+         kept as it is, and a snapshot escapes each piece in place. *)
   scorer : S.Risk.Incremental.t;
   mutable chase : chase option;
   mutable bytes : int;  (* CSV bytes accepted (base + deltas) *)
@@ -168,6 +174,11 @@ let rebuild_chase t chase md =
 
 type put_outcome = { entry : entry; created : bool }
 
+let kept_text csv =
+  let text = Queue.create () in
+  Queue.add csv text;
+  text
+
 (* caller holds [t.mu] *)
 let touch t entry =
   t.tick <- t.tick + 1;
@@ -211,6 +222,7 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
       | None -> None
       | Some (program, strat) -> Some (materialize_chase t ~program ~strat md)
     in
+    let csv = R.Csv.write_string (S.Microdata.relation md) in
     let now = Unix.gettimeofday () in
     let entry =
       {
@@ -220,6 +232,7 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
         measure;
         semantics;
         md;
+        csv = kept_text csv;
         scorer = risk;
         chase;
         bytes;
@@ -240,7 +253,7 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
           ("id", Json.Str id);
           ("digest", Json.Str digest);
           ("bytes", Json.Int bytes);
-          ("csv", Json.Str (R.Csv.write_string (S.Microdata.relation md)));
+          ("csv", Json.Str csv);
           ("options", Codec.options_to_json options);
         ]
     in
@@ -375,6 +388,9 @@ let append t (entry : entry) ~csv =
   let rel = S.Microdata.relation entry.md in
   let lo = R.Relation.cardinal rel in
   R.Relation.iter (fun tuple -> R.Relation.add rel tuple) delta;
+  (let rows = Buffer.create (String.length csv) in
+   R.Csv.add_rows rows delta;
+   Queue.add (Buffer.contents rows) entry.csv);
   let hi = R.Relation.cardinal rel in
   let risk_outcome = S.Risk.Incremental.append entry.scorer in
   let chase_mode, chase_facts =
@@ -464,7 +480,7 @@ let formatted_floats (entry : entry) =
 
 let entry_csv (entry : entry) =
   with_lock entry.mu (fun () ->
-      R.Csv.write_string (S.Microdata.relation entry.md))
+      String.concat "" (List.of_seq (Queue.to_seq entry.csv)))
 
 let entry_md_snapshot (entry : entry) =
   with_lock entry.mu (fun () -> S.Microdata.copy entry.md)
@@ -593,38 +609,52 @@ let decode_dataset_state json =
   in
   (options, measure, semantics, md)
 
-let dump t =
+(* Streams the section straight into the snapshot's buffer; the bytes
+   are what [Json.to_string] gives for the object with these fields in
+   this order. *)
+let dump t buf =
   let entries =
     with_lock t.mu (fun () ->
         Hashtbl.fold (fun _ e acc -> e :: acc) t.table [])
     (* oldest-used first, so restore re-creates the same LRU order *)
     |> List.sort (fun (a : entry) b -> compare a.last_used b.last_used)
   in
-  let entry_dump (e : entry) =
-    with_lock e.mu (fun () ->
-        Json.Obj
-          [
-            ("id", Json.Str e.id);
-            ("digest", Json.Str e.digest);
-            ("bytes", Json.Int e.bytes);
-            ("appends", Json.Int e.appends);
-            ("chase_incremental", Json.Int e.chase_incremental);
-            ("chase_rebuilds", Json.Int e.chase_rebuilds);
-            ("created_at", Json.Float e.created_at);
-            ("updated_at", Json.Float e.updated_at);
-            ("csv", Json.Str (R.Csv.write_string (S.Microdata.relation e.md)));
-            ("options", Codec.options_to_json e.options);
-          ])
+  let member ?(first = false) key value =
+    Json.add_member buf ~first key;
+    Json.to_buffer buf value
   in
-  let entries_json = List.map entry_dump entries in
+  let entry_dump i (e : entry) =
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_char buf '{';
+    with_lock e.mu (fun () ->
+        member ~first:true "id" (Json.Str e.id);
+        member "digest" (Json.Str e.digest);
+        member "bytes" (Json.Int e.bytes);
+        member "appends" (Json.Int e.appends);
+        member "chase_incremental" (Json.Int e.chase_incremental);
+        member "chase_rebuilds" (Json.Int e.chase_rebuilds);
+        member "created_at" (Json.Float e.created_at);
+        member "updated_at" (Json.Float e.updated_at);
+        Json.add_member buf ~first:false "csv";
+        Buffer.add_char buf '"';
+        Queue.iter (Json.add_escaped buf) e.csv;
+        Buffer.add_char buf '"';
+        member "options" (Codec.options_to_json e.options));
+    Buffer.add_char buf '}'
+  in
+  Buffer.add_char buf '{';
   with_lock t.mu (fun () ->
-      Json.Obj
-        [
-          ("lifetime_appends", Json.Int t.lifetime_appends);
-          ("lifetime_rebuilds", Json.Int t.lifetime_rebuilds);
-          ("evictions", Json.Int t.evictions);
-          ("entries", Json.List entries_json);
-        ])
+      member ~first:true "lifetime_appends" (Json.Int t.lifetime_appends);
+      member "lifetime_rebuilds" (Json.Int t.lifetime_rebuilds);
+      member "evictions" (Json.Int t.evictions));
+  Json.add_member buf ~first:false "entries";
+  (match entries with
+  | [] -> Buffer.add_string buf "[]"
+  | _ ->
+    Buffer.add_char buf '[';
+    List.iteri entry_dump entries;
+    Buffer.add_char buf ']');
+  Buffer.add_char buf '}'
 
 let restore_entry t json =
   let id = record_string json "id" in
@@ -643,6 +673,9 @@ let restore_entry t json =
       measure;
       semantics;
       md;
+      (* rendered from the decoded rows, not copied from the snapshot,
+         so the kept text is their canonical render *)
+      csv = kept_text (R.Csv.write_string (S.Microdata.relation md));
       scorer;
       chase;
       bytes = record_int json "bytes";
@@ -706,7 +739,6 @@ let create ?capacity ?audit ?pool ?persist () =
   (match persist with
   | None -> ()
   | Some p ->
-    Persist.register p ~section:"datasets" ~prefix:"dataset." ~dump:(fun () ->
-        dump t)
+    Persist.register p ~section:"datasets" ~prefix:"dataset." ~dump:(dump t)
       ~restore:(restore t) ~apply:(apply t));
   t

@@ -138,7 +138,12 @@ val formatted_floats : entry -> int
 
 val entry_csv : entry -> string
 (** The current (base ∪ deltas) relation as a CSV document — what a
-    from-scratch run must be fed to reproduce the dataset's reports. *)
+    from-scratch run must be fed to reproduce the dataset's reports.
+    A copy of the text the entry keeps: rendered once at PUT or
+    restore, then extended by each {!append} with only the delta's
+    rows, so it is byte-identical to {!Vadasa_relational.Csv.write_string}
+    of the relation without re-rendering it. Snapshots copy the same
+    text. *)
 
 val entry_md_snapshot : entry -> Vadasa_sdc.Microdata.t
 (** A deep copy of the live microdata at this instant; safe to hold

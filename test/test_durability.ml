@@ -254,7 +254,8 @@ let toy_store dir =
         state := n :: !state)
   in
   Persist.register p ~section:"toy" ~prefix:"toy."
-    ~dump:(fun () -> Json.List (List.rev_map (fun n -> Json.Int n) !state))
+    ~dump:(fun buf ->
+      Json.to_buffer buf (Json.List (List.rev_map (fun n -> Json.Int n) !state)))
     ~restore:(fun json ->
       state :=
         (match Option.bind (Json.to_list_opt json) (fun l -> Some l) with
@@ -484,6 +485,283 @@ let test_registry_concurrent_append_hammer () =
   Alcotest.(check string) "incremental report equals from-scratch"
     (risk_string entry) (risk_string e2);
   Persist.close p2
+
+(* --- the kept CSV text and the streamed snapshot ------------------------- *)
+
+let rm_rf dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* Rows of a small dataset whose region and notes fields often need
+   CSV quoting (commas, doubled quotes, empty strings). *)
+let quoting_header = "id,region,age,notes,weight"
+
+let quoting_notes = [| "plain"; "a, b"; {|say "hi"|}; ""; {|"quoted", twice|} |]
+
+let quoting_csv rows =
+  let row i =
+    R.Csv.render_line
+      [
+        string_of_int i;
+        (if i mod 3 = 0 then "south, east" else "north");
+        string_of_int (20 + (i mod 4));
+        quoting_notes.(i mod Array.length quoting_notes);
+        string_of_int (1 + (i mod 3));
+      ]
+  in
+  String.concat "\n" (quoting_header :: List.map row rows) ^ "\n"
+
+let put_quoting registry ~id rows =
+  let csv = quoting_csv rows in
+  (Registry.put registry ~id ~digest:("digest-" ^ id)
+     ~bytes:(String.length csv) ~options:Codec.default_options
+     ~measure:(default_measure ()) ~semantics:R.Null_semantics.Maybe_match
+     ~compiled:None (md_of_csv csv))
+    .Registry.entry
+
+let rendered entry =
+  R.Csv.write_string
+    (Vadasa_sdc.Microdata.relation (Registry.entry_md_snapshot entry))
+
+type kept_op =
+  | Put of int
+  | Append of int * int  (* dataset, rows *)
+  | Snapshot
+  | Restart  (* clean close (final snapshot), reopen, restore *)
+  | Crash  (* journal closed without a snapshot, reopen, replay *)
+
+let kept_op_to_string = function
+  | Put d -> Printf.sprintf "put d%d" d
+  | Append (d, n) -> Printf.sprintf "append %d to d%d" n d
+  | Snapshot -> "snapshot"
+  | Restart -> "restart"
+  | Crash -> "crash"
+
+(* Whatever the mix of puts, appends, snapshots, snapshot restores and
+   journal-only replays, every entry's kept text is the render of its
+   relation, and a recovery brings back the exact text it had. *)
+let prop_kept_csv_matches_render =
+  let open QCheck2.Gen in
+  let dataset = int_bound 2 in
+  let op =
+    frequency
+      [
+        (2, map (fun d -> Put d) dataset);
+        (6, map2 (fun d n -> Append (d, n)) dataset (int_range 1 3));
+        (1, pure Snapshot);
+        (1, pure Restart);
+        (1, pure Crash);
+      ]
+  in
+  QCheck2.Test.make ~name:"kept CSV text = render of the relation" ~count:25
+    ~print:QCheck2.Print.(list kept_op_to_string)
+    (list_size (int_range 1 14) op)
+    (fun ops ->
+      let dir = tmp_dir () in
+      let open_store () =
+        let p = Persist.open_ ~snapshot_every:5 ~dir () in
+        let reg = Registry.create ~persist:p () in
+        Persist.recover p;
+        (p, reg)
+      in
+      let store = ref (open_store ()) in
+      let next_row = ref 0 in
+      let rows n =
+        let lo = !next_row in
+        next_row := lo + n;
+        List.init n (fun i -> lo + i)
+      in
+      let texts () =
+        let reg = snd !store in
+        List.map
+          (fun id -> (id, Registry.entry_csv (Registry.get reg id)))
+          (Registry.ids reg)
+      in
+      let reopen close =
+        let before = texts () in
+        close (fst !store);
+        store := open_store ();
+        if texts () <> before then QCheck2.Test.fail_report "recovered text differs"
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Persist.close (fst !store);
+          rm_rf dir)
+        (fun () ->
+          List.for_all
+            (fun op ->
+              let p, reg = !store in
+              let id d = "d" ^ string_of_int d in
+              (match op with
+              | Put d ->
+                if Registry.find reg (id d) = None then
+                  ignore (put_quoting reg ~id:(id d) (rows 3))
+              | Append (d, n) -> (
+                match Registry.find reg (id d) with
+                | Some e -> ignore (Registry.append reg e ~csv:(quoting_csv (rows n)))
+                | None -> ())
+              | Snapshot -> Persist.snapshot p
+              | Restart -> reopen Persist.close
+              | Crash -> reopen (fun p -> Journal.close (Persist.journal p)));
+              let reg = snd !store in
+              List.for_all
+                (fun id ->
+                  let e = Registry.get reg id in
+                  Registry.entry_csv e = rendered e)
+                (Registry.ids reg))
+            ops))
+
+(* The snapshot document as the registrants built it before it was
+   streamed: a [Json.t] tree per section, encoded with [Json.to_string].
+   [ids] lists the datasets oldest-used first, [job_options] the
+   options every job was submitted with. *)
+let tree_snapshot ~last_seq ~registry ~ids ~jobs ~job_options =
+  let m = Metric_value.int (Registry.metrics registry) in
+  let entry_tree id =
+    let e = Registry.get registry id in
+    let meta = Registry.entry_json e in
+    let field key = Option.get (Json.member key meta) in
+    Json.Obj
+      [
+        ("id", Json.Str id);
+        ("digest", Json.Str ("digest-" ^ id));
+        ("bytes", field "bytes");
+        ("appends", field "appends");
+        ("chase_incremental", field "chase_incremental");
+        ("chase_rebuilds", field "chase_rebuilds");
+        ("created_at", field "created_at");
+        ("updated_at", field "updated_at");
+        ("csv", Json.Str (rendered e));
+        ("options", Codec.options_to_json (Registry.entry_options e));
+      ]
+  in
+  let job_tree job =
+    let meta = Jobs.job_json job in
+    let field key = Option.get (Json.member key meta) in
+    Json.Obj
+      ([
+         ("job", field "id");
+         ("tenant", field "tenant");
+         ("op", field "op");
+         ("dataset", field "dataset");
+         ("options", Codec.options_to_json job_options);
+         ("submitted_at", field "submitted_at");
+         ("state", field "state");
+         ("attempts", field "attempts");
+         ("replayed", field "replayed");
+       ]
+      @ (match Json.member "result" meta with
+        | Some result -> [ ("result", result) ]
+        | None -> [])
+      @
+      match Json.member "error" meta with
+      | Some e ->
+        let member key = Option.get (Json.member key e) in
+        [ ("code", member "code"); ("message", member "message") ]
+      | None -> [])
+  in
+  let listed = Jobs.list jobs in
+  Json.Obj
+    [
+      ("version", Json.Int 1);
+      ("last_seq", Json.Int last_seq);
+      ( "sections",
+        Json.Obj
+          [
+            ( "datasets",
+              Json.Obj
+                [
+                  ("lifetime_appends", Json.Int (m "appends"));
+                  ("lifetime_rebuilds", Json.Int (m "chase_rebuilds"));
+                  ("evictions", Json.Int (m "evictions"));
+                  ("entries", Json.List (List.map entry_tree ids));
+                ] );
+            ( "jobs",
+              Json.Obj
+                [
+                  ("next_id", Json.Int (List.length listed + 1));
+                  ("jobs", Json.List (List.map job_tree listed));
+                ] );
+          ] );
+    ]
+
+(* Several datasets (quoted fields included) and a finished risk job,
+   whose result body is JSON that must be escaped inside the document. *)
+let test_snapshot_bytes_match_tree () =
+  let dir = tmp_dir () in
+  let p = Persist.open_ ~snapshot_every:100000 ~dir () in
+  let registry = Registry.create ~persist:p () in
+  let jobs = Jobs.create ~domains:1 ~persist:p registry in
+  Jobs.register jobs;
+  Persist.recover p;
+  Fun.protect
+    ~finally:(fun () ->
+      Jobs.stop jobs;
+      Persist.close p;
+      rm_rf dir)
+    (fun () ->
+      let a = put_quoting registry ~id:"a" (List.init 6 Fun.id) in
+      let b = put_quoting registry ~id:"b" (List.init 5 (fun i -> 10 + i)) in
+      ignore (put_quoting registry ~id:"c" (List.init 4 (fun i -> 20 + i)));
+      ignore (Registry.append registry a ~csv:(quoting_csv [ 30; 31 ]));
+      ignore (Registry.append registry b ~csv:(quoting_csv [ 32 ]));
+      ignore (Registry.append registry b ~csv:(quoting_csv [ 33; 34; 35 ]));
+      let job =
+        Jobs.submit jobs ~tenant:"t" ~dataset:"b" ~op:"risk"
+          ~options:Codec.default_options
+      in
+      let rec settle n =
+        let state = jstr (Jobs.job_json job) "state" in
+        if state = "done" then ()
+        else if n = 0 then Alcotest.failf "job still %s" state
+        else (
+          Unix.sleepf 0.02;
+          settle (n - 1))
+      in
+      settle 500;
+      let result = jstr (Jobs.job_json job) "result" in
+      Alcotest.(check bool) "result body needs escaping" true
+        (String.contains result '"');
+      (* fix the LRU order the dump writes: c, a, b *)
+      List.iter (fun id -> ignore (Registry.get registry id)) [ "c"; "a"; "b" ];
+      let last_seq = Journal.last_seq (Persist.journal p) in
+      Persist.snapshot p;
+      let expected =
+        Json.to_string
+          (tree_snapshot ~last_seq ~registry ~ids:[ "c"; "a"; "b" ] ~jobs
+             ~job_options:Codec.default_options)
+      in
+      Alcotest.(check string) "streamed snapshot = tree encoding" expected
+        (read_file (Filename.concat dir "registry.snapshot")))
+
+(* A snapshot copies the kept text: it renders no CSV, so the
+   [csv.write.rows] counter stands still, and it is traced as one
+   [persist.snapshot] span. *)
+let test_snapshot_renders_no_csv () =
+  let module T = Vadasa_telemetry.Telemetry in
+  let was = T.enabled () in
+  T.set_enabled true;
+  let dir = tmp_dir () in
+  let p = Persist.open_ ~snapshot_every:100000 ~dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled was;
+      Persist.close p;
+      rm_rf dir)
+    (fun () ->
+      let registry = Registry.create ~persist:p () in
+      let rows () = T.Counter.value (T.Counter.v "csv.write.rows") in
+      let at_start = rows () in
+      let e = put_quoting registry ~id:"a" (List.init 8 Fun.id) in
+      ignore (put_quoting registry ~id:"b" (List.init 8 (fun i -> 10 + i)));
+      ignore (Registry.append registry e ~csv:(quoting_csv [ 20; 21 ]));
+      Alcotest.(check int) "each PUT renders its rows" 16 (rows () - at_start);
+      let before = rows () in
+      let (), spans = T.with_local_trace (fun () -> Persist.snapshot p) in
+      Alcotest.(check int) "snapshot renders no rows" before (rows ());
+      Alcotest.(check (list string)) "traced as persist.snapshot"
+        [ "persist.snapshot" ]
+        (List.map (fun s -> s.T.Span.sp_path) spans))
 
 (* --- the /v1/jobs surface over HTTP ---------------------------------------- *)
 
@@ -970,6 +1248,11 @@ let () =
             test_registry_replays_unknown_semantics;
           Alcotest.test_case "4-domain append hammer" `Quick
             test_registry_concurrent_append_hammer;
+          Alcotest.test_case "snapshot bytes = tree encoding" `Quick
+            test_snapshot_bytes_match_tree;
+          Alcotest.test_case "snapshot renders no CSV" `Quick
+            test_snapshot_renders_no_csv;
+          QCheck_alcotest.to_alcotest prop_kept_csv_matches_render;
         ] );
       ( "jobs",
         [

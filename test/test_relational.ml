@@ -321,6 +321,67 @@ let prop_csv_roundtrip =
       R.Relation.cardinal rel = R.Relation.cardinal rel'
       && List.for_all2 R.Tuple.equal (R.Relation.to_list rel) (R.Relation.to_list rel'))
 
+(* The line writer [Csv.write_string] used before rows were rendered
+   straight into the buffer: the reference the streaming writer must
+   match byte for byte. *)
+let reference_render_line fields =
+  let render_field s =
+    if String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
+    then begin
+      let buf = Buffer.create (String.length s + 2) in
+      Buffer.add_char buf '"';
+      String.iter
+        (fun c ->
+          if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
+        s;
+      Buffer.add_char buf '"';
+      Buffer.contents buf
+    end
+    else s
+  in
+  String.concat "," (List.map render_field fields)
+
+let prop_csv_writer_matches_reference =
+  let open QCheck2.Gen in
+  let text =
+    string_size ~gen:(oneofl [ 'a'; 'z'; ' '; ','; '"'; '\r'; '\n' ]) (int_bound 6)
+  in
+  let cell =
+    oneof
+      [
+        map (fun s -> Value.Str s) text;
+        map (fun i -> Value.Int i) small_signed_int;
+        map (fun f -> Value.Float f) float;
+        map (fun i -> Value.Null i) small_nat;
+      ]
+  in
+  QCheck2.Test.make
+    ~name:"add_rows and write_string equal the per-line reference writer"
+    ~count:300
+    (int_range 1 4 >>= fun arity ->
+     list_size (int_bound 12) (list_repeat arity cell) >|= fun rows ->
+     (arity, rows))
+    (fun (arity, rows) ->
+      let names =
+        List.init arity (fun i -> if i = 0 then {|x,"y"|} else "c" ^ string_of_int i)
+      in
+      let rel =
+        R.Relation.of_tuples
+          (R.Schema.of_names ~name:"t" names)
+          (List.map Array.of_list rows)
+      in
+      let lines =
+        String.concat ""
+          (List.map
+             (fun row -> reference_render_line (List.map Value.to_string row) ^ "\n")
+             rows)
+      in
+      let buf = Buffer.create 16 in
+      R.Csv.add_rows buf rel;
+      Buffer.contents buf = lines
+      && R.Csv.write_string rel = reference_render_line names ^ "\n" ^ lines
+      && R.Csv.render_line names = reference_render_line names)
+
 (* --- additional algebra edge cases -------------------------------------- *)
 
 let test_natural_join_disjoint_is_product () =
@@ -460,5 +521,6 @@ let () =
             prop_maybe_freq_geq_standard;
             prop_maybe_freq_matches_naive;
             prop_csv_roundtrip;
+            prop_csv_writer_matches_reference;
           ] );
     ]
