@@ -19,9 +19,12 @@ let normalize s =
     s;
   Buffer.contents buf
 
-let tokens s =
-  String.split_on_char ' ' (normalize s)
-  |> List.filter (fun t -> String.length t > 0)
+(* Tokens of an already normalized string: it has no leading, trailing
+   or repeated spaces, so only the empty string yields an empty token. *)
+let tokens_of_normalized n =
+  List.filter (fun t -> String.length t > 0) (String.split_on_char ' ' n)
+
+let tokens s = tokens_of_normalized (normalize s)
 
 let levenshtein a b =
   let la = String.length a and lb = String.length b in
@@ -41,39 +44,41 @@ let levenshtein a b =
     prev.(lb)
   end
 
-let edit_similarity a b =
-  let a = normalize a and b = normalize b in
-  let la = String.length a and lb = String.length b in
+(* The measures below over normalized forms [na], [nb]. *)
+let edit_normalized na nb =
+  let la = String.length na and lb = String.length nb in
   if la = 0 && lb = 0 then 1.0
   else
-    let d = levenshtein a b in
+    let d = levenshtein na nb in
     1.0 -. (float_of_int d /. float_of_int (max la lb))
 
-let jaccard_tokens a b =
-  let ta = tokens a and tb = tokens b in
-  if ta = [] && tb = [] then 1.0
+(* Distinct tokens of each side and how many they share. *)
+let token_sets na nb =
+  let ua = List.sort_uniq compare (tokens_of_normalized na) in
+  let ub = List.sort_uniq compare (tokens_of_normalized nb) in
+  (ua, ub, List.length (List.filter (fun t -> List.mem t ub) ua))
+
+let jaccard_of (ua, ub, inter) =
+  if ua = [] && ub = [] then 1.0
   else
-    let inter =
-      List.length (List.filter (fun t -> List.mem t tb) (List.sort_uniq compare ta))
-    in
-    let union =
-      List.length (List.sort_uniq compare (ta @ tb))
-    in
+    let union = List.length ua + List.length ub - inter in
     if union = 0 then 0.0 else float_of_int inter /. float_of_int union
 
 (* Token-overlap coefficient: |A ∩ B| / min(|A|, |B|) — catches suffixed
    variants such as "sector" vs "sector_code". Scaled by 0.9 so an exact
    name still wins over a mere extension. *)
-let overlap_tokens a b =
-  let ta = List.sort_uniq compare (tokens a) in
-  let tb = List.sort_uniq compare (tokens b) in
-  if ta = [] || tb = [] then 0.0
-  else
-    let inter = List.length (List.filter (fun t -> List.mem t tb) ta) in
-    float_of_int inter /. float_of_int (min (List.length ta) (List.length tb))
+let overlap_of (ua, ub, inter) =
+  if ua = [] || ub = [] then 0.0
+  else float_of_int inter /. float_of_int (min (List.length ua) (List.length ub))
+
+let edit_similarity a b = edit_normalized (normalize a) (normalize b)
+
+let jaccard_tokens a b = jaccard_of (token_sets (normalize a) (normalize b))
 
 let similarity a b =
-  if String.equal (normalize a) (normalize b) then 1.0
+  let na = normalize a and nb = normalize b in
+  if String.equal na nb then 1.0
   else
-    Float.max (edit_similarity a b)
-      (Float.max (jaccard_tokens a b) (0.9 *. overlap_tokens a b))
+    let sets = token_sets na nb in
+    Float.max (edit_normalized na nb)
+      (Float.max (jaccard_of sets) (0.9 *. overlap_of sets))

@@ -143,9 +143,8 @@ module Group_stats = struct
   let all_columns codes = Array.init (Column_codes.width codes) Fun.id
 
   (* Exact (standard-semantics) grouping: one pass over the group ids. *)
-  let compute_standard ~rel ~qi ~weight =
+  let compute_standard ~rel ~codes ~weight =
     let n = Relation.cardinal rel in
-    let codes = Column_codes.encode rel qi in
     let groups = Column_codes.group_ids codes (all_columns codes) in
     let w = Array.init n (weight_of rel weight) in
     let size, ws = tally groups w (List.init n Fun.id) in
@@ -157,11 +156,10 @@ module Group_stats = struct
   (* Maybe-match grouping: constants grouped exactly; null-bearing tuples
      matched against per-mask groupings of the constant cohort and, by
      null-pattern class, against each other. *)
-  let compute_maybe ~rel ~qi ~weight =
+  let compute_maybe ~rel ~codes ~weight =
     let n = Relation.cardinal rel in
     let freq = Array.make n 0 in
     let weight_sum = Array.make n 0.0 in
-    let codes = Column_codes.encode rel qi in
     let w = Array.init n (weight_of rel weight) in
     let const_idx = ref [] and null_idx = ref [] in
     for i = n - 1 downto 0 do
@@ -193,7 +191,7 @@ module Group_stats = struct
         let members = try Hashtbl.find masks m with Not_found -> [] in
         Hashtbl.replace masks m (i :: members))
       null_idx;
-    let width = Array.length qi in
+    let width = Column_codes.width codes in
     let const_positions_of_mask m =
       let acc = ref [] in
       for p = width - 1 downto 0 do
@@ -321,8 +319,11 @@ module Group_stats = struct
     done;
     { freq; weight_sum }
 
-  let compute ~semantics ~rel ~qi ?weight () =
+  let compute ~semantics ~rel ~qi ?weight ?codes () =
+    let codes =
+      match codes with Some codes -> codes | None -> Column_codes.encode rel qi
+    in
     match (semantics : Null_semantics.t) with
-    | Standard -> compute_standard ~rel ~qi ~weight
-    | Maybe_match -> compute_maybe ~rel ~qi ~weight
+    | Standard -> compute_standard ~rel ~codes ~weight
+    | Maybe_match -> compute_maybe ~rel ~codes ~weight
 end

@@ -59,10 +59,13 @@ module Group_stats : sig
     rel:Relation.t ->
     qi:int array ->
     ?weight:int ->
+    ?codes:Column_codes.t ->
     unit ->
     t
   (** [qi] — positions of the quasi-identifiers to compare on; [weight] —
-      position of the sampling-weight column, if any.
+      position of the sampling-weight column, if any; [codes] — the
+      encoding of [rel]'s [qi] columns ([Column_codes.encode rel qi] or an
+      encoding kept in step with [rel]), encoded here when absent.
 
       Under [Maybe_match] the groups overlap: a tuple with [k] nulls among
       its quasi-identifiers contributes to (and collects from) every
@@ -70,10 +73,10 @@ module Group_stats : sig
       where one suppression lifts the frequency of tuple 1 from 1 to 5 and
       of tuples 2–5 from 2 to 3.
 
-      Grouping runs on {!Column_codes}: the quasi-identifier columns are
-      encoded once per call and every grouping below is a pass over dense
-      group ids. Values group under {!Vadasa_base.Value.equal}, so values
-      that merely render alike ([Int 1] and [Str "1"]) stay apart.
+      Grouping runs on {!Column_codes}: every grouping below is a pass
+      over dense group ids of the quasi-identifier columns' codes. Values
+      group under {!Vadasa_base.Value.equal}, so values that merely render
+      alike ([Int 1] and [Str "1"]) stay apart.
 
       Under [Maybe_match], each null-bearing tuple first collects the
       constant tuples agreeing with it on its non-null positions (one

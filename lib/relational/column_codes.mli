@@ -15,19 +15,35 @@
     and null-normalized keys use it for every labelled null ("some null
     here", the pattern that maybe-match grouping compares on).
 
-    {b Encoding is per call.} An encoding is a snapshot of the relation.
-    Suppression, recoding and registry appends mutate relations in place,
-    so a cached encoding would have to be invalidated on each of them.
-    Encoding costs one hash lookup per cell, well under a millisecond for
-    the paper's datasets, so every consumer encodes the relation it is
-    handed and drops the encoding when it returns. *)
+    {b Kept, and kept in step.} An encoding describes the relation as it
+    was when encoded. The SDC layer's [Microdata] keeps the encoding of its
+    quasi-identifier columns together with the {!Relation.version} it was
+    taken at, and hands it out while the version is unchanged, so the
+    risk measures, SUDA and the cycle's leave-one-out tables of one
+    relation share one encoding. A cell rewritten through {!set} keeps the
+    encoding exact; any other mutation bumps the version and the next
+    reader encodes afresh. After a {!set}, codes no longer follow first
+    appearance and a column may keep codes no row holds any more, but two
+    cells still share a code iff their values are equal, so every grouping
+    below comes out as on a fresh encoding. *)
 
 type t
 
 val encode : Relation.t -> int array -> t
 (** [encode rel cols] encodes columns [cols] (positions into [rel]'s
     schema) of every tuple of [rel], in one pass. Column [j] of the
-    encoding is [cols.(j)]. *)
+    encoding is [cols.(j)]. Recorded as the [relational.codes.encode]
+    span. *)
+
+val copy : t -> t
+(** An independent copy: {!set} on one does not show in the other. *)
+
+val set : t -> row:int -> int -> Vadasa_base.Value.t -> unit
+(** [set t ~row j v] records that the row's cell in column [j] now holds
+    [v]: the cell takes [v]'s code (a new one when [v] is new to the
+    column), the row's null mask follows, and {!distinct_values} counts
+    only values some row still holds. Afterwards [t] groups exactly as a
+    fresh {!encode} of the updated relation. *)
 
 val width : t -> int
 (** Number of encoded columns. *)
@@ -38,7 +54,8 @@ val cardinality : t -> int -> int
 
 val distinct_values : t -> int -> int
 (** Number of distinct values in column [j], each labelled null counted
-    as its own value. *)
+    as its own value: what a fresh {!encode} would count, also after
+    {!set}. *)
 
 val null_mask : t -> int -> int
 (** Bit [j] set iff column [j] holds a labelled null at the row. Raises
@@ -71,9 +88,11 @@ val group_ids : ?normalize_nulls:bool -> t -> int array -> groups
     Past that, the packed prefix is renumbered to dense ids
     ([< rows]) and packing continues from them ([id * card + code], which
     always fits). The final keys are renumbered densely in order of first
-    appearance. Cost: O(rows · |cols|), allocation-free per row. The
-    renumbering table is scratch kept in [t], so one encoding must not be
-    grouped from two domains at once. *)
+    appearance, so the ids depend only on which rows share codes, not on
+    how the codes are numbered. Cost: O(rows · |cols|), allocation-free
+    per row. The renumbering table is per-domain scratch, so one encoding
+    can be grouped from several domains at once (it must not be {!set}
+    meanwhile). *)
 
 val group_sizes : groups -> int array
 (** [group_sizes g] — [(group_sizes g).(k)] is the number of rows in group

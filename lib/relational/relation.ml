@@ -4,12 +4,14 @@ type t = {
   schema : Schema.t;
   mutable tuples : Tuple.t array;
   mutable size : int;
+  mutable version : int;  (* bumped by every [set] and [add] *)
 }
 
-let create schema = { schema; tuples = [||]; size = 0 }
+let create schema = { schema; tuples = [||]; size = 0; version = 0 }
 
 let schema t = t.schema
 let cardinal t = t.size
+let version t = t.version
 
 let get t i =
   if i < 0 || i >= t.size then invalid_arg "Relation.get: index out of bounds";
@@ -17,7 +19,8 @@ let get t i =
 
 let set t i tup =
   if i < 0 || i >= t.size then invalid_arg "Relation.set: index out of bounds";
-  t.tuples.(i) <- tup
+  t.tuples.(i) <- tup;
+  t.version <- t.version + 1
 
 let ensure_capacity t needed =
   let cap = Array.length t.tuples in
@@ -35,7 +38,8 @@ let add t tup =
          (Array.length tup) (Schema.arity t.schema) (Schema.name t.schema));
   ensure_capacity t (t.size + 1);
   t.tuples.(t.size) <- tup;
-  t.size <- t.size + 1
+  t.size <- t.size + 1;
+  t.version <- t.version + 1
 
 let of_tuples schema tuples =
   let t = create schema in

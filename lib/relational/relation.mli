@@ -15,6 +15,11 @@ val schema : t -> Schema.t
 
 val cardinal : t -> int
 
+val version : t -> int
+(** A counter that every {!set} and {!add} on this relation increases. A
+    value derived from the relation at some version (an encoding of its
+    columns) is still valid while the version is unchanged. *)
+
 val get : t -> int -> Tuple.t
 
 val set : t -> int -> Tuple.t -> unit

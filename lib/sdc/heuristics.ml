@@ -24,9 +24,7 @@ type cache = {
 }
 
 let build_cache md =
-  let codes =
-    Column_codes.encode (Microdata.relation md) (Microdata.qi_positions md)
-  in
+  let codes = Microdata.qi_codes md in
   let m = Column_codes.width codes in
   let groups =
     Array.init m (fun j ->

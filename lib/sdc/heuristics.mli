@@ -32,10 +32,10 @@ type qi_choice =
 type cache
 
 val build_cache : Microdata.t -> cache
-(** Encodes the quasi-identifier columns ({!Vadasa_relational.Column_codes})
-    and keeps, per attribute, each tuple's group id with that attribute
-    left out plus each group's size. A snapshot: later suppressions in the
-    round do not show. *)
+(** Groups the microdata's kept quasi-identifier encoding
+    ({!Microdata.qi_codes}) and keeps, per attribute, each tuple's group id
+    with that attribute left out plus each group's size. A snapshot: later
+    suppressions in the round do not show. *)
 
 val freq_without : cache -> tuple:int -> int -> int
 (** [freq_without cache ~tuple j] — how many tuples agree with [tuple] on

@@ -2,6 +2,7 @@ module Relational = Vadasa_relational
 module Value = Vadasa_base.Value
 module Schema = Relational.Schema
 module Relation = Relational.Relation
+module Column_codes = Relational.Column_codes
 
 type category = Identifier | Quasi_identifier | Non_identifying | Weight
 
@@ -18,6 +19,12 @@ let category_of_string = function
   | "weight" -> Some Weight
   | _ -> None
 
+(* The QI columns' encoding and the relation version it is valid at. *)
+type kept = {
+  encoding : Column_codes.t;
+  mutable version : int;
+}
+
 type t = {
   relation : Relation.t;
   by_attr : (string, category) Hashtbl.t;
@@ -25,6 +32,7 @@ type t = {
   qi_positions : int array;
   identifier_positions : int array;
   weight_position : int option;
+  codes : kept option Atomic.t;
 }
 
 let make relation categories =
@@ -62,6 +70,7 @@ let make relation categories =
     qi_positions = positions_of Quasi_identifier;
     identifier_positions = positions_of Identifier;
     weight_position = (if Array.length weights = 1 then Some weights.(0) else None);
+    codes = Atomic.make None;
   }
 
 let relation t = t.relation
@@ -93,12 +102,47 @@ let weight_of t i =
     | Some x -> x
     | None -> 1.0)
 
+(* The kept encoding, when it is valid: the stored option itself, so the
+   check allocates nothing. *)
+let valid t =
+  match Atomic.get t.codes with
+  | Some kept as valid when kept.version = Relation.version t.relation -> valid
+  | Some _ | None -> None
+
+let qi_codes t =
+  match valid t with
+  | Some kept -> kept.encoding
+  | None ->
+    let encoding = Column_codes.encode t.relation t.qi_positions in
+    Atomic.set t.codes (Some { encoding; version = Relation.version t.relation });
+    encoding
+
+let set_cell t ~tuple ~pos v =
+  let valid = valid t in
+  Relation.set t.relation tuple
+    (Relational.Tuple.set (Relation.get t.relation tuple) pos v);
+  match valid with
+  | None -> ()
+  | Some kept ->
+    for j = 0 to Array.length t.qi_positions - 1 do
+      if t.qi_positions.(j) = pos then Column_codes.set kept.encoding ~row:tuple j v
+    done;
+    kept.version <- Relation.version t.relation
+
 let with_relation t relation =
   if not (Schema.equal (Relation.schema relation) (schema t)) then
     invalid_arg "Microdata.with_relation: schema mismatch";
-  { t with relation }
+  { t with relation; codes = Atomic.make None }
 
-let copy t = { t with relation = Relation.copy t.relation }
+let copy t =
+  let relation = Relation.copy t.relation in
+  let codes =
+    Option.map
+      (fun kept ->
+        { encoding = Column_codes.copy kept.encoding; version = Relation.version relation })
+      (valid t)
+  in
+  { t with relation; codes = Atomic.make codes }
 
 let drop_identifiers t =
   let keep =

@@ -1,6 +1,15 @@
 (** Microdata DBs: a relation whose attributes are categorized as direct
     identifiers, quasi-identifiers, non-identifying attributes or the
-    sampling weight (paper, Section 2.1, schema M(i, q, a, W)). *)
+    sampling weight (paper, Section 2.1, schema M(i, q, a, W)).
+
+    A microdata DB keeps the {!Vadasa_relational.Column_codes} encoding of
+    its quasi-identifier columns ({!qi_codes}), so every risk measure,
+    SUDA and the cycle's leave-one-out tables read one encoding instead of
+    each encoding the relation again. The encoding is tied to this
+    microdata's relation at one {!Vadasa_relational.Relation.version}:
+    {!set_cell} keeps it in step, and any other mutation of the relation
+    (recoding, the engine executor's rewrite, registry appends) leaves it
+    stale, so the next {!qi_codes} encodes afresh. *)
 
 module Relational = Vadasa_relational
 
@@ -48,11 +57,27 @@ val weight_of : t -> int -> float
 (** Sampling weight of the tuple at a position; [1.0] when the microdata DB
     has no weight attribute or the value is not numeric. *)
 
+val qi_codes : t -> Relational.Column_codes.t
+(** The encoding of the quasi-identifier columns ({!qi_positions}) of the
+    relation as it is now: the kept one while the relation is unchanged
+    since it was taken, otherwise a fresh
+    {!Vadasa_relational.Column_codes.encode}, which is then kept. Reading
+    it from several domains at once is safe as long as none of them
+    mutates the relation. *)
+
+val set_cell : t -> tuple:int -> pos:int -> Vadasa_base.Value.t -> unit
+(** [set_cell t ~tuple ~pos v] replaces the value at schema position [pos]
+    of the tuple, in place. When the kept encoding was valid it stays
+    valid: the cell's code is updated ({!Vadasa_relational.Column_codes.set})
+    instead of the whole relation being encoded again. *)
+
 val with_relation : t -> Relational.Relation.t -> t
-(** Same categorization over another relation with an equal schema. *)
+(** Same categorization over another relation with an equal schema; no
+    encoding kept yet. *)
 
 val copy : t -> t
-(** Deep copy (fresh relation, fresh tuples). *)
+(** Deep copy (fresh relation, fresh tuples). A valid kept encoding is
+    copied too, so the copy starts encoded. *)
 
 val drop_identifiers : t -> Relational.Relation.t
 (** The exchanged view: direct identifiers removed (they must never be

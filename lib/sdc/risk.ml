@@ -29,9 +29,10 @@ let group_stats ?(semantics = Relational.Null_semantics.Maybe_match) md =
   Telemetry.span "sdc.risk.group_stats" (fun () ->
       let rel = Microdata.relation md in
       let qi = Microdata.qi_positions md in
+      let codes = Microdata.qi_codes md in
       match Microdata.weight_position md with
-      | Some weight -> Algebra.Group_stats.compute ~semantics ~rel ~qi ~weight ()
-      | None -> Algebra.Group_stats.compute ~semantics ~rel ~qi ())
+      | Some weight -> Algebra.Group_stats.compute ~semantics ~rel ~qi ~weight ~codes ()
+      | None -> Algebra.Group_stats.compute ~semantics ~rel ~qi ~codes ())
 
 let clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
 
@@ -208,6 +209,12 @@ module Incremental = struct
     done;
     touched
 
+  (* A full estimate over a view of the shared microdata: an encoding
+     kept on [md] itself would go stale at the next append, and nothing
+     reads it before then, so it is left to die with the view. *)
+  let estimate_unkept ~semantics measure md =
+    estimate ~semantics measure (Microdata.with_relation md (Microdata.relation md))
+
   let create ?(semantics = Relational.Null_semantics.Maybe_match) measure md =
     let t =
       {
@@ -218,7 +225,7 @@ module Incremental = struct
         groups = Value.Array_tbl.create 64;
         scored = 0;
         has_null = false;
-        report = estimate ~semantics measure md;
+        report = estimate_unkept ~semantics measure md;
         appends = 0;
         full_rescores = 0;
       }
@@ -245,7 +252,7 @@ module Incremental = struct
     match fallback with
     | Some reason ->
       t.full_rescores <- t.full_rescores + 1;
-      t.report <- estimate ~semantics:t.semantics t.measure t.md;
+      t.report <- estimate_unkept ~semantics:t.semantics t.measure t.md;
       {
         rows_added;
         rows_rescored = n;

@@ -32,7 +32,7 @@ let find_msus ?(max_size = 3) md =
   let m = Array.length qi in
   let n = Relation.cardinal rel in
   let max_size = min max_size m in
-  let codes = Column_codes.encode rel qi in
+  let codes = Microdata.qi_codes md in
   let subset_arr = Array.of_list (subsets m max_size) in
   let masks = Array.map mask_of subset_arr in
   (* One frequency table per subset: each tuple's group id, each group's

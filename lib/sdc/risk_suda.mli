@@ -8,8 +8,8 @@
 
     Search strategy: one frequency table per attribute subset of size ≤
     [max_size] — each tuple's dense group id over the subset plus each
-    group's size, computed from the dictionary-encoded quasi-identifier
-    columns ({!Vadasa_relational.Column_codes}) in one pass each — then
+    group's size, computed from the microdata's kept quasi-identifier
+    encoding ({!Microdata.qi_codes}) in one pass each — then
     per-tuple minimality by subset-of-found-MSU pruning, the greedy
     preemption that keeps Figure 7f free of the combinatorial blowup.
     Values are compared under {!Vadasa_base.Value.equal}.

@@ -16,7 +16,7 @@ let suppress ids md ~tuple ~attr =
   let old_value = Tuple.get current pos in
   if Value.is_null old_value then None
   else begin
-    Relation.set rel tuple (Tuple.set current pos (Ids.fresh_null ids));
+    Microdata.set_cell md ~tuple ~pos (Ids.fresh_null ids);
     Vadasa_telemetry.Telemetry.count "sdc.suppression.cells" 1;
     Some old_value
   end

@@ -146,6 +146,70 @@ let prop_similarity_bounded =
       let s = Strsim.similarity a b in
       s >= 0.0 && s <= 1.0 && Strsim.similarity a a = 1.0)
 
+(* [Strsim.similarity] as it was written before it normalized each side
+   once: every measure normalizes (and tokenizes) its arguments again.
+   The reference the shared-normalization version must match bit for
+   bit. *)
+module Old_strsim = struct
+  let tokens s =
+    String.split_on_char ' ' (Strsim.normalize s) |> List.filter (fun t -> String.length t > 0)
+
+  let edit_similarity a b =
+    let a = Strsim.normalize a and b = Strsim.normalize b in
+    let la = String.length a and lb = String.length b in
+    if la = 0 && lb = 0 then 1.0
+    else
+      let d = Strsim.levenshtein a b in
+      1.0 -. (float_of_int d /. float_of_int (max la lb))
+
+  let jaccard_tokens a b =
+    let ta = tokens a and tb = tokens b in
+    if ta = [] && tb = [] then 1.0
+    else
+      let inter = List.length (List.filter (fun t -> List.mem t tb) (List.sort_uniq compare ta)) in
+      let union = List.length (List.sort_uniq compare (ta @ tb)) in
+      if union = 0 then 0.0 else float_of_int inter /. float_of_int union
+
+  let overlap_tokens a b =
+    let ta = List.sort_uniq compare (tokens a) in
+    let tb = List.sort_uniq compare (tokens b) in
+    if ta = [] || tb = [] then 0.0
+    else
+      let inter = List.length (List.filter (fun t -> List.mem t tb) ta) in
+      float_of_int inter /. float_of_int (min (List.length ta) (List.length tb))
+
+  let similarity a b =
+    if String.equal (Strsim.normalize a) (Strsim.normalize b) then 1.0
+    else
+      Float.max (edit_similarity a b)
+        (Float.max (jaccard_tokens a b) (0.9 *. overlap_tokens a b))
+end
+
+(* Attribute-like names: a few short words drawn from a small vocabulary
+   in mixed case, joined and wrapped by runs of separators, so tokens
+   repeat within and across the two names. *)
+let gen_name =
+  QCheck2.Gen.(
+    let word =
+      let* w = oneofl [ "a"; "id"; "area"; "Sector"; "CODE"; "rev"; "export"; "x1"; "tax_id" ] in
+      let* upper = bool in
+      return (if upper then String.uppercase_ascii w else w)
+    in
+    let sep = string_size ~gen:(oneofl [ '_'; '-'; '.'; '/'; ' '; '\t' ]) (int_range 0 3) in
+    let* words = list_size (int_range 0 4) (pair sep word) in
+    let* tail = sep in
+    return (String.concat "" (List.map (fun (s, w) -> s ^ w) words) ^ tail))
+
+let prop_similarity_matches_old =
+  QCheck2.Test.make ~name:"similarity equals the per-measure normalizing version bit for bit"
+    ~count:2000 ~print:QCheck2.Print.(pair string string)
+    QCheck2.Gen.(pair gen_name gen_name)
+    (fun (a, b) ->
+      let bits f = Int64.bits_of_float f in
+      Int64.equal (bits (Strsim.similarity a b)) (bits (Old_strsim.similarity a b))
+      && Int64.equal (bits (Strsim.edit_similarity a b)) (bits (Old_strsim.edit_similarity a b))
+      && Int64.equal (bits (Strsim.jaccard_tokens a b)) (bits (Old_strsim.jaccard_tokens a b)))
+
 (* --- JSON float printing ----------------------------------------------- *)
 
 module Json = Vadasa_base.Json
@@ -279,6 +343,7 @@ let () =
             prop_coll_union_commutes;
             prop_compare_transitive;
             prop_similarity_bounded;
+            prop_similarity_matches_old;
             prop_float_repr_matches_printf;
             prop_keyed_model;
           ] );

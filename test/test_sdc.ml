@@ -1572,6 +1572,239 @@ let test_suda_lookalike_values () =
   Alcotest.(check (list (array int))) "string keys merged them" []
     (String_keyed.find_msus md).(0)
 
+(* --- kept quasi-identifier codes ------------------------------------------- *)
+
+(* Two encodings group alike when every grouping the risk code asks of
+   them (full key and each leave-one-out key, raw and null-normalized)
+   partitions the rows the same way, and they agree on distinct counts,
+   null masks and which cells share a pattern code. *)
+let same_partition a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let fwd = Hashtbl.create 16 and bwd = Hashtbl.create 16 in
+  let consistent tbl x y =
+    match Hashtbl.find_opt tbl x with
+    | Some y' -> y = y'
+    | None ->
+      Hashtbl.add tbl x y;
+      true
+  in
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    if not (consistent fwd a.(i) b.(i) && consistent bwd b.(i) a.(i)) then ok := false
+  done;
+  !ok
+
+let codes_agree ~kept ~fresh rows =
+  let module C = R.Column_codes in
+  let m = C.width fresh in
+  let problems = ref [] in
+  let fail fmt = Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt in
+  if C.width kept <> m then fail "width %d vs %d" (C.width kept) m
+  else begin
+    let all = Array.init m Fun.id in
+    let all_but j = Array.of_list (List.filter (( <> ) j) (Array.to_list all)) in
+    let key_sets =
+      ("all", all) :: List.init m (fun j -> (Printf.sprintf "all but %d" j, all_but j))
+    in
+    List.iter
+      (fun (label, cols) ->
+        List.iter
+          (fun normalize_nulls ->
+            let g = C.group_ids ~normalize_nulls kept cols
+            and g' = C.group_ids ~normalize_nulls fresh cols in
+            if g.C.count <> g'.C.count || not (same_partition g.C.id g'.C.id) then
+              fail "group ids (%s, normalize_nulls=%b)" label normalize_nulls)
+          [ false; true ])
+      key_sets;
+    for j = 0 to m - 1 do
+      if C.distinct_values kept j <> C.distinct_values fresh j then
+        fail "distinct values of column %d: %d vs %d" j (C.distinct_values kept j)
+          (C.distinct_values fresh j);
+      let pattern t = Array.init rows (fun row -> C.pattern_code t row j) in
+      let pk = pattern kept and pf = pattern fresh in
+      if
+        (not (same_partition pk pf))
+        || Array.exists2 (fun a b -> (a < 0) <> (b < 0)) pk pf
+      then fail "pattern codes of column %d" j
+    done;
+    for row = 0 to rows - 1 do
+      if C.null_mask kept row <> C.null_mask fresh row then fail "null mask of row %d" row;
+      if C.has_null kept row <> C.has_null fresh row then fail "has_null of row %d" row
+    done
+  end;
+  List.rev !problems
+
+type codes_step =
+  | Suppress of { row : int; col : int }
+  | Recode of { row : int; col : int }
+  | Add of { row : int }
+  | Copy
+  | Estimate of int
+
+let print_codes_step = function
+  | Suppress { row; col } -> Printf.sprintf "suppress(%d,q%d)" row col
+  | Recode { row; col } -> Printf.sprintf "recode(%d,q%d)" row col
+  | Add { row } -> Printf.sprintf "add(copy of %d)" row
+  | Copy -> "copy"
+  | Estimate k -> Printf.sprintf "estimate(%d)" k
+
+let codes_measures =
+  [|
+    (R.Null_semantics.Maybe_match, S.Risk.K_anonymity { k = 2 });
+    (R.Null_semantics.Standard, S.Risk.Re_identification);
+    (R.Null_semantics.Maybe_match, S.Risk.Suda { max_msu_size = 2; threshold_size = 2 });
+    (R.Null_semantics.Standard, S.Risk.Individual S.Risk.Benedetti_franconi);
+  |]
+
+let gen_codes_case =
+  QCheck2.Gen.(
+    let* c = gen_encoded_case ~wide:false in
+    let* start = int_range 1 4 in
+    let step =
+      let* row = int_range 0 1000 and* col = int_range 0 8 in
+      frequency
+        [
+          (6, return (Suppress { row; col }));
+          (2, return (Recode { row; col }));
+          (1, return (Add { row }));
+          (1, return Copy);
+          (2, map (fun k -> Estimate k) (int_range 0 (Array.length codes_measures - 1)));
+        ]
+    in
+    let* steps = list_size (int_range 1 25) step in
+    return (c, start, steps))
+
+let print_codes_case (c, start, steps) =
+  Printf.sprintf "%s ids from %d: %s" (print_encoded_case c) start
+    (String.concat " " (List.map print_codes_step steps))
+
+(* After every step, each live microdata's kept codes must group exactly
+   as a fresh encoding of its relation. Null labels start low, so fresh
+   nulls can collide with labels already in the data. *)
+let prop_kept_codes_match_fresh =
+  QCheck2.Test.make ~name:"kept codes match a fresh encoding after every step"
+    ~count:300 ~print:print_codes_case gen_codes_case (fun (c, start, steps) ->
+      let md = encoded_case_md c in
+      let hierarchy = D.Generator.synthetic_hierarchy md in
+      let ids = Vadasa_base.Ids.create ~start () in
+      let attr col = Printf.sprintf "q%d" (col mod c.m) in
+      let check step live =
+        List.iter
+          (fun md ->
+            let rel = S.Microdata.relation md in
+            let fresh = R.Column_codes.encode rel (S.Microdata.qi_positions md) in
+            match codes_agree ~kept:(S.Microdata.qi_codes md) ~fresh (R.Relation.cardinal rel) with
+            | [] -> ()
+            | problems ->
+              QCheck2.Test.fail_reportf "after %s: %s" (print_codes_step step)
+                (String.concat "; " problems))
+          live
+      in
+      ignore
+        (List.fold_left
+           (fun live step ->
+             let md = List.hd live in
+             let n = S.Microdata.cardinal md in
+             let live =
+               match step with
+               | _ when n = 0 -> live
+               | Suppress { row; col } ->
+                 let before = S.Microdata.qi_codes md in
+                 ignore (S.Suppression.suppress ids md ~tuple:(row mod n) ~attr:(attr col));
+                 if S.Microdata.qi_codes md != before then
+                   QCheck2.Test.fail_report "suppression dropped the kept codes";
+                 live
+               | Recode { row; col } ->
+                 ignore (S.Recoding.recode_tuple hierarchy md ~tuple:(row mod n) ~attr:(attr col));
+                 live
+               | Add { row } ->
+                 R.Relation.add (S.Microdata.relation md)
+                   (Array.copy (R.Relation.get (S.Microdata.relation md) (row mod n)));
+                 live
+               | Copy -> S.Microdata.copy md :: live
+               | Estimate k ->
+                 let semantics, measure = codes_measures.(k) in
+                 ignore (S.Risk.estimate ~semantics measure md);
+                 live
+             in
+             check step live;
+             live)
+           [ md ] steps);
+      true)
+
+(* The three Figure 7e estimates and a suppression cycle over one dataset
+   encode its quasi-identifier columns once: the estimates share the
+   microdata's codes, the cycle's working copy inherits them and its
+   suppressions keep them in step. *)
+let test_encoded_once () =
+  let module T = Vadasa_telemetry.Telemetry in
+  let md =
+    D.Generator.generate
+      { D.Generator.name = "once"; tuples = 300; qi_count = 5; distribution = D.Generator.U; seed = 4 }
+  in
+  let was = T.enabled () in
+  T.set_enabled true;
+  T.reset T.global;
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled was;
+      T.reset T.global)
+    (fun () ->
+      List.iter
+        (fun measure -> ignore (S.Risk.estimate measure md))
+        [
+          S.Risk.K_anonymity { k = 2 };
+          S.Risk.Suda { max_msu_size = 3; threshold_size = 3 };
+          S.Risk.Individual (S.Risk.Monte_carlo { samples = 20; seed = 3 });
+        ];
+      let outcome = S.Cycle.run md in
+      let report = T.Report.capture T.global in
+      Alcotest.(check bool) "the cycle suppressed over several rounds" true
+        (outcome.S.Cycle.nulls_injected > 0 && outcome.S.Cycle.rounds > 1);
+      Alcotest.(check int) "no span dropped" 0 report.T.Report.dropped_spans;
+      let encodes =
+        List.fold_left
+          (fun acc agg ->
+            let path = agg.T.Report.agg_path in
+            let leaf =
+              match String.rindex_opt path '/' with
+              | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+              | None -> path
+            in
+            if leaf = "relational.codes.encode" then acc + agg.T.Report.agg_count else acc)
+          0 report.T.Report.spans
+      in
+      Alcotest.(check int) "encode spans" 1 encodes)
+
+(* A cached microdata's codes are grouped from several server workers at
+   once; each domain's groupings must be its own. *)
+let test_shared_codes_across_domains () =
+  let md =
+    encoded_case_md
+      { m = 6; n = 400; domain = 3; null_rate = 0.1; fractional = true; seed = 17 }
+  in
+  let reports () =
+    Array.to_list
+      (Array.map (fun (semantics, measure) -> S.Risk.estimate ~semantics measure md) codes_measures)
+  in
+  let expected = reports () in
+  let same (a : S.Risk.report) (b : S.Risk.report) =
+    a.freq = b.freq && float_bits_equal a.risk b.risk && float_bits_equal a.weight_sum b.weight_sum
+  in
+  let worker () =
+    let mismatches = ref 0 in
+    for _ = 1 to 60 do
+      if not (List.for_all2 same expected (reports ())) then incr mismatches
+    done;
+    !mismatches
+  in
+  let other = Domain.spawn worker in
+  let here = worker () in
+  let there = Domain.join other in
+  Alcotest.(check (pair int int)) "reports differing from the sequential ones" (0, 0) (here, there)
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "sdc"
@@ -1734,6 +1967,12 @@ let () =
                prop_encoded_matches_reference_wide;
                prop_step3_matches_pairwise;
              ] );
+      ( "kept codes",
+        [
+          Alcotest.test_case "encoded once per op" `Quick test_encoded_once;
+          Alcotest.test_case "shared across domains" `Quick test_shared_codes_across_domains;
+        ]
+        @ qcheck [ prop_kept_codes_match_fresh ] );
       ( "monte carlo",
         Alcotest.test_case "agrees with Benedetti-Franconi on Figure 6" `Slow
           test_monte_carlo_agrees_with_bf
