@@ -26,22 +26,27 @@ let tokens_of_normalized n =
 
 let tokens s = tokens_of_normalized (normalize s)
 
+(* Two rows swapped in turn; [Int.min] keeps the inner loop free of
+   polymorphic comparisons. *)
 let levenshtein a b =
   let la = String.length a and lb = String.length b in
   if la = 0 then lb
   else if lb = 0 then la
   else begin
-    let prev = Array.init (lb + 1) (fun j -> j) in
-    let curr = Array.make (lb + 1) 0 in
+    let prev = ref (Array.init (lb + 1) Fun.id) in
+    let curr = ref (Array.make (lb + 1) 0) in
     for i = 1 to la do
-      curr.(0) <- i;
+      let p = !prev and c = !curr in
+      let ai = a.[i - 1] in
+      c.(0) <- i;
       for j = 1 to lb do
-        let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-        curr.(j) <- min (min (curr.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
+        let cost = if ai = b.[j - 1] then 0 else 1 in
+        c.(j) <- Int.min (Int.min (c.(j - 1) + 1) (p.(j) + 1)) (p.(j - 1) + cost)
       done;
-      Array.blit curr 0 prev 0 (lb + 1)
+      prev := c;
+      curr := p
     done;
-    prev.(lb)
+    !prev.(lb)
   end
 
 (* The measures below over normalized forms [na], [nb]. *)

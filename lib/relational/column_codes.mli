@@ -19,10 +19,11 @@
     was when encoded. The SDC layer's [Microdata] keeps the encoding of its
     quasi-identifier columns together with the {!Relation.version} it was
     taken at, and hands it out while the version is unchanged, so the
-    risk measures, SUDA and the cycle's leave-one-out tables of one
-    relation share one encoding. A cell rewritten through {!set} keeps the
-    encoding exact; any other mutation bumps the version and the next
-    reader encodes afresh. After a {!set}, codes no longer follow first
+    risk measures, SUDA and the cycle's leave-one-out tables and
+    within-round gains over one relation share one encoding. Suppression
+    and recoding rewrite cells through {!set}, which keeps the encoding
+    exact; any other mutation bumps the version and the next reader
+    encodes afresh. After a {!set}, codes no longer follow first
     appearance and a column may keep codes no row holds any more, but two
     cells still share a code iff their values are equal, so every grouping
     below comes out as on a fresh encoding. *)

@@ -131,69 +131,69 @@ let native =
    null can rescue several pending tuples (the paper's "wider risk
    reduction effect", Figure 7b). Each suppression event is recorded as the
    suppressed tuple's projection once its attribute is nulled (the label is
-   irrelevant): null-position mask plus the values at its constant
-   positions. A pending tuple gains one maybe-match per
-   recorded event agreeing with it on the event's constant positions. The
-   gain is an over-approximation (it may recount tuples that already
-   matched), which is safe: a skipped tuple is re-examined by the next
-   round's exact risk evaluation. *)
+   irrelevant): null-position mask plus the codes of its constant
+   positions in the microdata's kept encoding (equal codes, equal values;
+   recodings made earlier in the round keep the encoding in step). A
+   pending tuple gains one maybe-match per recorded event agreeing with it
+   on the event's constant positions. The gain is an over-approximation
+   (it may recount tuples that already matched), which is safe: a skipped
+   tuple is re-examined by the next round's exact risk evaluation. *)
 module Round_gains = struct
+  module Column_codes = Relational.Column_codes
+
   type t = {
     qi : int array;
-    tables : (int, int Value.Array_tbl.t) Hashtbl.t;  (* mask -> constants -> count *)
+    tables : (int, (int array, int) Hashtbl.t) Hashtbl.t;
+        (* mask -> codes at the mask's clear positions -> count *)
   }
 
   let create qi = { qi; tables = Hashtbl.create 8 }
 
-  let projection md tuple qi =
-    Relational.Tuple.project
-      (Relational.Relation.get (Microdata.relation md) tuple)
-      qi
-
-  let constant_positions proj =
-    let acc = ref [] in
-    for p = Array.length proj - 1 downto 0 do
-      if not (Value.is_null proj.(p)) then acc := p :: !acc
+  (* The row's codes at the positions clear in [mask]. *)
+  let key codes tuple mask width =
+    let n = ref 0 in
+    for p = 0 to width - 1 do
+      if mask land (1 lsl p) = 0 then incr n
     done;
-    Array.of_list !acc
-
-  let suppressed = Value.null 0
+    let k = Array.make !n 0 and i = ref 0 in
+    for p = 0 to width - 1 do
+      if mask land (1 lsl p) = 0 then begin
+        k.(!i) <- Column_codes.pattern_code codes tuple p;
+        incr i
+      end
+    done;
+    k
 
   let record t md ~tuple ~attr =
     let pos = Relational.Schema.index_of (Microdata.schema md) attr in
-    let proj = projection md tuple t.qi in
-    Array.iteri (fun j p -> if p = pos then proj.(j) <- suppressed) t.qi;
-    let mask = Relational.Tuple.null_mask proj in
-    let positions = constant_positions proj in
-    let key = Relational.Tuple.project proj positions in
+    let codes = Microdata.qi_codes md in
+    let width = Array.length t.qi in
+    let mask = ref (Column_codes.null_mask codes tuple) in
+    Array.iteri (fun j p -> if p = pos then mask := !mask lor (1 lsl j)) t.qi;
+    let mask = !mask in
+    let key = key codes tuple mask width in
     let table =
       match Hashtbl.find_opt t.tables mask with
       | Some table -> table
       | None ->
-        let table = Value.Array_tbl.create 64 in
+        let table = Hashtbl.create 64 in
         Hashtbl.add t.tables mask table;
         table
     in
-    let current = try Value.Array_tbl.find table key with Not_found -> 0 in
-    Value.Array_tbl.replace table key (current + 1)
+    let current = try Hashtbl.find table key with Not_found -> 0 in
+    Hashtbl.replace table key (current + 1)
 
   let gained t md ~tuple =
-    let proj = projection md tuple t.qi in
+    let codes = Microdata.qi_codes md in
+    let width = Array.length t.qi in
+    let nulls = Column_codes.null_mask codes tuple in
     Hashtbl.fold
       (fun mask table acc ->
-        let positions =
-          let keep = ref [] in
-          for p = Array.length proj - 1 downto 0 do
-            if mask land (1 lsl p) = 0 then keep := p :: !keep
-          done;
-          Array.of_list !keep
-        in
         (* Conservative: only count events whose constant positions are all
            constant in the pending tuple too. *)
-        if Array.exists (fun p -> Value.is_null proj.(p)) positions then acc
+        if nulls land lnot mask <> 0 then acc
         else
-          let key = Relational.Tuple.project proj positions in
-          acc + (try Value.Array_tbl.find table key with Not_found -> 0))
+          acc + (try Hashtbl.find table (key codes tuple mask width) with Not_found -> 0))
       t.tables 0
 end
 

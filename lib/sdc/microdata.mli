@@ -4,12 +4,13 @@
 
     A microdata DB keeps the {!Vadasa_relational.Column_codes} encoding of
     its quasi-identifier columns ({!qi_codes}), so every risk measure,
-    SUDA and the cycle's leave-one-out tables read one encoding instead of
-    each encoding the relation again. The encoding is tied to this
+    SUDA and the cycle's leave-one-out tables and within-round gains read
+    one encoding instead of each encoding the relation again or hashing
+    projected values. The encoding is tied to this
     microdata's relation at one {!Vadasa_relational.Relation.version}:
-    {!set_cell} keeps it in step, and any other mutation of the relation
-    (recoding, the engine executor's rewrite, registry appends) leaves it
-    stale, so the next {!qi_codes} encodes afresh. *)
+    {!set_cell} (suppression, recoding) keeps it in step, and any other
+    mutation of the relation (the engine executor's rewrite, registry
+    appends) leaves it stale, so the next {!qi_codes} encodes afresh. *)
 
 module Relational = Vadasa_relational
 

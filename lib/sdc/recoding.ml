@@ -24,7 +24,7 @@ let recode_value hierarchy md ~attr value =
     Relation.iteri
       (fun i t ->
         if Value.equal (Tuple.get t pos) value then begin
-          Relation.set rel i (Tuple.set t pos target);
+          Microdata.set_cell md ~tuple:i ~pos target;
           incr changed
         end)
       rel;

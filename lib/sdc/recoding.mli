@@ -17,8 +17,9 @@ val recode_value :
   Hierarchy.t -> Microdata.t -> attr:string -> Vadasa_base.Value.t ->
   step option
 (** Roll the given value of a quasi-identifier up one hierarchy level,
-    rewriting {e every} tuple holding it. [None] when the hierarchy has no
-    parent for the value. *)
+    rewriting {e every} tuple holding it through {!Microdata.set_cell}, so
+    a kept encoding of the quasi-identifiers stays valid. [None] when the
+    hierarchy has no parent for the value. *)
 
 val recode_tuple :
   Hierarchy.t -> Microdata.t -> tuple:int -> attr:string -> step option

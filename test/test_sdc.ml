@@ -1717,7 +1717,10 @@ let prop_kept_codes_match_fresh =
                    QCheck2.Test.fail_report "suppression dropped the kept codes";
                  live
                | Recode { row; col } ->
+                 let before = S.Microdata.qi_codes md in
                  ignore (S.Recoding.recode_tuple hierarchy md ~tuple:(row mod n) ~attr:(attr col));
+                 if S.Microdata.qi_codes md != before then
+                   QCheck2.Test.fail_report "recoding dropped the kept codes";
                  live
                | Add { row } ->
                  R.Relation.add (S.Microdata.relation md)
