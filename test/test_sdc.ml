@@ -1737,10 +1737,11 @@ let prop_kept_codes_match_fresh =
            [ md ] steps);
       true)
 
-(* The three Figure 7e estimates and a suppression cycle over one dataset
-   encode its quasi-identifier columns once: the estimates share the
-   microdata's codes, the cycle's working copy inherits them and its
-   suppressions keep them in step. *)
+(* The three Figure 7e estimates, a suppression cycle and a
+   recode-then-suppress cycle over one dataset encode its
+   quasi-identifier columns once: the estimates share the microdata's
+   codes, each cycle's working copy inherits them and its suppressions
+   and recodings keep them in step. *)
 let test_encoded_once () =
   let module T = Vadasa_telemetry.Telemetry in
   let md =
@@ -1763,9 +1764,21 @@ let test_encoded_once () =
           S.Risk.Individual (S.Risk.Monte_carlo { samples = 20; seed = 3 });
         ];
       let outcome = S.Cycle.run md in
+      let recoded =
+        S.Cycle.run
+          ~config:
+            {
+              S.Cycle.default_config with
+              S.Cycle.method_ =
+                S.Cycle.Recode_then_suppress (D.Generator.synthetic_hierarchy md);
+            }
+          md
+      in
       let report = T.Report.capture T.global in
       Alcotest.(check bool) "the cycle suppressed over several rounds" true
         (outcome.S.Cycle.nulls_injected > 0 && outcome.S.Cycle.rounds > 1);
+      Alcotest.(check bool) "the second cycle recoded over several rounds" true
+        (recoded.S.Cycle.recoded_cells > 0 && recoded.S.Cycle.rounds > 1);
       Alcotest.(check int) "no span dropped" 0 report.T.Report.dropped_spans;
       let encodes =
         List.fold_left
