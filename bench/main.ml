@@ -732,81 +732,6 @@ let scaling () =
   note "leg's insertion-ordered facts vs the 1-domain leg)"
 
 (* ------------------------------------------------------------------ *)
-(* Incremental: reuse-the-fixpoint re-evaluation vs. full re-runs
-   (the dataset registry's append path, docs/STREAMING.md).
-
-   The band workload from [scaling] — a delta-unfriendly self-join
-   where every appended item scans the whole relation — grows by K
-   deltas. The incremental engine continues each append from its
-   semi-naive snapshot ([Engine.run_incremental]); the from-scratch
-   engine recomputes the fixpoint over the union. Both databases must
-   stay byte-identical modulo labelled-null renaming
-   ([Canonical.of_engine], asserted every round); the figure reports
-   the wall-time ratio. *)
-
-let incremental () =
-  section "Incremental - fixpoint reuse vs full re-run (band workload)";
-  let n = max 400 (int_of_float (4000.0 *. sqrt !scale)) in
-  let deltas = 5 in
-  let delta_n = max 10 (n / 50) in
-  let item i = ("item", [| Value.Int i; Value.Int (i mod 997) |]) in
-  let rules =
-    V.Parser.parse
-      "near(X, Y) :- item(X, A), item(Y, B), X < Y, A <= B + 1, B <= A + 1.\n\
-       @output(\"near\")."
-  in
-  let facts lo hi = List.init (hi - lo) (fun k -> item (lo + k)) in
-  let program hi = V.Program.union rules (V.Program.make ~facts:(facts 0 hi) []) in
-  Printf.printf "  band: %d base items, %d appends of %d items each\n" n deltas
-    delta_n;
-  Printf.printf "  %-8s %-20s %-12s %s\n" "append" "mode" "time (s)" "facts";
-  let inc_engine = V.Engine.create (program n) in
-  let _, base_time =
-    timed "incremental.base" (fun () -> V.Engine.run inc_engine)
-  in
-  let snap = ref (V.Engine.snapshot inc_engine) in
-  let append_total = ref 0.0 in
-  let scratch_total = ref 0.0 in
-  for a = 1 to deltas do
-    let lo = n + ((a - 1) * delta_n) and hi = n + (a * delta_n) in
-    let _, t_inc =
-      timed
-        (Printf.sprintf "incremental.append.%d" a)
-        (fun () ->
-          List.iter
-            (fun (p, args) -> V.Engine.add_fact_array inc_engine p args)
-            (facts lo hi);
-          snap := V.Engine.run_incremental ~snapshot:!snap inc_engine)
-    in
-    append_total := !append_total +. t_inc;
-    let scratch_engine = V.Engine.create (program hi) in
-    let _, t_scr =
-      timed
-        (Printf.sprintf "incremental.scratch.%d" a)
-        (fun () -> V.Engine.run scratch_engine)
-    in
-    scratch_total := !scratch_total +. t_scr;
-    Printf.printf "  %-8d %-20s %-12.4f %d\n" a "append (continue)" t_inc
-      (V.Database.total (V.Engine.database inc_engine));
-    Printf.printf "  %-8d %-20s %-12.4f %d\n" a "full re-run" t_scr
-      (V.Database.total (V.Engine.database scratch_engine));
-    assert (
-      String.equal
-        (V.Canonical.of_engine inc_engine)
-        (V.Canonical.of_engine scratch_engine));
-    V.Engine.shutdown scratch_engine
-  done;
-  V.Engine.shutdown inc_engine;
-  Printf.printf
-    "  totals: base fixpoint %.3f s; appends %.3f s; full re-runs %.3f s \
-     (%.1fx)\n"
-    base_time !append_total !scratch_total
-    (!scratch_total /. Float.max !append_total 1e-9);
-  note "expectation: appends beat full re-runs by a widening margin (the";
-  note "continuation only evaluates the old*new and new*new join quadrants);";
-  note "canonical forms are byte-identical every round (asserted)"
-
-(* ------------------------------------------------------------------ *)
 (* Report rendering: the body of a maintained [GET /v1/datasets/{id}/risk]
    (a registered 400-row U dataset under Benedetti-Franconi, rendered
    once before timing and unchanged since, so every number's text is
@@ -821,7 +746,7 @@ let render () =
   let reg = Srv.Registry.create () in
   let entry =
     (Srv.Registry.put reg ~id:"render" ~digest:"render" ~bytes:0 ~options
-       ~measure ~semantics:R.Null_semantics.Maybe_match ~compiled:None
+       ~measure ~semantics:R.Null_semantics.Maybe_match
        (S.Microdata.copy md))
       .Srv.Registry.entry
   in
@@ -906,7 +831,7 @@ let snapshot () =
         let id = Printf.sprintf "ds%d" d in
         let entry =
           (Srv.Registry.put reg ~id ~digest:id ~bytes:0 ~options ~measure
-             ~semantics:R.Null_semantics.Maybe_match ~compiled:None
+             ~semantics:R.Null_semantics.Maybe_match
              (S.Microdata.copy
                 (match
                    Srv.Codec.microdata_of_payload
@@ -983,7 +908,6 @@ let experiments =
     ("baseline", baseline);
     ("ablation", ablation);
     ("scaling", scaling);
-    ("incremental", incremental);
     ("render", render);
     ("snapshot", snapshot);
     ("micro", micro);

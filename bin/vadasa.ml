@@ -1427,12 +1427,10 @@ let append_cmd =
     (Cmd.info "append"
        ~doc:
          "Append a delta CSV to a registered dataset (POST \
-          /v1/datasets/ID/facts): rows join the live relation, risk is \
+          /v1/datasets/ID/facts): rows join the live relation and risk is \
           re-scored incrementally (only the touched quasi-identifier \
-          groups), and the chase continues from the dataset's previous \
-          fixpoint — falling back to a from-scratch rebuild when a \
-          non-monotone stratum is invalidated. The response reports what \
-          happened (rows_rescored, chase mode).")
+          groups). The response reports what happened (rows_rescored, \
+          groups_touched, risk_fallback).")
     Term.(const run $ common_term $ server_arg $ dataset_id_arg $ input_arg)
 
 (* ---- jobs (async jobs HTTP client) ------------------------------------------------ *)

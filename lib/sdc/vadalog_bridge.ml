@@ -19,39 +19,30 @@ let encoded_attributes md =
       | Microdata.Identifier | Microdata.Non_identifying -> None)
     (Microdata.categories md)
 
-(* The delta slice of the encoding: [val] facts for rows [lo, hi) only.
-   The [cat] facts are schema-level and already loaded by the base
-   upload, so an append ships just the new rows' values — in the same
-   row-major order [microdata_facts] uses, which keeps an incremental
-   engine's insertion order aligned with the from-scratch encoding. *)
-let microdata_facts_range md ~lo ~hi =
-  let name = Microdata.name md in
+(* [cat] facts for the encoded attributes, then [val] facts in
+   row-major order — the insertion order the golden chase dumps pin. *)
+let microdata_facts md =
+  let name = Value.Str (Microdata.name md) in
   let rel = Microdata.relation md in
   let schema = Microdata.schema md in
+  let attributes = encoded_attributes md in
   let positions =
     List.map
-      (fun (attr, _) -> (attr, Schema.index_of schema attr))
-      (encoded_attributes md)
+      (fun (attr, _) -> (Value.Str attr, Schema.index_of schema attr))
+      attributes
   in
   let facts = ref [] in
-  for i = lo to hi - 1 do
+  for i = 0 to Microdata.cardinal md - 1 do
     let t = Relation.get rel i in
     List.iter
       (fun (attr, pos) ->
-        facts :=
-          ( "val",
-            [| Value.Str name; Value.Int i; Value.Str attr; Tuple.get t pos |] )
-          :: !facts)
+        facts := ("val", [| name; Value.Int i; attr; Tuple.get t pos |]) :: !facts)
       positions
   done;
-  List.rev !facts
-
-let microdata_facts md =
-  let name = Value.Str (Microdata.name md) in
   List.map
     (fun (attr, cat) -> ("cat", [| name; Value.Str attr; Value.Str cat |]))
-    (encoded_attributes md)
-  @ microdata_facts_range md ~lo:0 ~hi:(Microdata.cardinal md)
+    attributes
+  @ List.rev !facts
 
 let base_program =
   {|

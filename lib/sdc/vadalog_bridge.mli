@@ -16,15 +16,6 @@
 val microdata_facts :
   Microdata.t -> (string * Vadasa_base.Value.t array) list
 
-val microdata_facts_range :
-  Microdata.t -> lo:int -> hi:int -> (string * Vadasa_base.Value.t array) list
-(** The delta slice of the encoding: [val(M, i, attr, value)] facts for
-    rows [i ∈ \[lo, hi)] only, in the same row-major order
-    {!microdata_facts} emits them. No [cat] facts — those are
-    schema-level and already present from the base upload. Feeds
-    appended rows to an engine ahead of
-    {!Vadasa_vadalog.Engine.run_incremental}. *)
-
 val base_program : string
 (** Algorithm 2, Rule 1: assemble [qset(I, QSet)] (quasi-identifier
     name–value pairs) and [wval(I, W)] from the [val]/[cat] encoding. *)

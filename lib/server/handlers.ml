@@ -58,8 +58,8 @@ let create ?(registry_capacity = 16) ?dataset_audit ?breaker_threshold
     ?breaker_cooldown ?default_max_facts ?engine_pool ?persist ?job_domains
     ?job_queue ?tenant_quota ?job_retain ?tenant_rate ?tenant_burst () =
   let registry =
-    Registry.create ~capacity:registry_capacity ?audit:dataset_audit
-      ?pool:engine_pool ?persist ()
+    Registry.create ~capacity:registry_capacity ?audit:dataset_audit ?persist
+      ()
   in
   let jobs =
     Jobs.create ?domains:job_domains ?queue:job_queue ?quota:tenant_quota
@@ -352,21 +352,10 @@ let dataset_put t req =
   let measure = measure_of_options options in
   let semantics = ok_or_raise (Codec.semantics_of_options options) in
   let md = S.Microdata.copy (microdata_for t payload) in
-  let compiled =
-    (* The measure's program rides the compiled-program cache; measures
-       outside the logic (Monte Carlo, SUDA is expressible but the
-       bridge's closed-form exclusions are not) skip chase
-       materialization and stay native-only. *)
-    match S.Vadalog_bridge.program_of_measure measure with
-    | source ->
-      let compiled, _cached = compile t source in
-      Some (compiled.program, compiled.strat)
-    | exception S.Vadalog_bridge.Unsupported _ -> None
-  in
   let { Registry.entry; created } =
     Registry.put t.registry ~id ~digest:(dataset_key payload)
       ~bytes:(String.length payload.Codec.csv)
-      ~options ~measure ~semantics ~compiled md
+      ~options ~measure ~semantics md
   in
   let body =
     match Registry.entry_json entry with
@@ -419,8 +408,7 @@ let dataset_delete t req =
 
 (* POST /v1/datasets/{id}/facts — delta ingestion: the body is a CSV
    document with the dataset's header. The registry re-scores risk
-   incrementally and continues the chase from its fixpoint snapshot;
-   the stale union snapshot (if cached) is dropped. *)
+   incrementally; the stale union snapshot (if cached) is dropped. *)
 let dataset_append t req =
   let id = dataset_id ~pattern:"/v1/datasets/{id}/facts" req in
   let entry = Registry.get t.registry id in
@@ -447,8 +435,6 @@ let dataset_append t req =
               match outcome.Registry.risk.S.Risk.Incremental.fallback with
               | None -> Json.Null
               | Some f -> Json.Str (S.Risk.Incremental.fallback_to_string f) );
-            ("chase", Json.Str outcome.Registry.chase_mode);
-            ("chase_facts", Json.Int outcome.Registry.chase_facts);
             ("global_risk", Json.Float (S.Risk.global_risk report));
           ])
     ^ "\n")
@@ -572,6 +558,50 @@ let job_cancel t req =
   Http.response ~status:200
     (Json.to_string ~indent:true (Jobs.job_json (Jobs.cancel t.jobs id)) ^ "\n")
 
+(* Content negotiation for GET /metrics: the Accept-header sniffing that
+   selects the Prometheus exposition body, and its media type. The text
+   itself is written by [Telemetry.Prometheus.render]. *)
+
+let content_type = "text/plain; version=0.0.4; charset=utf-8"
+
+(* The exposition body is chosen when the client asks for a plain-text
+   or OpenMetrics media type; a bare [*/*] (curl's default) keeps the
+   JSON body, so browsers and existing scrapes are unaffected.
+
+   The Accept header is parsed, not substring-matched: entries split on
+   ',', the media type is the token before the first ';', and an entry
+   whose parameters carry [q=0] means "explicitly not acceptable"
+   (RFC 9110 §12.4.2) — so [text/html, text/plain;q=0] keeps JSON, and
+   a media type merely containing "text/plain" does not match. *)
+let accept_entry_matches entry =
+  match String.split_on_char ';' entry with
+  | [] -> false
+  | media :: params ->
+    let media = String.trim media in
+    let q_zero =
+      List.exists
+        (fun p ->
+          match String.index_opt p '=' with
+          | None -> false
+          | Some i ->
+            String.trim (String.sub p 0 i) = "q"
+            &&
+            let v = String.trim (String.sub p (i + 1) (String.length p - i - 1)) in
+            (match float_of_string_opt v with
+            | Some q -> q <= 0.0
+            | None -> false))
+        params
+    in
+    (not q_zero)
+    && (media = "text/plain" || media = "application/openmetrics-text")
+
+let wants_prometheus req =
+  match Http.header req "accept" with
+  | None -> false
+  | Some accept ->
+    String.split_on_char ',' (String.lowercase_ascii accept)
+    |> List.exists accept_entry_matches
+
 (* GET /metrics — one list of every component's entries, nested under
    today's keys: the JSON body is that list, the exposition its samples
    after the telemetry registry (merged across worker-domain shards). *)
@@ -599,11 +629,11 @@ let metrics ?(extra = fun () -> []) t req =
       :: (match t.persist with None -> [] | Some p -> M.nest "persist" (Persist.metrics p))
     @ extra ()
   in
-  if Prom.wants_prometheus req then begin
+  if wants_prometheus req then begin
     (* Runtime-health gauges are sampled at capture time, so every scrape
        sees the capturing domain's current GC picture. *)
     Health.sample_gc ();
-    Http.response ~content_type:Prom.content_type ~status:200
+    Http.response ~content_type ~status:200
       (Telemetry.Prometheus.render ~metrics:entries
          (Telemetry.Report.capture Telemetry.global))
   end

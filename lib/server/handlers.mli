@@ -31,10 +31,8 @@
     - [GET /v1/datasets/{id}] — metadata; [?include=csv] adds the
       current (base ∪ deltas) CSV document.
     - [POST /v1/datasets/{id}/facts] — append a delta CSV: incremental
-      risk re-scoring plus a chase continuation from the dataset's
-      fixpoint snapshot (from-scratch rebuild when invalidated). Fault
-      point ["dataset.append"] fires after validation, before any state
-      is committed.
+      risk re-scoring, no chase. Fault point ["dataset.append"] fires
+      after validation, before any state is committed.
     - [GET /v1/datasets/{id}/risk] — the maintained risk report,
       byte-identical to [POST /v1/risk] over the union CSV;
       [?mode=full] re-estimates from scratch on a cached union snapshot
@@ -157,3 +155,19 @@ val router :
     {!Jobs.metrics}, request counters, {!Breaker.metrics},
     {!Persist.metrics}, uptime); anything else keeps the JSON body,
     the same entries nested by key. *)
+
+(** {2 Content negotiation for [GET /metrics]}
+
+    The exposition text is written by [Telemetry.Prometheus.render];
+    see [docs/SERVER.md] for the series. *)
+
+val content_type : string
+(** ["text/plain; version=0.0.4; charset=utf-8"]. *)
+
+val wants_prometheus : Http.request -> bool
+(** [true] when the request's [Accept] header lists [text/plain] or
+    [application/openmetrics-text] as an acceptable media type (e.g.
+    [text/plain; version=0.0.4]). Entries are parsed per RFC 9110: the
+    media type is matched as a token (not a substring) and an entry
+    with [q=0] is explicitly not acceptable; a missing header or a bare
+    [*/*] keeps the JSON body. *)

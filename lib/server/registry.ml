@@ -1,23 +1,16 @@
 (* The persistent dataset registry: named datasets that survive across
    requests and grow by appended rows, each carrying its materialized
-   SDC state — the incremental risk scorer over the live microdata and,
-   when the measure is expressible as a Vadalog program, a saturated
-   engine plus the fixpoint snapshot that lets the next delta continue
-   the chase instead of recomputing it.
+   SDC state — the incremental risk scorer over the live microdata.
 
    Consistency contract: an entry only ever moves between consistent
    states. [append] validates the delta and fires the ["dataset.append"]
    fault point *before* touching any entry state; once mutation starts,
-   the native path (relation + risk scorer) commits atomically under the
-   entry mutex, and a chase whose incremental continuation is
-   invalidated (or dies) is rebuilt from scratch over the full data —
-   the entry never exposes a half-continued fixpoint. Readers and the
-   single appender of an entry serialize on the per-entry mutex; the
-   registry table has its own lock (never held while an entry's work
-   runs).
+   the relation and the risk scorer commit atomically under the entry
+   mutex. Readers and the single appender of an entry serialize on the
+   per-entry mutex; the registry table has its own lock (never held
+   while an entry's work runs).
 
-   Evicted and deleted entries just drop: their engines are sequential
-   or borrow the server's shared pool, so there is nothing to stop. *)
+   Evicted and deleted entries just drop: they own nothing to stop. *)
 
 module E = Vadasa_base.Error
 module Json = Vadasa_base.Json
@@ -25,14 +18,6 @@ module Faultpoint = Vadasa_resilience.Faultpoint
 module Telemetry = Vadasa_telemetry.Telemetry
 module R = Vadasa_relational
 module S = Vadasa_sdc
-module V = Vadasa_vadalog
-
-type chase = {
-  program : V.Program.t;  (* rules only; facts union-ed per engine *)
-  strat : V.Stratify.t;
-  mutable engine : V.Engine.t;
-  mutable snap : V.Engine.Snapshot.t;
-}
 
 type entry = {
   id : string;
@@ -48,11 +33,8 @@ type entry = {
          every row. Pieces, not one growing buffer: the PUT's render is
          kept as it is, and a snapshot escapes each piece in place. *)
   scorer : S.Risk.Incremental.t;
-  mutable chase : chase option;
   mutable bytes : int;  (* CSV bytes accepted (base + deltas) *)
   mutable appends : int;
-  mutable chase_incremental : int;  (* deltas continued from the snapshot *)
-  mutable chase_rebuilds : int;  (* [Invalidated] fallbacks *)
   created_at : float;
   mutable updated_at : float;
   mu : Mutex.t;
@@ -67,16 +49,14 @@ type t = {
   mutable tick : int;
   mutable evictions : int;
   mutable lifetime_appends : int;  (* survives delete/evict *)
-  mutable lifetime_rebuilds : int;
   audit : (string -> unit) option;
-  pool : Vadasa_base.Task_pool.t option;
   persist : Persist.t option;  (* journal+snapshot store; None = in-memory *)
 }
 
 (* [create] (at the bottom of the file) also registers the registry
    with the persistence layer; this raw constructor is everything
    else. *)
-let make ?(capacity = 16) ?audit ?pool ?persist () =
+let make ?(capacity = 16) ?audit ?persist () =
   if capacity < 1 then invalid_arg "Registry.create: capacity must be >= 1";
   {
     capacity;
@@ -85,9 +65,7 @@ let make ?(capacity = 16) ?audit ?pool ?persist () =
     tick = 0;
     evictions = 0;
     lifetime_appends = 0;
-    lifetime_rebuilds = 0;
     audit;
-    pool;
     persist;
   }
 
@@ -148,28 +126,6 @@ let audit_line t fields =
       (Json.to_string
          (Json.Obj (("ts", Json.Float (Unix.gettimeofday ())) :: fields)))
 
-(* ---- chase maintenance -------------------------------------------------- *)
-
-let build_engine t ~program ~strat md =
-  let program =
-    V.Program.union program
-      (V.Program.make ~facts:(S.Vadalog_bridge.microdata_facts md) [])
-  in
-  let engine = V.Engine.create ~strat ?pool:t.pool program in
-  V.Engine.run engine;
-  engine
-
-let materialize_chase t ~program ~strat md =
-  let engine = build_engine t ~program ~strat md in
-  { program; strat; engine; snap = V.Engine.snapshot engine }
-
-(* A fresh fixpoint over the entry's full current data, replacing
-   whatever state the chase held (the [Invalidated] recovery path). *)
-let rebuild_chase t chase md =
-  let engine = build_engine t ~program:chase.program ~strat:chase.strat md in
-  chase.engine <- engine;
-  chase.snap <- V.Engine.snapshot engine
-
 (* ---- registration ------------------------------------------------------- *)
 
 type put_outcome = { entry : entry; created : bool }
@@ -190,7 +146,7 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
 
 let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
-    ~compiled (md : S.Microdata.t) =
+    (md : S.Microdata.t) =
   validate_id id;
   Telemetry.span "registry.put" @@ fun () ->
   (match
@@ -217,11 +173,6 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
     (* The expensive state is built before the entry is published:
        losing a PUT race below just discards this candidate. *)
     let risk = S.Risk.Incremental.create ~semantics measure md in
-    let chase =
-      match compiled with
-      | None -> None
-      | Some (program, strat) -> Some (materialize_chase t ~program ~strat md)
-    in
     let csv = R.Csv.write_string (S.Microdata.relation md) in
     let now = Unix.gettimeofday () in
     let entry =
@@ -234,11 +185,8 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
         md;
         csv = kept_text csv;
         scorer = risk;
-        chase;
         bytes;
         appends = 0;
-        chase_incremental = 0;
-        chase_rebuilds = 0;
         created_at = now;
         updated_at = now;
         mu = Mutex.create ();
@@ -289,9 +237,6 @@ let put t ~id ~digest ~bytes ~(options : Codec.options) ~measure ~semantics
           ("dataset", Json.Str id);
           ("event", Json.Str "register");
           ("rows", Json.Int (S.Microdata.cardinal md));
-          ( "chase",
-            Json.Str (match chase with Some _ -> "materialized" | None -> "none")
-          );
         ];
     outcome
 
@@ -336,8 +281,6 @@ type append_outcome = {
   rows_added : int;
   rows_total : int;
   risk : S.Risk.Incremental.outcome;
-  chase_mode : string;  (* "incremental" | "rebuild" | "none" *)
-  chase_facts : int;  (* saturated database size after the append *)
 }
 
 (* Parse and validate a delta CSV against the entry's schema — pure, no
@@ -379,7 +322,7 @@ let append t (entry : entry) ~csv =
   with_lock entry.mu @@ fun () ->
   (* Mid-append failure injection: after validation, before any entry
      state changes — an injected fault leaves the registry at the last
-     consistent fixpoint (asserted by the resilience tests). *)
+     consistent state (asserted by the resilience tests). *)
   Faultpoint.hit "dataset.append";
   (* Durable before applied: journal failure aborts here, with the
      entry untouched; journal success means this delta replays even if
@@ -393,54 +336,11 @@ let append t (entry : entry) ~csv =
    Queue.add (Buffer.contents rows) entry.csv);
   let hi = R.Relation.cardinal rel in
   let risk_outcome = S.Risk.Incremental.append entry.scorer in
-  let chase_mode, chase_facts =
-    match entry.chase with
-    | None -> ("none", 0)
-    | Some chase -> (
-      let continue () =
-        List.iter
-          (fun (pred, args) -> V.Engine.add_fact_array chase.engine pred args)
-          (S.Vadalog_bridge.microdata_facts_range entry.md ~lo ~hi);
-        chase.snap <- V.Engine.run_incremental ~snapshot:chase.snap chase.engine
-      in
-      match continue () with
-      | () ->
-        entry.chase_incremental <- entry.chase_incremental + 1;
-        ("incremental", V.Engine.Snapshot.total chase.snap)
-      | exception V.Engine.Invalidated _ ->
-        (* The continuation was abandoned mid-stratum; the polluted
-           engine is discarded for a fresh fixpoint over the full data. *)
-        rebuild_chase t chase entry.md;
-        entry.chase_rebuilds <- entry.chase_rebuilds + 1;
-        ("rebuild", V.Engine.Snapshot.total chase.snap)
-      | exception e ->
-        (* Any other failure (fact-limit, injected engine fault): same
-           recovery — the entry must never expose a half-continued
-           chase. If the rebuild itself fails, the exception escapes
-           with the chase dropped so no stale state survives. *)
-        entry.chase <- None;
-        rebuild_chase t chase entry.md;
-        entry.chase <- Some chase;
-        entry.chase_rebuilds <- entry.chase_rebuilds + 1;
-        ignore e;
-        ("rebuild", V.Engine.Snapshot.total chase.snap))
-  in
   entry.appends <- entry.appends + 1;
   entry.bytes <- entry.bytes + String.length csv;
   entry.updated_at <- Unix.gettimeofday ();
-  with_lock t.mu (fun () ->
-      t.lifetime_appends <- t.lifetime_appends + 1;
-      if chase_mode = "rebuild" then
-        t.lifetime_rebuilds <- t.lifetime_rebuilds + 1);
-  let outcome =
-    {
-      rows_added = hi - lo;
-      rows_total = hi;
-      risk = risk_outcome;
-      chase_mode;
-      chase_facts;
-    }
-  in
+  with_lock t.mu (fun () -> t.lifetime_appends <- t.lifetime_appends + 1);
+  let outcome = { rows_added = hi - lo; rows_total = hi; risk = risk_outcome } in
   audit_line t
     [
       ("dataset", Json.Str entry.id);
@@ -454,8 +354,6 @@ let append t (entry : entry) ~csv =
         match risk_outcome.S.Risk.Incremental.fallback with
         | None -> Json.Null
         | Some f -> Json.Str (S.Risk.Incremental.fallback_to_string f) );
-      ("chase", Json.Str chase_mode);
-      ("chase_facts", Json.Int chase_facts);
     ];
   outcome
 
@@ -485,9 +383,6 @@ let entry_csv (entry : entry) =
 let entry_md_snapshot (entry : entry) =
   with_lock entry.mu (fun () -> S.Microdata.copy entry.md)
 
-let entry_engine entry =
-  Option.map (fun chase -> chase.engine) entry.chase
-
 let entry_json (entry : entry) =
   with_lock entry.mu (fun () ->
       Json.Obj
@@ -503,18 +398,6 @@ let entry_json (entry : entry) =
           ("appends", Json.Int entry.appends);
           ( "risk_full_rescores",
             Json.Int (S.Risk.Incremental.full_rescores entry.scorer) );
-          ( "chase",
-            Json.Str
-              (match entry.chase with
-              | Some _ -> "materialized"
-              | None -> "none") );
-          ( "chase_facts",
-            Json.Int
-              (match entry.chase with
-              | Some chase -> V.Engine.Snapshot.total chase.snap
-              | None -> 0) );
-          ("chase_incremental", Json.Int entry.chase_incremental);
-          ("chase_rebuilds", Json.Int entry.chase_rebuilds);
           ("created_at", Json.Float entry.created_at);
           ("updated_at", Json.Float entry.updated_at);
         ])
@@ -539,9 +422,6 @@ let metrics t =
           ~help:"CSV bytes accepted by live registered datasets" "bytes" bytes;
         M.counter ~family:"vadasa_datasets_appends_total"
           ~help:"Delta appends absorbed by the registry" "appends" t.lifetime_appends;
-        M.counter ~family:"vadasa_datasets_chase_rebuilds_total"
-          ~help:"Appends whose chase continuation was invalidated (from-scratch rebuild)"
-          "chase_rebuilds" t.lifetime_rebuilds;
         M.counter ~family:"vadasa_datasets_evictions_total"
           ~help:"Datasets evicted by the registry's LRU bound" "evictions" t.evictions;
       ])
@@ -561,25 +441,11 @@ let record_int json key =
   | Some n -> n
   | None -> raise (bad_record ("missing int field " ^ key))
 
-(* Recompile a measure's chase program the same way the server's PUT
-   handler does (minus its cache): measures the bridge can't express
-   stay native-only, exactly as they did before the crash. *)
-let compile_measure measure =
-  match S.Vadalog_bridge.program_of_measure measure with
-  | source -> (
-    match
-      let program = V.Parser.parse source in
-      (program, V.Stratify.compute program)
-    with
-    | program, strat -> Some (program, strat)
-    | exception _ -> None)
-  | exception S.Vadalog_bridge.Unsupported _ -> None
-
 (* Decode the pieces a [dataset.put] needs — shared by snapshot restore
    and journal replay. The stored CSV is the canonical union document,
-   so the rebuilt scorer and chase are fixpoints over exactly the rows
-   the crashed process held (reports are byte-identical because
-   incremental state always equals from-scratch state over the union).
+   so the rebuilt scorer covers exactly the rows the crashed process
+   held (reports are byte-identical because incremental state always
+   equals from-scratch state over the union).
    The one lenient decode: an unknown semantics is read as maybe-match,
    which is how data dirs written before registration rejected it were
    scored. *)
@@ -631,8 +497,6 @@ let dump t buf =
         member "digest" (Json.Str e.digest);
         member "bytes" (Json.Int e.bytes);
         member "appends" (Json.Int e.appends);
-        member "chase_incremental" (Json.Int e.chase_incremental);
-        member "chase_rebuilds" (Json.Int e.chase_rebuilds);
         member "created_at" (Json.Float e.created_at);
         member "updated_at" (Json.Float e.updated_at);
         Json.add_member buf ~first:false "csv";
@@ -645,7 +509,6 @@ let dump t buf =
   Buffer.add_char buf '{';
   with_lock t.mu (fun () ->
       member ~first:true "lifetime_appends" (Json.Int t.lifetime_appends);
-      member "lifetime_rebuilds" (Json.Int t.lifetime_rebuilds);
       member "evictions" (Json.Int t.evictions));
   Json.add_member buf ~first:false "entries";
   (match entries with
@@ -660,11 +523,6 @@ let restore_entry t json =
   let id = record_string json "id" in
   let options, measure, semantics, md = decode_dataset_state json in
   let scorer = S.Risk.Incremental.create ~semantics measure md in
-  let chase =
-    match compile_measure measure with
-    | None -> None
-    | Some (program, strat) -> Some (materialize_chase t ~program ~strat md)
-  in
   let entry =
     {
       id;
@@ -677,11 +535,8 @@ let restore_entry t json =
          so the kept text is their canonical render *)
       csv = kept_text (R.Csv.write_string (S.Microdata.relation md));
       scorer;
-      chase;
       bytes = record_int json "bytes";
       appends = record_int json "appends";
-      chase_incremental = record_int json "chase_incremental";
-      chase_rebuilds = record_int json "chase_rebuilds";
       created_at =
         (match Option.bind (Json.member "created_at" json) Json.to_float_opt with
         | Some f -> f
@@ -704,9 +559,6 @@ let restore t json =
   (match Option.bind (Json.member "lifetime_appends" json) Json.to_int_opt with
   | Some n -> t.lifetime_appends <- n
   | None -> ());
-  (match Option.bind (Json.member "lifetime_rebuilds" json) Json.to_int_opt with
-  | Some n -> t.lifetime_rebuilds <- n
-  | None -> ());
   (match Option.bind (Json.member "evictions" json) Json.to_int_opt with
   | Some n -> t.evictions <- n
   | None -> ());
@@ -722,20 +574,18 @@ let apply t json =
   | "dataset.put" ->
     let id = record_string json "id" in
     let options, measure, semantics, md = decode_dataset_state json in
-    let compiled = compile_measure measure in
     ignore
       (put t ~id
          ~digest:(record_string json "digest")
-         ~bytes:(record_int json "bytes") ~options ~measure ~semantics
-         ~compiled md)
+         ~bytes:(record_int json "bytes") ~options ~measure ~semantics md)
   | "dataset.append" ->
     let entry = get t (record_string json "id") in
     ignore (append t entry ~csv:(record_string json "csv"))
   | "dataset.delete" -> ignore (delete t (record_string json "id"))
   | kind -> raise (bad_record ("unknown kind " ^ kind))
 
-let create ?capacity ?audit ?pool ?persist () =
-  let t = make ?capacity ?audit ?pool ?persist () in
+let create ?capacity ?audit ?persist () =
+  let t = make ?capacity ?audit ?persist () in
   (match persist with
   | None -> ()
   | Some p ->

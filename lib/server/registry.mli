@@ -1,23 +1,16 @@
 (** The persistent dataset registry behind [/v1/datasets]: named
     datasets that survive across requests, grow by appended rows, and
-    carry materialized SDC state so a delta is absorbed incrementally —
-
-    - a {!Vadasa_sdc.Risk.Incremental} scorer over the live microdata
-      (only the quasi-identifier combinations the delta touches are
-      re-scored; see its fallback conditions), and
-    - when the measure is expressible as a Vadalog program, a saturated
-      reasoning engine plus the {!Vadasa_vadalog.Engine.Snapshot} that
-      lets {!append} continue the chase from the previous fixpoint
-      instead of recomputing it ({e reuse-the-fixpoint}); a delta that
-      invalidates a non-monotone stratum falls back to a from-scratch
-      rebuild over the full data, transparently.
+    carry a {!Vadasa_sdc.Risk.Incremental} scorer over the live
+    microdata, so a delta is absorbed incrementally (only the
+    quasi-identifier combinations the delta touches are re-scored; see
+    its fallback conditions). No reasoning engine runs on any registry
+    operation.
 
     Entries only ever move between consistent states: {!append}
     validates the delta and fires the ["dataset.append"] fault point
-    before touching anything, and a failed chase continuation is
-    replaced by a fresh fixpoint, never exposed. All operations are
-    safe to call from concurrent worker domains. Capacity is bounded
-    with least-recently-used eviction.
+    before touching anything. All operations are safe to call from
+    concurrent worker domains. Capacity is bounded with
+    least-recently-used eviction.
 
     Errors are typed {!Vadasa_base.Error} values: [dataset.not_found]
     (unknown id), [dataset.conflict] (re-PUT with different content,
@@ -34,15 +27,13 @@ type entry
 val create :
   ?capacity:int ->
   ?audit:(string -> unit) ->
-  ?pool:Vadasa_base.Task_pool.t ->
   ?persist:Persist.t ->
   unit ->
   t
 (** [capacity] (default 16) bounds registered datasets, LRU-evicted.
     [audit] receives one compact JSONL line per register / append /
     delete (the registry's decision trail — same conventions as the
-    anonymization cycle's audit events). [pool] is shared with the
-    entries' chase engines.
+    anonymization cycle's audit events).
 
     [persist] makes the registry crash-safe: every successful put /
     append / delete is journaled {e before} it becomes visible (the
@@ -62,17 +53,13 @@ val put :
   options:Codec.options ->
   measure:Vadasa_sdc.Risk.measure ->
   semantics:Vadasa_relational.Null_semantics.t ->
-  compiled:(Vadasa_vadalog.Program.t * Vadasa_vadalog.Stratify.t) option ->
   Vadasa_sdc.Microdata.t ->
   put_outcome
 (** Register [md] under [id]. [digest] identifies the base payload:
     re-PUTting the identical payload is idempotent ([created = false]),
     a different payload under a live id raises [dataset.conflict].
     [measure] and [semantics] are the decoded [options] the scorer runs
-    with. [compiled] is the measure's parsed/stratified program (rule ids must
-    be stable under a facts-only union — the compiled-program cache's
-    contract); [None] skips chase materialization (measure outside the
-    logic). [bytes] is the base document size, for accounting. *)
+    with. [bytes] is the base document size, for accounting. *)
 
 val find : t -> string -> entry option
 
@@ -93,19 +80,13 @@ type append_outcome = {
   rows_added : int;
   rows_total : int;
   risk : Vadasa_sdc.Risk.Incremental.outcome;
-  chase_mode : string;
-      (** ["incremental"] — continued from the snapshot; ["rebuild"] —
-          the continuation was invalidated and a fresh fixpoint was
-          computed; ["none"] — no chase is materialized *)
-  chase_facts : int;  (** saturated database size after the append *)
 }
 
 val append : t -> entry -> csv:string -> append_outcome
 (** Absorb a delta CSV (same header as the base document) into the
-    dataset: rows join the live relation, the risk report is delta-
-    maintained, and the chase continues from its snapshot. After
-    [append], the entry's report and chase are byte-/set-identical to
-    from-scratch evaluation over the unioned data (the test suite and
+    dataset: rows join the live relation and the risk report is delta-
+    maintained. After [append], the entry's report is byte-identical to
+    a from-scratch estimate over the unioned data (the test suite and
     the CI smoke job assert this). Raises [dataset.conflict] on a
     schema-mismatched delta, [dataset.bad_delta] on unparseable CSV —
     both before any state changes. *)
@@ -150,18 +131,14 @@ val entry_md_snapshot : entry -> Vadasa_sdc.Microdata.t
     across later appends (and therefore cacheable — the handlers' LRU
     invalidates it on append). *)
 
-val entry_engine : entry -> Vadasa_vadalog.Engine.t option
-(** The saturated chase engine, when materialized. Treat as read-only
-    and quiescent; it is replaced (not mutated) on rebuilds. *)
-
 val entry_json : entry -> Vadasa_base.Json.t
 (** Deterministic metadata object (id, rows, bytes, measure, appends,
-    chase counters, timestamps); the [GET /v1/datasets/{id}] body. *)
+    full re-scores, timestamps); the [GET /v1/datasets/{id}] body. *)
 
 (** {2 Registry-wide accounting} *)
 
 val metrics : t -> Vadasa_telemetry.Telemetry.Metric.t list
 (** [registered], [capacity], [rows] and [bytes] of the live datasets;
-    lifetime [appends], [chase_rebuilds] and [evictions] (they survive
-    delete and eviction). One read under the registry lock; aggregates
-    only, never labelled per dataset id. *)
+    lifetime [appends] and [evictions] (they survive delete and
+    eviction). One read under the registry lock; aggregates only, never
+    labelled per dataset id. *)

@@ -2,15 +2,13 @@
    labelled-null renaming.
 
    Two chases that derive the same facts can assign different labels to
-   "the same" invented null — an incremental continuation numbers its
-   new nulls after the previous run's counter, a from-scratch chase over
-   the unioned facts numbers them in its own derivation order — and can
-   insert facts in different orders. The canonical form erases both
-   differences: every invented null renders as the Skolem term it stands
-   for (recursively, since frontier values may be nulls themselves), and
-   the fact lines are sorted. Byte-equality of two canonical forms is
-   therefore exactly "same fact set modulo null renaming", which is the
-   equivalence the incremental evaluator guarantees. *)
+   "the same" invented null — each numbers its nulls in its own
+   derivation order — and can insert facts in different orders. The
+   canonical form erases both differences: every invented null renders
+   as the Skolem term it stands for (recursively, since frontier values
+   may be nulls themselves), and the fact lines are sorted. Byte-equality
+   of two canonical forms is therefore exactly "same fact set modulo null
+   renaming". *)
 
 module Value = Vadasa_base.Value
 

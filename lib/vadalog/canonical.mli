@@ -1,10 +1,9 @@
 (** Canonical chase output: the database rendered modulo labelled-null
     renaming and insertion order.
 
-    An incremental continuation ({!Engine.run_incremental}) derives the
-    same {e set} of facts as a from-scratch chase over the unioned
-    input, but may insert them in a different order and under different
-    null labels. {!of_engine} renders every invented null as the Skolem
+    Two chases that derive the same {e set} of facts may insert them in
+    a different order and under different null labels (a change to
+    derivation order does exactly that). {!of_engine} renders every invented null as the Skolem
     term recorded by {!Engine.null_origin} — [sk(rule, var, frontier)],
     recursively — and sorts the fact lines, so byte-equality of two
     canonical forms is exactly fact-set equality modulo null renaming.

@@ -59,31 +59,6 @@ type interrupt = {
 
 exception Interrupted of interrupt
 
-(* The per-stratum fixpoint state an incremental re-run resumes from:
-   the semi-naive watermarks ([seen]) each stratum ended with, plus the
-   sizes of the predicates whose growth falsifies the stratum's previous
-   fixpoint (negated atoms, aggregate-binding inputs). All sizes are
-   captured once the run is saturated — every producer of a predicate
-   lives at that predicate's own stratum, so the saturated size equals
-   the size the stratum observed at its fixpoint. *)
-module Snapshot = struct
-  type stratum = {
-    sn_seen : (string * int) list;
-        (* predicates the stratum's semi-naive loop scans -> watermark *)
-    sn_guards : (string * int) list;
-        (* predicates whose growth invalidates the stratum -> size *)
-  }
-
-  type t = {
-    sn_strata : stratum array;  (* one entry per stratification stratum *)
-    sn_total : int;  (* Database.total at capture time *)
-  }
-
-  let total t = t.sn_total
-end
-
-exception Invalidated of string
-
 (* ---- compiled rules ---------------------------------------------------- *)
 
 (* Every variable of a rule owns an integer slot in a per-evaluation
@@ -203,7 +178,7 @@ type stats = {
 (* Where a labelled null came from: the Skolem term sk(rule, var,
    frontier binding) it stands for. Recorded for every null the chase
    invents, so two runs that invent "the same" null under different
-   labels (an incremental continuation vs. a from-scratch chase) can be
+   labels (say, two builds whose derivation order differs) can be
    compared modulo label renaming — see [Canonical]. *)
 type null_origin = {
   origin_rule : int;  (* rule id that introduced the null *)
@@ -1328,51 +1303,17 @@ let run_jobs_parallel t pool ~budget jobs =
 let is_bind_rule cr =
   match cr.agg with Some { g_test = None; _ } -> true | _ -> false
 
-let run_stratum ?budget ?seed t index rules =
+let run_stratum ?budget t index rules =
   t.s_stratum <- index;
   t.s_iteration <- 0;
   t.s_strata_run <- t.s_strata_run + 1;
   Faultpoint.hit "engine.stratum";
   check_budget t budget;
-  (* Incremental continuation: with a [seed], the stratum resumes the
-     previous run's fixpoint. That is only sound while every
-     non-monotone input is exactly as the previous run left it — a
-     grown guard predicate means facts derived through [not p(..)] or a
-     saturated aggregate binding may no longer hold, so the whole
-     continuation is abandoned (the caller falls back to a from-scratch
-     chase; this engine's database may hold partial results from
-     already-continued strata and must be discarded). *)
-  (match seed with
-  | None -> ()
-  | Some s ->
-    List.iter
-      (fun (p, size) ->
-        let cur = Database.pred_size t.db p in
-        if cur <> size then
-          raise
-            (Invalidated
-               (Printf.sprintf
-                  "stratum %d: predicate %s has %d facts, snapshot expects %d \
-                   (negated or aggregated input changed)"
-                  index p cur size)))
-      s.Snapshot.sn_guards);
-  let incremental = seed <> None in
   let facts_at_entry = Database.total t.db in
   let duplicates_at_entry = t.s_duplicates in
   let compiled = List.map (fun r -> Hashtbl.find t.compiled r.Rule.id) rules in
   List.iter (fun cr -> cr.c_prof.Profile.r_stratum <- index) compiled;
-  (* A continued stratum skips aggregate-binding rules (their inputs are
-     unchanged by the guard check, so their output is already in the
-     database) and zero-atom rules (no positive atoms — their heads were
-     emitted by the previous run and would only come back as
-     duplicates). *)
-  let bind_rules = if incremental then [] else List.filter is_bind_rule compiled in
-  let fixpoint_rules =
-    List.filter
-      (fun cr ->
-        not (is_bind_rule cr || (incremental && Array.length cr.atom_preds = 0)))
-      compiled
-  in
+  let bind_rules, fixpoint_rules = List.partition is_bind_rule compiled in
   let iteration = ref 0 in
   let stratum_start = Profile.now () in
   Fun.protect ~finally:(fun () ->
@@ -1386,19 +1327,9 @@ let run_stratum ?budget ?seed t index rules =
     bind_rules;
   (* Heads the fixpoint derives: a rule reading none of them sees a
      fixed body while the stratum iterates (see [plan_jobs]). *)
-  let recursive =
-    List.concat_map
-      (fun cr -> if is_bind_rule cr then [] else cr.c_heads)
-      compiled
-  in
-  (* Fixpoint for the rest. A seeded [seen] table makes the first
-     iteration's deltas exactly the facts that appeared since the
-     previous run's fixpoint. *)
+  let recursive = List.concat_map (fun cr -> cr.c_heads) fixpoint_rules in
+  (* Fixpoint for the rest. *)
   let seen = Hashtbl.create 16 in
-  (match seed with
-  | None -> ()
-  | Some s ->
-    List.iter (fun (p, w) -> Hashtbl.replace seen p w) s.Snapshot.sn_seen);
   let watermark pred =
     match Hashtbl.find_opt seen pred with Some w -> w | None -> 0
   in
@@ -1552,70 +1483,6 @@ let run ?budget t =
               Telemetry.span ("engine.stratum." ^ string_of_int i) (fun () ->
                   run_stratum ?budget t i rules))
             t.strat.Stratify.strata))
-
-(* ---- incremental re-evaluation ---------------------------------------- *)
-
-let snapshot t =
-  let sizes preds = List.map (fun p -> (p, Database.pred_size t.db p)) preds in
-  let strata =
-    Array.map
-      (fun rules ->
-        let compiled =
-          List.map (fun r -> Hashtbl.find t.compiled r.Rule.id) rules
-        in
-        (* Watermarks for every predicate the fixpoint loop scans
-           semi-naively (positive atoms of plain and aggregate-test
-           rules); guard sizes for every predicate whose growth breaks
-           the stratum's fixpoint: negated atoms anywhere, and the
-           positive inputs of aggregate-binding rules (those evaluate
-           once, over saturated inputs). *)
-        let seen_preds =
-          List.concat_map
-            (fun cr -> if is_bind_rule cr then [] else cr.c_preds)
-            compiled
-          |> List.sort_uniq compare
-        in
-        let guard_preds =
-          List.concat_map
-            (fun cr ->
-              let negated =
-                List.filter_map
-                  (function p, `Neg -> Some p | _, `Pos -> None)
-                  (Rule.body_predicates cr.rule)
-              in
-              if is_bind_rule cr then cr.c_preds @ negated else negated)
-            compiled
-          |> List.sort_uniq compare
-        in
-        { Snapshot.sn_seen = sizes seen_preds; sn_guards = sizes guard_preds })
-      t.strat.Stratify.strata
-  in
-  { Snapshot.sn_strata = strata; sn_total = Database.total t.db }
-
-let run_incremental ?budget ~snapshot:(snap : Snapshot.t) t =
-  if
-    Array.length snap.Snapshot.sn_strata
-    <> Array.length t.strat.Stratify.strata
-  then
-    raise
-      (Invalidated
-         (Printf.sprintf "snapshot covers %d strata, the program has %d"
-            (Array.length snap.Snapshot.sn_strata)
-            (Array.length t.strat.Stratify.strata)));
-  let t0 = Profile.now () in
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.add_run_time t.prof (Profile.now () -. t0);
-      publish_telemetry t)
-    (fun () ->
-      Telemetry.span "engine.run_incremental" (fun () ->
-          Array.iteri
-            (fun i rules ->
-              Telemetry.span ("engine.stratum." ^ string_of_int i) (fun () ->
-                  run_stratum ?budget ~seed:snap.Snapshot.sn_strata.(i) t i
-                    rules))
-            t.strat.Stratify.strata));
-  snapshot t
 
 let null_origin t label = Hashtbl.find_opt t.null_origins label
 

@@ -26,12 +26,11 @@
       binding), memoized so the chase terminates on warded programs;
     - monotone aggregate {e tests} are semi-naive too: each delta plan
       feeds only new bindings into the rule's groups, whose contributor
-      tables persist across iterations (and incremental continuations),
-      so recursion through [msum(...) > t] converges (Section 4.4's
-      company control). A group's test is checked whenever a binding
-      contributes to it — a threshold reading a non-group variable
-      reads that binding's value — and the group emits its heads the
-      first time it passes; its heads depend on the group's values
+      tables persist across iterations, so recursion through
+      [msum(...) > t] converges (Section 4.4's company control). A
+      group's test is checked whenever a binding contributes to it — a
+      threshold reading a non-group variable reads that binding's value
+      — and the group emits its heads the first time it passes; its heads depend on the group's values
       alone, so later passes would only repeat them;
     - every derived fact can record its rule and parent facts for
       {!Provenance} explanations.
@@ -187,62 +186,9 @@ val null_origin : t -> int -> null_origin option
 (** The Skolem term a labelled null stands for — [sk(rule, var,
     frontier)] — or [None] for labels the chase did not invent (nulls
     already present in the input data). Two runs that derive the same
-    facts under different label assignments (an incremental continuation
-    vs. a from-scratch chase) map equal facts to equal Skolem terms;
+    facts under different label assignments (say, two builds whose
+    derivation order differs) map equal facts to equal Skolem terms;
     {!Canonical} renders databases modulo this renaming. *)
-
-(** {2 Incremental re-evaluation}
-
-    A saturated engine can absorb appended facts without recomputing its
-    fixpoint: {!snapshot} captures each stratum's semi-naive watermarks,
-    {!add_fact} loads the delta, and {!run_incremental} re-runs the
-    strata with the watermarks pre-seeded, so only (old × new) and
-    (new × new) joins are evaluated. The resulting database is
-    {e set-identical modulo labelled-null renaming} to a from-scratch
-    chase over the unioned facts (asserted via {!Canonical.of_engine}
-    byte-equality in the test suite); insertion order and null labels
-    differ, which is why the canonical form exists.
-
-    Non-monotone state cannot be continued: when a predicate read under
-    negation, or feeding an aggregate-{e binding} rule, has grown since
-    the snapshot, {!run_incremental} raises {!Invalidated} — the
-    engine's database may then hold a partial continuation and must be
-    discarded in favour of a fresh from-scratch engine over the union.
-    Aggregate-{e test} rules continue fine: their contributor tables
-    persist inside the engine and deduplicate by contributor values. *)
-
-module Snapshot : sig
-  type t
-  (** Per-stratum fixpoint state: semi-naive watermarks plus the sizes
-      of invalidation-guarded predicates, captured from a saturated
-      engine. Snapshots are plain immutable data — safe to retain after
-      the engine is gone, but only meaningful for engines created from
-      a program with the same rules and stratification. *)
-
-  val total : t -> int
-  (** [Database.total] at capture time. *)
-end
-
-exception Invalidated of string
-(** A stratum's previous fixpoint no longer holds (negated or
-    aggregate-binding input grew): the incremental continuation is
-    abandoned mid-run. Recover by building a fresh engine over the
-    unioned facts and discarding this one. *)
-
-val snapshot : t -> Snapshot.t
-(** Capture the fixpoint state of a saturated engine ({!run} returned
-    normally). Cheap: a size lookup per (stratum, predicate). *)
-
-val run_incremental :
-  ?budget:Vadasa_base.Budget.t -> snapshot:Snapshot.t -> t -> Snapshot.t
-(** Resume the chase over facts appended (via {!add_fact} /
-    {!add_fact_array}) since [snapshot] was captured from this engine,
-    and return the refreshed snapshot for the next delta. Raises
-    {!Invalidated} when a non-monotone stratum cannot be continued (see
-    above) and {!Interrupted} on budget exhaustion — in both cases the
-    database may hold a partial continuation. [snapshot] must come from
-    this engine (or one with identical program, facts and evaluation
-    history); this is unchecked beyond the stratum count. *)
 
 (** {2 Chase statistics}
 

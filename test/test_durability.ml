@@ -351,7 +351,7 @@ let put_base registry csv =
       ~digest:(Digest.to_hex (Digest.string csv))
       ~bytes:(String.length csv) ~options:Codec.default_options
       ~measure:(default_measure ()) ~semantics:R.Null_semantics.Maybe_match
-      ~compiled:None (md_of_csv csv)
+      (md_of_csv csv)
   in
   outcome.Registry.entry
 
@@ -373,7 +373,7 @@ let test_registry_replays_unknown_semantics () =
     (Registry.put reg1 ~id:"d" ~digest:"base" ~bytes:(String.length csv)
        ~options:{ Codec.default_options with Codec.semantics = "bogus" }
        ~measure:(default_measure ()) ~semantics:R.Null_semantics.Maybe_match
-       ~compiled:None (md_of_csv csv))
+       (md_of_csv csv))
       .Registry.entry
   in
   let risk1 = risk_string e1 in
@@ -516,7 +516,7 @@ let put_quoting registry ~id rows =
   (Registry.put registry ~id ~digest:("digest-" ^ id)
      ~bytes:(String.length csv) ~options:Codec.default_options
      ~measure:(default_measure ()) ~semantics:R.Null_semantics.Maybe_match
-     ~compiled:None (md_of_csv csv))
+     (md_of_csv csv))
     .Registry.entry
 
 let rendered entry =
@@ -627,8 +627,6 @@ let tree_snapshot ~last_seq ~registry ~ids ~jobs ~job_options =
         ("digest", Json.Str ("digest-" ^ id));
         ("bytes", field "bytes");
         ("appends", field "appends");
-        ("chase_incremental", field "chase_incremental");
-        ("chase_rebuilds", field "chase_rebuilds");
         ("created_at", field "created_at");
         ("updated_at", field "updated_at");
         ("csv", Json.Str (rendered e));
@@ -672,7 +670,6 @@ let tree_snapshot ~last_seq ~registry ~ids ~jobs ~job_options =
               Json.Obj
                 [
                   ("lifetime_appends", Json.Int (m "appends"));
-                  ("lifetime_rebuilds", Json.Int (m "chase_rebuilds"));
                   ("evictions", Json.Int (m "evictions"));
                   ("entries", Json.List (List.map entry_tree ids));
                 ] );
@@ -762,6 +759,89 @@ let test_snapshot_renders_no_csv () =
       Alcotest.(check (list string)) "traced as persist.snapshot"
         [ "persist.snapshot" ]
         (List.map (fun s -> s.T.Span.sp_path) spans))
+
+(* A data dir as an older build left it, written by hand: its snapshot
+   still carries the chase counters [chase_incremental], [chase_rebuilds]
+   and [lifetime_rebuilds], and one [dataset.append] was journaled after
+   it. Recovery ignores the dropped fields and comes back to the state
+   the records describe: the kept CSV is the relation's render, the
+   append count survives, and the maintained report equals ?mode=full. *)
+let test_registry_recovers_chase_era_dir () =
+  let csv = Lazy.force figure6_csv in
+  let n = csv_rows csv in
+  let base = csv_slice csv 0 (2 * n / 3) in
+  let delta = csv_slice csv (2 * n / 3) n in
+  let dir = tmp_dir () in
+  let entry =
+    Json.Obj
+      [
+        ("id", Json.Str "d");
+        ("digest", Json.Str "base");
+        ("bytes", Json.Int (String.length base));
+        ("appends", Json.Int 3);
+        ("chase_incremental", Json.Int 1);
+        ("chase_rebuilds", Json.Int 2);
+        ("created_at", Json.Float 1.0);
+        ("updated_at", Json.Float 2.0);
+        ("csv", Json.Str base);
+        ("options", Codec.options_to_json Codec.default_options);
+      ]
+  in
+  write_file
+    (Filename.concat dir "registry.snapshot")
+    (Json.to_string
+       (Json.Obj
+          [
+            ("version", Json.Int 1);
+            ("last_seq", Json.Int 1);
+            ( "sections",
+              Json.Obj
+                [
+                  ( "datasets",
+                    Json.Obj
+                      [
+                        ("lifetime_appends", Json.Int 3);
+                        ("lifetime_rebuilds", Json.Int 2);
+                        ("evictions", Json.Int 0);
+                        ("entries", Json.List [ entry ]);
+                      ] );
+                ] );
+          ]));
+  let j =
+    Journal.open_ ~min_next_seq:2 ~path:(Filename.concat dir "registry.journal")
+      ()
+  in
+  ignore
+    (Journal.append j
+       (Json.to_string
+          (Json.Obj
+             [
+               ("kind", Json.Str "dataset.append");
+               ("id", Json.Str "d");
+               ("csv", Json.Str delta);
+             ])));
+  Journal.close j;
+  let handlers = Srv.Handlers.create ~persist:(Persist.open_ ~dir ()) () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  with_server ~handlers (fun _server port ->
+      let e = Registry.get (Srv.Handlers.registry handlers) "d" in
+      Alcotest.(check int) "every row recovered" n
+        (csv_rows (Registry.entry_csv e));
+      Alcotest.(check string) "kept CSV = render of the relation" (rendered e)
+        (Registry.entry_csv e);
+      let status, meta = http_call ~port ~meth:"GET" ~target:"/v1/datasets/d" () in
+      Alcotest.(check int) "metadata 200" 200 status;
+      Alcotest.(check int) "snapshot appends + the replayed one" 4
+        (jint (json_of meta) "appends");
+      let status, maintained =
+        http_call ~port ~meth:"GET" ~target:"/v1/datasets/d/risk" ()
+      in
+      Alcotest.(check int) "risk 200" 200 status;
+      let status, full =
+        http_call ~port ~meth:"GET" ~target:"/v1/datasets/d/risk?mode=full" ()
+      in
+      Alcotest.(check int) "full 200" 200 status;
+      Alcotest.(check string) "maintained = ?mode=full" full maintained)
 
 (* --- the /v1/jobs surface over HTTP ---------------------------------------- *)
 
@@ -1252,6 +1332,8 @@ let () =
             test_snapshot_bytes_match_tree;
           Alcotest.test_case "snapshot renders no CSV" `Quick
             test_snapshot_renders_no_csv;
+          Alcotest.test_case "chase-era data dir recovers" `Quick
+            test_registry_recovers_chase_era_dir;
           QCheck_alcotest.to_alcotest prop_kept_csv_matches_render;
         ] );
       ( "jobs",

@@ -1,21 +1,18 @@
-(* Tests for the incremental SDC subsystem: reuse-the-fixpoint chase
-   continuation ([Engine.run_incremental] + [Canonical] byte-equality
-   against a from-scratch chase, at 1/2/4 domains), delta-maintained
-   risk scoring ([Risk.Incremental] vs. a full [Risk.estimate],
+(* Tests for the incremental SDC subsystem: delta-maintained risk
+   scoring ([Risk.Incremental] vs. a full [Risk.estimate],
    byte-identical reports), the dataset registry's lifecycle and
    consistency contract (conflicts, LRU eviction, mid-append fault
-   injection), and the /v1/datasets HTTP surface end-to-end —
-   including the snapshot cache's invalidation on append. *)
+   injection, no reasoning engine on PUT or append), and the
+   /v1/datasets HTTP surface end-to-end — including the snapshot
+   cache's invalidation on append. *)
 
 module Srv = Vadasa_server
 module Http = Srv.Http
 module Json = Vadasa_base.Json
 module E = Vadasa_base.Error
-module Value = Vadasa_base.Value
 module Faultpoint = Vadasa_resilience.Faultpoint
 module R = Vadasa_relational
 module S = Vadasa_sdc
-module V = Vadasa_vadalog
 
 open E2e
 
@@ -26,170 +23,6 @@ let contains haystack needle =
     else String.sub haystack i nl = needle || go (i + 1)
   in
   nl = 0 || go 0
-
-(* --- engine: incremental continuation equals from-scratch ----------------- *)
-
-(* Monotone program with a join, recursion and an existential head (the
-   chase invents nulls, so equality must hold modulo null renaming —
-   exactly what [Canonical.of_engine] renders). *)
-let monotone_src =
-  {|
-    near(X, Y) :- item(X, A), item(Y, A), X < Y.
-    hub(X, H) :- near(X, Y).
-    reach(X, Y) :- near(X, Y).
-    reach(X, Z) :- reach(X, Y), near(Y, Z).
-  |}
-
-let item i = ("item", [| Value.Int i; Value.Int (i mod 7) |])
-
-let items lo hi = List.init (hi - lo) (fun k -> item (lo + k))
-
-let canonical_scratch ?strat src facts =
-  let program =
-    V.Program.union (V.Parser.parse src) (V.Program.make ~facts [])
-  in
-  let engine = V.Engine.create ?strat program in
-  V.Engine.run engine;
-  let c = V.Canonical.of_engine engine in
-  V.Engine.shutdown engine;
-  c
-
-(* Run base, snapshot, then absorb each delta with [run_incremental]. *)
-let canonical_incremental ~domains src base deltas =
-  let program =
-    V.Program.union (V.Parser.parse src) (V.Program.make ~facts:base [])
-  in
-  let engine = V.Engine.create ~domains program in
-  V.Engine.run engine;
-  let snap = ref (V.Engine.snapshot engine) in
-  List.iter
-    (fun delta ->
-      List.iter (fun (p, args) -> V.Engine.add_fact_array engine p args) delta;
-      snap := V.Engine.run_incremental ~snapshot:!snap engine)
-    deltas;
-  let c = V.Canonical.of_engine engine in
-  V.Engine.shutdown engine;
-  c
-
-let test_incremental_equals_scratch () =
-  let expected = canonical_scratch monotone_src (items 0 30) in
-  Alcotest.(check bool) "chase derived something" true
-    (String.length expected > 0);
-  List.iter
-    (fun domains ->
-      let got =
-        canonical_incremental ~domains monotone_src (items 0 20)
-          [ items 20 25; items 25 30 ]
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "append(d1); append(d2) = scratch at %d domains"
-           domains)
-        expected got)
-    [ 1; 2; 4 ]
-
-let negation_src =
-  {|
-    blocked(Y) :- edge(X, Y).
-    root(X) :- node(X), not blocked(X).
-  |}
-
-let node i = ("node", [| Value.Int i |])
-let edge a b = ("edge", [| Value.Int a; Value.Int b |])
-
-let test_incremental_negation_safe_delta () =
-  (* A delta that leaves every negated input untouched continues fine. *)
-  let base = [ node 1; node 2; node 3; edge 1 2 ] in
-  let delta = [ node 4; node 5 ] in
-  let expected = canonical_scratch negation_src (base @ delta) in
-  Alcotest.(check string) "nodes-only delta continues through negation"
-    expected
-    (canonical_incremental ~domains:1 negation_src base [ delta ])
-
-let test_incremental_negation_invalidates () =
-  let base = [ node 1; node 2; node 3; edge 1 2 ] in
-  let program =
-    V.Program.union (V.Parser.parse negation_src) (V.Program.make ~facts:base [])
-  in
-  let engine = V.Engine.create program in
-  V.Engine.run engine;
-  let snap = V.Engine.snapshot engine in
-  (* edge growth feeds [blocked], the negated input of [root]: the
-     previous fixpoint no longer holds and the continuation must be
-     abandoned, not silently wrong. *)
-  List.iter
-    (fun (p, args) -> V.Engine.add_fact_array engine p args)
-    [ edge 2 3 ];
-  (match V.Engine.run_incremental ~snapshot:snap engine with
-  | _ -> Alcotest.fail "expected Invalidated"
-  | exception V.Engine.Invalidated _ -> ());
-  V.Engine.shutdown engine;
-  (* recovery: a fresh from-scratch engine over the union is the
-     documented fallback, and trivially correct *)
-  let expected = canonical_scratch negation_src (base @ [ edge 2 3 ]) in
-  Alcotest.(check bool) "rebuild recovers" true (String.length expected > 0)
-
-let score g i w = ("score", [| Value.Str g; Value.Int i; Value.Float w |])
-
-let test_incremental_agg_binding_invalidates () =
-  let src = "total(G, S) :- score(G, I, W), S = msum(W, <I>)." in
-  let base = [ score "a" 1 0.5; score "a" 2 1.5; score "b" 1 2.0 ] in
-  let program =
-    V.Program.union (V.Parser.parse src) (V.Program.make ~facts:base [])
-  in
-  let engine = V.Engine.create program in
-  V.Engine.run engine;
-  let snap = V.Engine.snapshot engine in
-  List.iter
-    (fun (p, args) -> V.Engine.add_fact_array engine p args)
-    [ score "a" 3 1.0 ];
-  (match V.Engine.run_incremental ~snapshot:snap engine with
-  | _ -> Alcotest.fail "expected Invalidated (aggregate binding grew)"
-  | exception V.Engine.Invalidated _ -> ());
-  V.Engine.shutdown engine
-
-let test_incremental_agg_test_continues () =
-  (* Aggregate *tests* keep their contributor tables inside the engine,
-     so a continuation stays exact even when the delta pushes a group
-     over the threshold. *)
-  let src = "big(G) :- score(G, I, W), msum(W, <I>) > 2.0." in
-  let base = [ score "a" 1 0.5; score "a" 2 1.0; score "b" 1 2.5 ] in
-  let delta = [ score "a" 3 1.0 ] in
-  let expected = canonical_scratch src (base @ delta) in
-  Alcotest.(check bool) "delta tips group a over" true
-    (contains expected "big(string:a)");
-  Alcotest.(check string) "aggregate test continues" expected
-    (canonical_incremental ~domains:1 src base [ delta ]);
-  (* Company control (Section 4.4) recurses through the test. Along a
-     ladder, a(i) controls b(i) directly and a(i+1) jointly: its own 40%
-     plus b(i)'s 20%. The facts come in triples, and the base/delta cuts
-     split triples, so a delta both tips groups over the threshold and
-     extends the chain that control propagates along. *)
-  let control_src =
-    {|
-      rel(X, X) :- own(X, Y, W).
-      rel(X, Y) :- own(X, Y, W), W > 0.5.
-      rel(X, Y) :- rel(X, Z), own(Z, Y, W), X != Y, msum(W, <Z>) > 0.5.
-    |}
-  in
-  let own x y w = ("own", [| Value.Str x; Value.Str y; Value.Float w |]) in
-  let a i = Printf.sprintf "a%d" i and b i = Printf.sprintf "b%d" i in
-  let ladder =
-    List.concat
-      (List.init 10 (fun i ->
-           [ own (a i) (b i) 0.6; own (a i) (a (i + 1)) 0.4; own (b i) (a (i + 1)) 0.2 ]))
-  in
-  let slice lo hi = List.filteri (fun i _ -> lo <= i && i < hi) ladder in
-  let expected = canonical_scratch control_src ladder in
-  Alcotest.(check bool) "control reaches the end of the ladder" true
-    (contains expected "rel(string:a0,string:a10)");
-  List.iter
-    (fun domains ->
-      Alcotest.(check string)
-        (Printf.sprintf "company control continues at %d domains" domains)
-        expected
-        (canonical_incremental ~domains control_src (slice 0 20)
-           [ slice 20 25; slice 25 30 ]))
-    [ 1; 2; 4 ]
 
 (* --- shared microdata fixtures -------------------------------------------- *)
 
@@ -267,12 +100,10 @@ let default_measure () =
   | Ok m -> m
   | Error e -> Alcotest.failf "measure: %s" (E.to_string e)
 
-let put_csv ?compiled reg id csv =
+let put_csv reg id csv =
   Srv.Registry.put reg ~id ~digest:csv ~bytes:(String.length csv)
     ~options:Srv.Codec.default_options ~measure:(default_measure ())
-    ~semantics:R.Null_semantics.Maybe_match
-    ~compiled:(Option.value ~default:None (Option.map Option.some compiled))
-    (md_of_csv csv)
+    ~semantics:R.Null_semantics.Maybe_match (md_of_csv csv)
 
 let check_typed_error what code f =
   match f () with
@@ -374,37 +205,67 @@ let test_registry_append_consistency () =
     [ "register"; "append"; "delete" ]
     events
 
-let test_registry_chase_incremental () =
-  (* A monotone program over the bridge's [val] facts: the continuation
-     path actually runs (no rebuild), and the registry's saturated
-     database must be byte-identical — via [Canonical] — to a
-     from-scratch chase over the unioned dataset. *)
-  let src = "pair(I, J) :- val(D, I, A, X), val(D, J, A, X), I < J." in
-  let program = V.Parser.parse src in
-  let strat = V.Stratify.compute program in
-  let reg = Srv.Registry.create ~capacity:4 () in
+(* The registry maintains reports with [Risk.Incremental] alone: a PUT
+   and two appends through the handlers, under the default measure
+   (k-anonymity, which the reasoning engine could express), record no
+   [engine.*] span, and the maintained report still equals a fresh
+   estimate on the union. *)
+let test_registry_append_runs_no_engine () =
+  let module T = Vadasa_telemetry.Telemetry in
   let csv = Lazy.force figure6_csv in
   let base, d1, d2 = slice3 csv in
-  let entry =
-    (put_csv ~compiled:(program, strat) reg "fig" base).Srv.Registry.entry
+  let handlers = Srv.Handlers.create () in
+  let router = Srv.Handlers.router handlers in
+  let call meth path body =
+    let resp =
+      Srv.Router.dispatch router
+        {
+          Http.meth;
+          target = path;
+          path;
+          query = [];
+          version = "HTTP/1.1";
+          headers = [ ("content-type", "text/csv") ];
+          body;
+          deadline = None;
+        }
+    in
+    if resp.Http.status >= 300 then
+      Alcotest.failf "%s: %d %s" path resp.Http.status resp.Http.resp_body;
+    resp.Http.status
   in
-  let o1 = Srv.Registry.append reg entry ~csv:d1 in
-  Alcotest.(check string) "first delta continues" "incremental"
-    o1.Srv.Registry.chase_mode;
-  let o2 = Srv.Registry.append reg entry ~csv:d2 in
-  Alcotest.(check string) "second delta continues" "incremental"
-    o2.Srv.Registry.chase_mode;
-  let engine =
-    match Srv.Registry.entry_engine entry with
-    | Some e -> e
-    | None -> Alcotest.fail "chase is materialized"
+  let was = T.enabled () in
+  T.set_enabled true;
+  let statuses, spans =
+    Fun.protect
+      ~finally:(fun () ->
+        T.set_enabled was;
+        Srv.Handlers.shutdown handlers)
+      (fun () ->
+        T.with_local_trace (fun () ->
+            let put = call Http.PUT "/v1/datasets/fig" base in
+            let a1 = call Http.POST "/v1/datasets/fig/facts" d1 in
+            let a2 = call Http.POST "/v1/datasets/fig/facts" d2 in
+            [ put; a1; a2 ]))
   in
-  let scratch =
-    let md_union = md_of_csv csv in
-    canonical_scratch ~strat src (S.Vadalog_bridge.microdata_facts md_union)
-  in
-  Alcotest.(check string) "registry chase byte-identical to scratch" scratch
-    (V.Canonical.of_engine engine)
+  Alcotest.(check (list int)) "PUT and two appends" [ 201; 200; 200 ] statuses;
+  Alcotest.(check bool) "the requests were traced" true
+    (List.exists (fun s -> s.T.Span.sp_name = "registry.append") spans);
+  Alcotest.(check (list string)) "no engine span" []
+    (List.filter_map
+       (fun s ->
+         let name = s.T.Span.sp_name in
+         if String.starts_with ~prefix:"engine." name then Some name else None)
+       spans);
+  let entry = Srv.Registry.get (Srv.Handlers.registry handlers) "fig" in
+  let md_union = md_of_csv csv in
+  Alcotest.(check string) "maintained report = estimate on the union"
+    (render md_union
+       (S.Risk.estimate
+          ~semantics:(Srv.Registry.entry_semantics entry)
+          (Srv.Registry.entry_measure entry)
+          md_union))
+    (render (Srv.Registry.entry_md_snapshot entry) (Srv.Registry.entry_report entry))
 
 let test_cache_remove () =
   let c = Srv.Cache.create ~capacity:4 "t" in
@@ -700,19 +561,6 @@ let test_e2e_concurrent_read_not_torn () =
 let () =
   Alcotest.run "incremental"
     [
-      ( "engine",
-        [
-          Alcotest.test_case "append = scratch at 1/2/4 domains" `Quick
-            test_incremental_equals_scratch;
-          Alcotest.test_case "negation: safe delta continues" `Quick
-            test_incremental_negation_safe_delta;
-          Alcotest.test_case "negation: unsafe delta invalidates" `Quick
-            test_incremental_negation_invalidates;
-          Alcotest.test_case "aggregate binding invalidates" `Quick
-            test_incremental_agg_binding_invalidates;
-          Alcotest.test_case "aggregate test continues" `Quick
-            test_incremental_agg_test_continues;
-        ] );
       ( "risk",
         [
           Alcotest.test_case "incremental = full estimate, all measures"
@@ -724,8 +572,8 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_registry_lru_eviction;
           Alcotest.test_case "append consistency + fault injection" `Quick
             test_registry_append_consistency;
-          Alcotest.test_case "chase continuation = scratch" `Quick
-            test_registry_chase_incremental;
+          Alcotest.test_case "append runs no engine" `Quick
+            test_registry_append_runs_no_engine;
           Alcotest.test_case "cache remove" `Quick test_cache_remove;
         ] );
       ( "e2e",

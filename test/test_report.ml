@@ -52,7 +52,7 @@ let maintained_bodies () =
   let entry =
     (Srv.Registry.put reg ~id:"golden" ~digest:base ~bytes:(String.length base)
        ~options:individual_options ~measure
-       ~semantics:R.Null_semantics.Maybe_match ~compiled:None (md_of_csv base))
+       ~semantics:R.Null_semantics.Maybe_match (md_of_csv base))
       .Srv.Registry.entry
   in
   let append lo hi =

@@ -767,7 +767,7 @@ let test_e2e_metrics_content_negotiation () =
       in
       Alcotest.(check int) "prometheus 200" 200 status;
       Alcotest.(check (option string))
-        "prometheus content type" (Some Srv.Prom.content_type)
+        "prometheus content type" (Some Srv.Handlers.content_type)
         (List.assoc_opt "content-type" resp_headers);
       Alcotest.(check bool)
         "exposition body" true
@@ -795,7 +795,7 @@ let test_accept_negotiation () =
     match
       parse (Printf.sprintf "GET /metrics HTTP/1.1\r\naccept: %s\r\n\r\n" accept)
     with
-    | Ok req -> Srv.Prom.wants_prometheus req
+    | Ok req -> Srv.Handlers.wants_prometheus req
     | Error _ -> Alcotest.fail "request should parse"
   in
   Alcotest.(check bool) "text/plain" true (wants "text/plain");
@@ -1011,6 +1011,7 @@ let pinned_series =
     "vadasa_breaker_state{endpoint=\"GET /v1/jobs/{id}\"}";
     "vadasa_breaker_state{endpoint=\"POST /v1/datasets/{id}/facts\"}";
     "vadasa_breaker_state{endpoint=\"POST /v1/jobs\"}";
+    "vadasa_breaker_state{endpoint=\"POST /v1/reason\"}";
     "vadasa_breaker_state{endpoint=\"POST /v1/risk\"}";
     "vadasa_breaker_state{endpoint=\"PUT /v1/datasets/{id}\"}";
     "vadasa_cache_evictions_total{cache=\"datasets\"}";
@@ -1027,7 +1028,6 @@ let pinned_series =
     "vadasa_csv_write_rows_total";
     "vadasa_datasets_appends_total";
     "vadasa_datasets_bytes";
-    "vadasa_datasets_chase_rebuilds_total";
     "vadasa_datasets_evictions_total";
     "vadasa_datasets_registered";
     "vadasa_datasets_rows";
@@ -1051,6 +1051,8 @@ let pinned_series =
     "vadasa_http_latency_POST_v1_datasets__id__facts_sum";
     "vadasa_http_latency_POST_v1_jobs_count";
     "vadasa_http_latency_POST_v1_jobs_sum";
+    "vadasa_http_latency_POST_v1_reason_count";
+    "vadasa_http_latency_POST_v1_reason_sum";
     "vadasa_http_latency_POST_v1_risk_count";
     "vadasa_http_latency_POST_v1_risk_sum";
     "vadasa_http_latency_PUT_v1_datasets__id__count";
@@ -1058,6 +1060,7 @@ let pinned_series =
     "vadasa_http_requests_total{method=\"GET\",path=\"/v1/jobs/{id}\",status=\"200\"}";
     "vadasa_http_requests_total{method=\"POST\",path=\"/v1/datasets/{id}/facts\",status=\"200\"}";
     "vadasa_http_requests_total{method=\"POST\",path=\"/v1/jobs\",status=\"202\"}";
+    "vadasa_http_requests_total{method=\"POST\",path=\"/v1/reason\",status=\"200\"}";
     "vadasa_http_requests_total{method=\"POST\",path=\"/v1/risk\",status=\"200\"}";
     "vadasa_http_requests_total{method=\"PUT\",path=\"/v1/datasets/{id}\",status=\"201\"}";
     "vadasa_jobs_cancelled_total";
@@ -1139,9 +1142,10 @@ let test_e2e_program_text_adds_no_series () =
           Alcotest.(check (list string)) "same families" before (families (scrape port))))
 
 (* Every sample name and label set /metrics exports on one fixed server
-   state (a data dir, one dataset with one append, one job, one cache
-   hit, breaker circuits), without histogram buckets and gc.* gauges: a
-   series dropped from any component's [metrics] list fails here. *)
+   state (a data dir, one dataset with one append, one reasoned chase,
+   one job, one cache hit, breaker circuits), without histogram buckets
+   and gc.* gauges: a series dropped from any component's [metrics] list
+   fails here. *)
 let test_e2e_pinned_series () =
   let dir = Filename.temp_file "vadasa-series" "" in
   Sys.remove dir;
@@ -1158,6 +1162,8 @@ let test_e2e_pinned_series () =
           in
           ignore (call "PUT" "/v1/datasets/d" (csv_slice csv 0 100));
           ignore (call "POST" "/v1/datasets/d/facts" (csv_slice csv 100 120));
+          (* the scenario's one engine run: keeps the engine.* families *)
+          ignore (call "POST" "/v1/reason" (csv_slice csv 0 100));
           let field key body = Option.bind (Json.member key (json_of body)) Json.to_string_opt in
           let job =
             Option.get (field "id" (call "POST" "/v1/jobs" {|{"dataset": "d", "op": "risk"}|}))
